@@ -18,6 +18,7 @@ phase precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 
 from .phases import PhaseRing, make_phase_ring
 
@@ -247,9 +248,39 @@ def compose(after: Diagram, before: Diagram) -> Diagram:
         after.d,
         before.in_points,
         after.out_points,
-        before.layers + after.layers,
+        _lift_trailing_charges(before.layers, after.flat()) + after.layers,
         before.scalar.times(after.scalar),
     )
+
+
+def _lift_trailing_charges(layers, below: list[Generator]):
+    """Keep ``layers``' trailing charges applied before the charges ``below`` starts with.
+
+    Evaluation reads consecutive charges as one run ordered by tier, so a
+    seam between two charge runs would interleave them by tier.  When the
+    upper run's lowest tier does not clear the lower run's highest, the
+    upper run's tiers are all raised by the same amount, which keeps its
+    own order and twisted pairs.
+    """
+    flat = [gen for layer in layers for gen in layer]
+    lower = list(takewhile(lambda g: isinstance(g, Charge), below))
+    upper = list(takewhile(lambda g: isinstance(g, Charge), reversed(flat)))
+    if not lower or not upper:
+        return layers
+    lift = max(c.tier for c in lower) + 1 - min(c.tier for c in upper)
+    if lift <= 0:
+        return layers
+    first = len(flat) - len(upper)  # flat index where the upper run starts
+    out, seen = [], 0
+    for layer in layers:
+        out.append(
+            tuple(
+                replace(g, tier=g.tier + lift) if seen + i >= first else g
+                for i, g in enumerate(layer)
+            )
+        )
+        seen += len(layer)
+    return tuple(out)
 
 
 def _shift_gen(gen: Generator, offset: int) -> Generator:

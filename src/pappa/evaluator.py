@@ -28,6 +28,7 @@ state, and are cross-checked against both in the tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,8 +206,8 @@ def cup_op(ring: PhaseRing, n: int, slot: int) -> QOperator:
 # ---------------------------------------------------------------------------
 
 
-def _braid_matrix(ring: PhaseRing, n: int, strand: int, sign: int) -> np.ndarray:
-    """b_+ / b_- on strands (strand, strand+1) of an n-qudit row.
+def _braid_charge_sum(ring: PhaseRing, n: int, strand: int, sign: int) -> np.ndarray:
+    """b_+ / b_- on strands (strand, strand+1) of an n-qudit row, densely.
 
     Charge-sum definitions:
 
@@ -216,8 +217,6 @@ def _braid_matrix(ring: PhaseRing, n: int, strand: int, sign: int) -> np.ndarray
     (the left charge sits high in b_+, low in b_-).  On a qudit-aligned
     pair these reduce to omega**0.5 G**-1 and omega**-0.5 G.
     """
-    if not 0 <= strand < 2 * n - 1:
-        raise ValueError(f"braid strand {strand} out of range for n={n}")
     d = ring.d
     acc = np.zeros((d**n, d**n), dtype=complex)
     for k in range(d):
@@ -230,6 +229,29 @@ def _braid_matrix(ring: PhaseRing, n: int, strand: int, sign: int) -> np.ndarray
     if sign > 0:
         return acc / (ring.omega_sqrt * d**0.5)
     return acc * ring.omega_sqrt / d**0.5
+
+
+@functools.lru_cache(maxsize=None)
+def braid_block(ring: PhaseRing, parity: int, sign: int) -> np.ndarray:
+    """The local factor of every braid whose left strand has ``parity``.
+
+    The Z-strings of a braid's two charges cancel beyond its strands, so
+    the braid is this block on qudit j (parity 0: strands 2j, 2j+1) or on
+    qudits j, j+1 (parity 1: strands 2j+1, 2j+2), and the identity
+    elsewhere.  It is the charge-sum definition at n = 1 resp. n = 2,
+    computed once per (ring, parity, sign) and read-only.
+    """
+    block = _braid_charge_sum(ring, 1 + parity, parity, sign)
+    block.flags.writeable = False
+    return block
+
+
+def _braid_matrix(ring: PhaseRing, n: int, strand: int, sign: int) -> np.ndarray:
+    """b_+ / b_- on strands (strand, strand+1), embedded from :func:`braid_block`."""
+    if not 0 <= strand < 2 * n - 1:
+        raise ValueError(f"braid strand {strand} out of range for n={n}")
+    block = braid_block(ring, strand % 2, sign)
+    return gates.embed_site_matrix(ring.d, n, strand // 2, block)
 
 
 def braid_op(ring: PhaseRing, n: int, strand: int, sign: int) -> QOperator:
@@ -341,7 +363,7 @@ def _box_matrix(
     ring: PhaseRing, n: int, box: Box, boxes: dict[str, np.ndarray] | None
 ) -> np.ndarray:
     if boxes is None or box.name not in boxes:
-        raise KeyError(f"no matrix bound for box {box.name!r}")
+        raise ValueError(f"no matrix bound for box {box.name!r}")
     m = boxes[box.name]
     if box.dagger:
         m = m.conj().T

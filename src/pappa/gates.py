@@ -9,7 +9,13 @@ Multi-qudit basis: |k_1,...,k_n> maps to index sum(k_j * d**(n-j)), i.e.
 qudit 1 is the first (most significant) tensor factor.
 
 Gate application to states is site-local (reshape kernels); full d**n x d**n
-matrices are only materialized by the verification helpers.
+matrices are only materialized by the verification helpers and the dense
+builders (``sym_gate``, ``sft_matrix``, ``evaluator.braid_op``), which serve
+as oracles.  On states, ``braid`` and ``sym`` act on at most two adjacent
+qudits (the Jordan-Wigner Z-strings of a braid's two charges cancel), and
+``sft`` is omega**0.5 times 2n-1 such braids, so each costs O(n d**(n+2))
+rather than the d**(2n) of its matrix: an ``sft`` at d=2, n=20 (the 2**20
+state cap) runs.
 """
 
 from __future__ import annotations
@@ -144,10 +150,19 @@ def kron_all(mats) -> np.ndarray:
 
 
 def embed_site_matrix(d: int, n: int, site: int, m: np.ndarray) -> np.ndarray:
-    """1 x ... x m x ... x 1 with ``m`` at tensor slot ``site`` (0-based)."""
-    mats = [np.eye(d, dtype=complex)] * n
-    mats[site] = m
-    return kron_all(mats)
+    """1 x ... x m x ... x 1 with ``m`` at tensor slot ``site`` (0-based).
+
+    ``m`` may span several adjacent slots (a d**w x d**w block covers
+    slots site..site+w-1).
+    """
+    w = 1
+    while d**w < m.shape[0]:
+        w += 1
+    if m.shape != (d**w, d**w) or not 0 <= site <= n - w:
+        raise ValueError(f"a {m.shape} block at site {site} does not fit n={n}, d={d}")
+    left = np.eye(d**site, dtype=complex)
+    right = np.eye(d ** (n - site - w), dtype=complex)
+    return np.kron(np.kron(left, m), right)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +376,13 @@ class GateSpec:
 def apply_gate_spec(ring: PhaseRing, state: QState, spec: GateSpec) -> QState:
     """Apply a symbolic gate to a state (site-local kernels throughout)."""
     n = state.n
+    if spec.kind == "braid":
+        (strand,) = spec.sites
+        return apply_braid(ring, state, strand, spec.sign)
+    if spec.kind == "sym":
+        (strand,) = spec.sites
+        j = _sym_pair(n, strand)
+        return apply_two_site_gate(state, sym_gate_matrix(ring, spec.m), j, j + 1)
     if any(not 0 <= s < n for s in spec.sites):
         raise ValueError(f"sites {spec.sites} outside register of {n}")
     if spec.kind in _GATE_BUILDERS:
@@ -374,18 +396,12 @@ def apply_gate_spec(ring: PhaseRing, state: QState, spec: GateSpec) -> QState:
     if spec.kind == "cz":
         a, b = spec.sites
         return apply_controlled(state, pauli_z_power(ring, 1), a, b, spec.power)
-    if spec.kind == "braid":
-        from . import evaluator
-
-        (strand,) = spec.sites
-        return apply_full_matrix(
-            state, evaluator.braid_op(ring, n, strand, spec.sign).matrix
-        )
-    if spec.kind == "sym":
-        (strand,) = spec.sites
-        return apply_full_matrix(state, sym_gate(ring, n, strand, spec.m))
     if spec.kind == "sft":
-        return apply_full_matrix(state, sft_matrix(ring, n))
+        # omega**0.5 b_{2n-2,-} ... b_{0,-}, the product evaluator.sft_via_braids builds
+        state = QState(state.d, n, state.vector * ring.omega_sqrt, state.normalized)
+        for s in range(2 * n - 1):
+            state = apply_braid(ring, state, s, -1)
+        return state
     if spec.kind == "matrix":
         if spec.matrix is None:
             raise ValueError("matrix gate needs a matrix")
@@ -395,6 +411,23 @@ def apply_gate_spec(ring: PhaseRing, state: QState, spec: GateSpec) -> QState:
             return apply_two_site_gate(state, spec.matrix, *spec.sites)
         raise ValueError("custom matrices support one or two sites")
     raise ValueError(f"unknown gate kind {spec.kind!r}")
+
+
+def apply_braid(ring: PhaseRing, state: QState, strand: int, sign: int) -> QState:
+    """The braid on strands (strand, strand+1), applied as its local block.
+
+    An even strand pairs the two strings of qudit strand//2; an odd one
+    straddles qudits (strand-1)//2 and (strand+1)//2.
+    """
+    from .evaluator import braid_block
+
+    if not 0 <= strand < 2 * state.n - 1:
+        raise ValueError(f"braid strand {strand} out of range for n={state.n}")
+    block = braid_block(ring, strand % 2, sign)
+    j = strand // 2
+    if strand % 2:
+        return apply_two_site_gate(state, block, j, j + 1)
+    return apply_site_gate(state, block, j)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +451,14 @@ def sym_gate(ring: PhaseRing, n: int, strand: int, m: int) -> np.ndarray:
     ``strand`` is 0-based and must be odd (the boundary between qudits
     (strand-1)//2 and (strand+1)//2).
     """
-    if strand % 2 != 1 or strand >= 2 * n - 1:
+    return embed_site_matrix(ring.d, n, _sym_pair(n, strand), sym_gate_matrix(ring, m))
+
+
+def _sym_pair(n: int, strand: int) -> int:
+    """First qudit of the adjacent pair that straddling strand ``strand`` joins."""
+    if strand % 2 != 1 or not 0 < strand < 2 * n - 1:
         raise ValueError(f"strand {strand} is not a qudit boundary for n={n}")
-    j = (strand - 1) // 2
-    return kron_all(
-        [np.eye(ring.d, dtype=complex)] * j
-        + [sym_gate_matrix(ring, m)]
-        + [np.eye(ring.d, dtype=complex)] * (n - j - 2)
-    )
+    return (strand - 1) // 2
 
 
 def sft_matrix(ring: PhaseRing, n: int) -> np.ndarray:
@@ -433,24 +466,18 @@ def sft_matrix(ring: PhaseRing, n: int) -> np.ndarray:
 
     <l|SFT|k> = d**((1-n)/2) * zeta**(|l|**2) * prod_{j1<j2} q**(-l_j1 k_j2)
     on the charge-conserving sector |l| == |k| (mod d), zero elsewhere.
+    The integer exponents are reduced before one lookup per phase.
     """
     d = ring.d
-    dim = d**n
-    out = np.zeros((dim, dim), dtype=complex)
+    digits = np.indices([d] * n).reshape(n, d**n).T  # row idx: digits of idx
+    total = digits.sum(axis=1)
+    before = np.cumsum(digits, axis=1) - digits  # l_1 + ... + l_{j-1}
+    expo = -(before @ digits.T)  # [l, k]: -sum_{j1<j2} l_j1 k_j2
+    zeta_table = np.array([ring.zeta_pow(e) for e in range(2 * d)])
+    q_table = np.array([ring.q_pow(e) for e in range(d)])
     scale = float(d) ** ((1 - n) / 2)
-    for kidx in range(dim):
-        ks = index_digits(kidx, d, n)
-        ktot = sum(ks)
-        for lidx in range(dim):
-            ls = index_digits(lidx, d, n)
-            if (sum(ls) - ktot) % d != 0:
-                continue
-            expo = 0
-            prefix = 0
-            for j2 in range(n):
-                expo -= prefix * ks[j2]
-                prefix += ls[j2]
-            out[lidx, kidx] = scale * ring.zeta_pow(sum(ls) ** 2) * ring.q_pow(expo)
+    out = scale * zeta_table[total**2 % (2 * d)][:, None] * q_table[expo % d]
+    out[(total[:, None] - total[None, :]) % d != 0] = 0.0
     return out
 
 

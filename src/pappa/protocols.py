@@ -17,7 +17,7 @@ import numpy as np
 
 from . import entangle, gates
 from .gates import QState
-from .phases import PhaseRing
+from .phases import DEFAULT_TOL, PhaseRing
 
 
 class LocalityError(Exception):
@@ -270,10 +270,11 @@ def run_branches(
 
 
 def state_on_sites(state: QState, sites) -> QState:
-    """Restrict to ``sites``; all other qudits must be in product form.
+    """Restrict to ``sites``; all other qudits must be collapsed to a basis value.
 
     Used to read off the surviving carriers after measurements collapse
-    the rest of the register.
+    the rest of the register.  Raises ``ValueError`` when another qudit
+    holds more than ``DEFAULT_TOL`` of the weight off its likeliest value.
     """
     sites = tuple(sites)
     d, n = state.d, state.n
@@ -281,8 +282,13 @@ def state_on_sites(state: QState, sites) -> QState:
     others = [i for i in range(n) if i not in sites]
     # find the (unique) basis values of the collapsed qudits
     for site in sorted(others, reverse=True):
-        marg = np.abs(t).sum(axis=tuple(i for i in range(t.ndim) if i != site))
-        val = int(np.argmax(marg))
+        probs = (np.abs(np.moveaxis(t, site, 0)) ** 2).reshape(d, -1).sum(axis=1)
+        val = int(np.argmax(probs))
+        stray = float((probs.sum() - probs[val]) / probs.sum())
+        if stray > DEFAULT_TOL:
+            raise ValueError(
+                f"qudit {site} is not collapsed: weight {stray:.3e} off its value {val}"
+            )
         t = np.take(t, val, axis=site)
     v = t.reshape(-1)
     order = list(np.argsort(sites))

@@ -134,6 +134,14 @@ def test_dimension_overflow_exit_code_2(tmp_path):
     assert code == 2
 
 
+def test_unbound_box_exit_code_2(tmp_path, capsys):
+    pd = tmp_path / "box.pd"
+    pd.write_text("diagram d=2 in=2 out=2\nbox U@0:2:0\n")
+    code, out = run_cli(["diagram", "eval", str(pd)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no matrix bound for box 'U'\n"
+
+
 def test_circuit_run_outcomes(tmp_path):
     pc = tmp_path / "c.pc"
     pc.write_text("circuit d=3 n=2\nsft\nmeasure@1 -> m1\nmeasure@2 -> m2\n")

@@ -66,6 +66,30 @@ def test_compose_charges_merge_under_normalize():
     assert mx(ev(ring, merged) - ev(ring, compose(lower, upper))) < 1e-12
 
 
+def test_compose_charge_seam_keeps_operator_order():
+    """Charges across a seam apply in composition order, whatever their tiers."""
+    ring = RINGS[3]
+    a = Diagram.identity(3, 2).then(Charge(1, 1, 1))
+    b = Diagram.identity(3, 2).then(Charge(0, 1, 0))
+    assert mx(ev(ring, compose(a, b)) - ev(ring, a) @ ev(ring, b)) < 1e-12
+
+
+def test_compose_charge_seam_fuzz():
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 5):
+        ring = RINGS[d]
+        for _ in range(20):
+            parts = []
+            for _ in range(2):
+                dia = Diagram.identity(d, 4)
+                for _ in range(int(rng.integers(1, 4))):
+                    strand, k, tier = (int(x) for x in rng.integers(0, [4, d, 3]))
+                    dia = dia.then(Charge(strand, k, tier))
+                parts.append(dia)
+            a, b = parts
+            assert mx(ev(ring, compose(a, b)) - ev(ring, a) @ ev(ring, b)) < 1e-12
+
+
 def test_tensor_identity_strands():
     d = 2
     two = tensor(Diagram.identity(d, 1), Diagram.identity(d, 1))

@@ -256,3 +256,86 @@ def test_gate_spec_validation():
         GateSpec("ctrl", (1, 1))
     with pytest.raises(ValueError):
         apply_gate_spec(RINGS[2], QState.zero(2, 2), GateSpec("X", (5,)))
+
+
+# local kernels against their dense builders
+
+LOCAL_SIZES = [(d, n) for d in (2, 3, 5) for n in range(1, 5) if d**n <= 625]
+
+
+@pytest.mark.parametrize("d,n", LOCAL_SIZES)
+def test_braid_spec_matches_dense_braid_op(d, n):
+    from pappa.evaluator import braid_op
+    from pappa.gates import GateSpec, apply_gate_spec
+
+    ring = RINGS[d]
+    rng = np.random.default_rng(31)
+    for strand in range(2 * n - 1):
+        for sign in (1, -1):
+            psi = gates._random_state(ring, n, rng)
+            out = apply_gate_spec(ring, psi, GateSpec("braid", (strand,), sign=sign))
+            dense = braid_op(ring, n, strand, sign).matrix @ psi.vector
+            assert mx(out.vector - dense) < 1e-12, (strand, sign)
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d, n in LOCAL_SIZES if n >= 2])
+def test_sym_spec_matches_dense_sym_gate(d, n):
+    from pappa.gates import GateSpec, apply_gate_spec
+
+    ring = RINGS[d]
+    rng = np.random.default_rng(32)
+    for strand in range(1, 2 * n - 1, 2):
+        for m in range(d):
+            psi = gates._random_state(ring, n, rng)
+            out = apply_gate_spec(ring, psi, GateSpec("sym", (strand,), m=m))
+            dense = sym_gate(ring, n, strand, m) @ psi.vector
+            assert mx(out.vector - dense) < 1e-12, (strand, m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_embedded_braid_matches_charge_sum(d):
+    """The cached block, embedded, is the Jordan-Wigner charge-sum braid."""
+    from pappa.evaluator import _braid_charge_sum, _braid_matrix
+
+    ring = RINGS[d]
+    n = 3 if d < 5 else 2
+    for strand in range(2 * n - 1):
+        for sign in (1, -1):
+            got = _braid_matrix(ring, n, strand, sign)
+            assert mx(got - _braid_charge_sum(ring, n, strand, sign)) < 1e-12
+
+
+def test_local_kinds_build_no_full_matrix(monkeypatch):
+    from pappa.gates import GateSpec, apply_gate_spec
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a d**n x d**n matrix was built")
+
+    monkeypatch.setattr(gates, "apply_full_matrix", refuse)
+    monkeypatch.setattr(gates, "sft_matrix", refuse)
+    monkeypatch.setattr(gates, "sym_gate", refuse)
+    ring = RINGS[3]
+    psi = QState.zero(3, 4)
+    for spec in (
+        GateSpec("braid", (6,), sign=1),
+        GateSpec("braid", (1,), sign=-1),
+        GateSpec("sym", (3,), m=2),
+        GateSpec("sft"),
+    ):
+        psi = apply_gate_spec(ring, psi, spec)
+    assert abs(psi.norm() - 1) < 1e-12
+
+
+def test_braid_and_sym_strand_ranges():
+    from pappa.gates import GateSpec, apply_gate_spec
+
+    ring = RINGS[2]
+    psi = QState.zero(2, 2)
+    for spec in (
+        GateSpec("braid", (3,)),
+        GateSpec("braid", (-1,)),
+        GateSpec("sym", (2,)),
+        GateSpec("sym", (3,)),
+    ):
+        with pytest.raises(ValueError):
+            apply_gate_spec(ring, psi, spec)

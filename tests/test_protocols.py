@@ -364,3 +364,8 @@ def test_phase_space_full_forms_match_simplified():
                         abs(p_full.get((l1, l2), 0.0) - p_simple.get(simple_key, 0.0))
                         < 1e-10
                     ), (d, variant, l1, l2)
+
+
+def test_state_on_sites_rejects_uncollapsed_qudit():
+    with pytest.raises(ValueError, match="qudit 1 .* weight 5.000e-01"):
+        state_on_sites(max_state(RINGS[2], 2), (0,))

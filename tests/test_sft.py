@@ -11,6 +11,7 @@ from pappa.gates import (
     all_digit_tuples,
     basis_index,
     gaussian_gate,
+    index_digits,
     sft_gate,
     sft_matrix,
 )
@@ -21,6 +22,32 @@ RINGS = {d: make_phase_ring(d) for d in (2, 3, 5)}
 
 def mx(a):
     return float(np.abs(a).max())
+
+
+def sft_matrix_loop(ring, n):
+    """The closed form entry by entry: the oracle for the vectorised ``sft_matrix``."""
+    d = ring.d
+    dim = d**n
+    out = np.zeros((dim, dim), dtype=complex)
+    scale = float(d) ** ((1 - n) / 2)
+    for kidx in range(dim):
+        ks = index_digits(kidx, d, n)
+        for lidx in range(dim):
+            ls = index_digits(lidx, d, n)
+            if (sum(ls) - sum(ks)) % d != 0:
+                continue
+            expo = 0
+            prefix = 0
+            for j2 in range(n):
+                expo -= prefix * ks[j2]
+                prefix += ls[j2]
+            out[lidx, kidx] = scale * ring.zeta_pow(sum(ls) ** 2) * ring.q_pow(expo)
+    return out
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (2, 6), (3, 1), (3, 3), (3, 4), (5, 2), (5, 3)])
+def test_sft_matrix_matches_entrywise_loop(d, n):
+    assert mx(sft_matrix(RINGS[d], n) - sft_matrix_loop(RINGS[d], n)) < 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -156,3 +183,43 @@ def test_sft_controlled_gate_factorizations(d):
     rep = verify_sft_factorizations(RINGS[d])
     assert rep.residual < 1e-9
     assert rep.extras["bell_corollary"] < 1e-9
+
+
+@pytest.mark.parametrize(
+    "d,n", [(d, n) for d in (2, 3, 5) for n in range(1, 5) if d**n <= 625]
+)
+def test_sft_spec_matches_dense_matrix(d, n):
+    ring = RINGS[d]
+    rng = np.random.default_rng(41)
+    s = sft_matrix(ring, n)
+    for _ in range(2):
+        v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+        out = gates.apply_gate_spec(ring, QState(d, n, v), gates.GateSpec("sft"))
+        assert mx(out.vector - s @ v) < 1e-12
+
+
+def _single_qudit_entropy(vec, d, n, site):
+    t = np.moveaxis(vec.reshape([d] * n), site, 0).reshape(d, -1)
+    p = np.linalg.svd(t, compute_uv=False) ** 2
+    p = p[p > 1e-15]
+    return float(-(p * np.log(p)).sum())
+
+
+def test_sft_circuit_at_sixteen_qubits(monkeypatch):
+    """SFT of a charge-neutral basis state: unit norm, log 2 at every one-qudit cut."""
+    from pappa import dsl
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a d**n x d**n matrix was built")
+
+    monkeypatch.setattr(gates, "apply_full_matrix", refuse)
+    monkeypatch.setattr(gates, "sft_matrix", refuse)
+    n = 16
+    flips = [1, 2, 5, 8, 9, 13]  # an even number of ones: total charge 0 mod 2
+    text = "circuit d=2 n=16\n" + "".join(f"gate X@{s}\n" for s in flips) + "sft\n"
+    circ = dsl.parse_circuit(text)
+    state, regs = dsl.run_circuit(RINGS[2], circ)
+    assert regs == {}
+    assert abs(state.norm() - 1) < 1e-12
+    for site in range(n):
+        assert abs(_single_qudit_entropy(state.vector, 2, n, site) - np.log(2)) < 1e-9
