@@ -5,7 +5,7 @@ Subcommands::
     pappa diagram eval FILE.pd [--d D] [--emit matrix|report]
     pappa circuit run FILE.pc [--seed S] [--emit state|report]
     pappa protocol run FILE.pp --d D [--seed S]
-    pappa verify SUITE [--d D] [--tol T] [--jobs J]
+    pappa verify SUITE [--d D] [--tol T]
 
 Reports are plain ``key=value`` lines with a final ``PASS`` or ``FAIL``;
 identical flags, seed and files yield a byte-identical report.  Exit
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -124,13 +123,7 @@ def _cmd_verify(args) -> int:
                 f"unknown suite {name!r}; choose from {', '.join(verify.SUITES)} or all"
             )
     tol = args.tol
-    if args.jobs > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(lambda nm: verify.run_suite(nm, args.d, tol, n=args.n), names)
-            )
-    else:
-        results = [verify.run_suite(nm, args.d, tol, n=args.n) for nm in names]
+    results = [verify.run_suite(nm, args.d, tol, n=args.n) for nm in names]
     ok = True
     print(f"d={args.d}")
     print(f"tol={tol:.3e}")
@@ -150,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=0, help="random seed")
     shared.add_argument("--tol", type=float, default=_default_tol(), help="tolerance")
     shared.add_argument("--emit", choices=("matrix", "state", "report"), default="report")
-    shared.add_argument("--jobs", type=int, default=1, help="parallel suites for verify all")
+    shared.add_argument(
+        "--jobs", type=int, default=1, help="accepted and ignored; suites run one after another"
+    )
 
     p = argparse.ArgumentParser(prog="pappa", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

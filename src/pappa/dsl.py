@@ -165,6 +165,7 @@ def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
     if not m:
         raise ParseError(path, lineno, f"bad header {header!r}")
     circ = Circuit(int(m.group(1)), int(m.group(2)))
+    measured: set[str] = set()
 
     def site(tok: str, lineno: int) -> int:
         try:
@@ -194,6 +195,7 @@ def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
         m = re.match(r"^measure@(\d+)\s*->\s*(\w+)$", line)
         if m:
             circ.ops.append(CMeasure(site(m.group(1), lineno), m.group(2)))
+            measured.add(m.group(2))
             continue
         m = re.match(r"^cond\s+(\w+)\s+apply\s+(\S+)\s*@(\d+)$", line)
         if m:
@@ -202,6 +204,10 @@ def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
             if not gm or gm.group(4) != reg:
                 raise ParseError(
                     path, lineno, f"conditional gate {gate_tok!r} must use register {reg!r}"
+                )
+            if reg not in measured:
+                raise ParseError(
+                    path, lineno, f"cond uses register {reg!r} before any measure sets it"
                 )
             coeff = int(gm.group(3) or 1) * (-1 if gm.group(2) == "-" else 1)
             circ.ops.append(CCond(reg, gm.group(1), coeff, site(m.group(3), lineno)))
@@ -338,7 +344,7 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
     n_sites = max(owner) + 1 if owner else 0
     if set(owner) != set(range(n_sites)):
         raise ParseError(path, 1, "party sites must cover q1..qN without gaps")
-    return protocols.ProtocolScript(
+    script = protocols.ProtocolScript(
         d=d,
         n_sites=n_sites,
         parties=parties,
@@ -347,6 +353,8 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
         input_sites=input_sites,
         output_sites=output_sites,
     )
+    script.validate()
+    return script
 
 
 def format_diagram(diagram: Diagram) -> str:

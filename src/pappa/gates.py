@@ -177,7 +177,6 @@ class QState:
     d: int
     n: int
     vector: np.ndarray
-    normalized: bool = True
 
     @classmethod
     def basis(cls, d: int, n: int, digits) -> "QState":
@@ -193,7 +192,7 @@ class QState:
         return cls.basis(d, n, (0,) * n)
 
     def copy(self) -> "QState":
-        return QState(self.d, self.n, self.vector.copy(), self.normalized)
+        return QState(self.d, self.n, self.vector.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
@@ -210,7 +209,7 @@ def apply_site_gate(state: QState, m: np.ndarray, site: int) -> QState:
         raise ValueError(f"site {site} out of range for n={n}")
     t = state.vector.reshape([d] * n)
     t = np.moveaxis(np.tensordot(m, t, axes=([1], [site])), 0, site)
-    return QState(d, n, t.reshape(-1), state.normalized)
+    return QState(d, n, t.reshape(-1))
 
 
 def apply_two_site_gate(state: QState, m: np.ndarray, site_a: int, site_b: int) -> QState:
@@ -222,11 +221,11 @@ def apply_two_site_gate(state: QState, m: np.ndarray, site_a: int, site_b: int) 
     op = m.reshape(d, d, d, d)
     t = np.tensordot(op, t, axes=([2, 3], [site_a, site_b]))
     t = np.moveaxis(t, [0, 1], [site_a, site_b])
-    return QState(d, n, t.reshape(-1), state.normalized)
+    return QState(d, n, t.reshape(-1))
 
 
 def apply_full_matrix(state: QState, m: np.ndarray) -> QState:
-    return QState(state.d, state.n, m @ state.vector, state.normalized)
+    return QState(state.d, state.n, m @ state.vector)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +245,13 @@ def apply_controlled(
     pieces = []
     tgt = target if target < control else target - 1
     for c in range(d):
-        sub = QState(d, n - 1, t[c].reshape(-1), False)
+        sub = QState(d, n - 1, t[c].reshape(-1))
         if exponent * c != 0:
             sub = apply_site_gate(sub, np.linalg.matrix_power(a, exponent * c), tgt)
         pieces.append(sub.vector.reshape([d] * (n - 1)))
     t = np.stack(pieces, axis=0)
     t = np.moveaxis(t, 0, control)
-    return QState(d, n, t.reshape(-1), state.normalized)
+    return QState(d, n, t.reshape(-1))
 
 
 def controlled_gate(
@@ -320,19 +319,25 @@ def project_site(state: QState, site: int, outcome: int) -> tuple[QState, float]
     Returns (post_state, branch_probability); the post state keeps all n
     qudits (the measured one collapses to |outcome>).
     """
+    p = float(site_probabilities(state, site)[outcome])
+    return collapse_site(state, site, outcome, p), p
+
+
+def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
+    """The post state of reading ``outcome`` at ``site``, whose probability is ``p``.
+
+    Every other value of the site is zeroed and the rest divided by
+    sqrt(p) (left as is when p is 0).
+    """
     d, n = state.d, state.n
-    probs = site_probabilities(state, site)
-    p = float(probs[outcome])
-    t = state.vector.reshape([d] * n).copy()
-    sel = [slice(None)] * n
-    for k in range(d):
-        if k != outcome:
-            sel[site] = k
-            t[tuple(sel)] = 0.0
-    v = t.reshape(-1)
+    t = state.vector.reshape([d] * n)
+    out = np.zeros_like(t)
+    kept = (slice(None),) * site + (outcome,)
+    out[kept] = t[kept]
+    v = out.reshape(-1)
     if p > 0:
         v = v / np.sqrt(p)
-    return QState(d, n, v, state.normalized), p
+    return QState(d, n, v)
 
 
 def measure(state: QState, site: int, rng: np.random.Generator) -> tuple[int, QState, float]:
@@ -398,7 +403,7 @@ def apply_gate_spec(ring: PhaseRing, state: QState, spec: GateSpec) -> QState:
         return apply_controlled(state, pauli_z_power(ring, 1), a, b, spec.power)
     if spec.kind == "sft":
         # omega**0.5 b_{2n-2,-} ... b_{0,-}, the product evaluator.sft_via_braids builds
-        state = QState(state.d, n, state.vector * ring.omega_sqrt, state.normalized)
+        state = QState(state.d, n, state.vector * ring.omega_sqrt)
         for s in range(2 * n - 1):
             state = apply_braid(ring, state, s, -1)
         return state

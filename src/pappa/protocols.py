@@ -20,7 +20,7 @@ from .gates import QState
 from .phases import DEFAULT_TOL, PhaseRing
 
 
-class LocalityError(Exception):
+class LocalityError(ValueError):
     """A step tried to act outside its party's sites or registers."""
 
 
@@ -147,7 +147,6 @@ class Transcript:
     edits: int
     cdits: int
     probability: float = 1.0
-    snapshots: list[QState] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -187,61 +186,59 @@ def _initial_state(
     return QState(d, total, np.transpose(t, axes).reshape(-1))
 
 
-def _run(
-    ring: PhaseRing,
-    script: ProtocolScript,
-    input_state: QState | None,
-    seed: int | None,
-    forced: dict[int, int] | None = None,
-    snapshots: bool = False,
-) -> Transcript:
+def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, seed, fork):
+    """Walk the outcome tree of ``script`` depth first; return its leaves.
+
+    ``fork(state, site, prob)`` yields the children taken at a measurement
+    as (outcome, post_state, p), lazily and in outcome order; ``prob`` is
+    the running probability above the fork and ``p`` the child's own.
+    Only the pending forks (each holding its parent state) and the state
+    being advanced are alive, so the walk holds at most m+1 states for m
+    measurements.
+    """
     script.validate()
-    rng = np.random.default_rng(seed)
+    steps = script.steps
+    leaves: list[Transcript] = []
+    pending: list[tuple] = []  # (children, measure step, resume at, outcomes, cdits, prob)
     state = _initial_state(ring, script, input_state)
-    outcomes: dict[str, int] = {}
-    cdits = 0
-    prob = 1.0
-    shots: list[QState] | None = [] if snapshots else None
-    measure_count = 0
-    for step in script.steps:
-        if isinstance(step, GateStep):
-            m = gates.gate_power(ring, step.name, step.power)
-            state = gates.apply_site_gate(state, m, step.site)
-        elif isinstance(step, CtrlStep):
-            base = gates.gate_power(ring, step.name, 1)
-            state = gates.apply_controlled(
-                state, base, step.control, step.target, step.exponent
-            )
-        elif isinstance(step, MeasureStep):
-            if forced is not None:
-                outcome = forced[measure_count]
-                state, p = gates.project_site(state, step.site, outcome)
-            else:
-                outcome, state, p = gates.measure(state, step.site, rng)
-            outcomes[step.register] = int(outcome)
-            prob *= p
-            measure_count += 1
-            if prob == 0.0:
-                break
-        elif isinstance(step, SendStep):
-            if step.src != step.dst:
-                cdits += 1
-        elif isinstance(step, CondStep):
-            power = step.coeff * outcomes[step.register]
-            if power:
-                m = gates.gate_power(ring, step.name, power)
+    start, outcomes, cdits, prob = 0, {}, 0, 1.0
+    while True:
+        for i in range(start, len(steps)):
+            step = steps[i]
+            if isinstance(step, GateStep):
+                m = gates.gate_power(ring, step.name, step.power)
                 state = gates.apply_site_gate(state, m, step.site)
-        if shots is not None:
-            shots.append(state.copy())
-    return Transcript(
-        seed=seed,
-        outcomes=outcomes,
-        final_state=state,
-        edits=len(script.resources),
-        cdits=cdits,
-        probability=prob,
-        snapshots=shots,
-    )
+            elif isinstance(step, CtrlStep):
+                base = gates.gate_power(ring, step.name, 1)
+                state = gates.apply_controlled(
+                    state, base, step.control, step.target, step.exponent
+                )
+            elif isinstance(step, MeasureStep):
+                pending.append((fork(state, step.site, prob), step, i + 1, outcomes, cdits, prob))
+                break
+            elif isinstance(step, SendStep):
+                if step.src != step.dst:
+                    cdits += 1
+            elif isinstance(step, CondStep):
+                power = step.coeff * outcomes[step.register]
+                if power:
+                    m = gates.gate_power(ring, step.name, power)
+                    state = gates.apply_site_gate(state, m, step.site)
+        else:
+            leaves.append(Transcript(seed, outcomes, state, len(script.resources), cdits, prob))
+        # resume at the next child of the deepest fork that has one left
+        while pending:
+            children, step, start, outcomes, cdits, prob = pending[-1]
+            try:
+                outcome, state, p = next(children)
+            except StopIteration:
+                pending.pop()
+                continue
+            outcomes = {**outcomes, step.register: outcome}
+            prob *= p
+            break
+        else:
+            return leaves
 
 
 def run(
@@ -249,24 +246,42 @@ def run(
     script: ProtocolScript,
     input_state: QState | None = None,
     seed: int | None = 0,
-    snapshots: bool = False,
 ) -> Transcript:
     """Sample one transcript; deterministic for a fixed seed."""
-    return _run(ring, script, input_state, seed, snapshots=snapshots)
+    rng = np.random.default_rng(seed)
+
+    def sample(state, site, prob):
+        yield gates.measure(state, site, rng)
+
+    (tr,) = _run(ring, script, input_state, seed, sample)
+    return tr
 
 
 def run_branches(
     ring: PhaseRing, script: ProtocolScript, input_state: QState | None = None
 ) -> list[Transcript]:
-    """Execute every measurement branch; probabilities sum to one."""
-    n_meas = sum(isinstance(s, MeasureStep) for s in script.steps)
-    out = []
-    for combo in gates.all_digit_tuples(ring.d, n_meas):
-        forced = dict(enumerate(combo))
-        tr = _run(ring, script, input_state, None, forced=forced)
-        if tr.probability > 1e-15:
-            out.append(tr)
-    return out
+    """Execute every measurement branch; probabilities sum to one.
+
+    One depth-first walk of the outcome tree: the script is validated and
+    the initial state built once, the steps before each measurement run
+    once per surviving prefix, and each measurement forks into outcomes
+    0..d-1 from one ``site_probabilities`` call.  A child whose running
+    probability is exactly 0 is dropped unexpanded, and a leaf is kept
+    when its probability exceeds 1e-15.  Transcripts come back in the
+    order of ``gates.all_digit_tuples`` over the outcomes.  The cost is
+    one pass over the steps per surviving prefix, not d**m full replays,
+    and at most m+1 states are alive at once for m measurements.
+    """
+
+    def every(state, site, prob):
+        probs = gates.site_probabilities(state, site)
+        for outcome in range(state.d):
+            p = float(probs[outcome])
+            if prob * p != 0.0:
+                yield outcome, gates.collapse_site(state, site, outcome, p), p
+
+    leaves = _run(ring, script, input_state, None, every)
+    return [tr for tr in leaves if tr.probability > 1e-15]
 
 
 def state_on_sites(state: QState, sites) -> QState:

@@ -161,3 +161,20 @@ def test_pappa_tol_environment_override(monkeypatch, loop_pd):
     code, out = run_cli(["verify", "relations", "--d", "2"])
     assert code == 0
     assert "tol=1.000e-03" in out
+
+
+def test_send_of_unknown_register_exit_code_2(tmp_path, capsys):
+    pp = tmp_path / "send.pp"
+    pp.write_text("party alice: q1\nparty bob: q2\nmeter q2 -> m1\nsend alice->bob m1\n")
+    code, _ = run_cli(["protocol", "run", str(pp), "--d", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: alice cannot send unknown register m1\n"
+
+
+def test_cond_on_unmeasured_register_exit_code_2(tmp_path, capsys):
+    pc = tmp_path / "cond.pc"
+    pc.write_text("circuit d=2 n=2\ncond m1 apply X^m1 @2\n")
+    code, _ = run_cli(["circuit", "run", str(pc)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {pc}:2: cond uses register 'm1' before any measure sets it\n"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pappa import protocols
+from pappa import gates, protocols
 from pappa.diagrams import Charge, Cup, Diagram
 from pappa.entangle import max_state
 from pappa.evaluator import evaluate
@@ -28,7 +28,7 @@ from pappa.protocols import (
     teleportation_script,
 )
 
-RINGS = {d: make_phase_ring(d) for d in (2, 3, 5)}
+RINGS = {d: make_phase_ring(d) for d in range(2, 8)}
 
 
 def rand_state(d, n, seed):
@@ -369,3 +369,145 @@ def test_phase_space_full_forms_match_simplified():
 def test_state_on_sites_rejects_uncollapsed_qudit():
     with pytest.raises(ValueError, match="qudit 1 .* weight 5.000e-01"):
         state_on_sites(max_state(RINGS[2], 2), (0,))
+
+
+# ---------------------------------------------------------------------------
+# the tree walk against the per-tuple replay it replaced
+# ---------------------------------------------------------------------------
+
+
+def _replay(ring, script, input_state, seed=None, forced=None):
+    """One full run of the script: sampled with ``seed``, or with the
+    ``forced`` outcome of each measurement, stopping once the running
+    probability is 0."""
+    script.validate()
+    rng = np.random.default_rng(seed)
+    state = protocols._initial_state(ring, script, input_state)
+    outcomes, cdits, prob, measured = {}, 0, 1.0, 0
+    for step in script.steps:
+        if isinstance(step, GateStep):
+            state = gates.apply_site_gate(
+                state, gates.gate_power(ring, step.name, step.power), step.site
+            )
+        elif isinstance(step, CtrlStep):
+            base = gates.gate_power(ring, step.name, 1)
+            state = gates.apply_controlled(state, base, step.control, step.target, step.exponent)
+        elif isinstance(step, MeasureStep):
+            if forced is not None:
+                outcome = forced[measured]
+                state, p = gates.project_site(state, step.site, outcome)
+            else:
+                outcome, state, p = gates.measure(state, step.site, rng)
+            outcomes[step.register] = int(outcome)
+            prob *= p
+            measured += 1
+            if prob == 0.0:
+                break
+        elif isinstance(step, SendStep):
+            cdits += step.src != step.dst
+        elif isinstance(step, CondStep):
+            power = step.coeff * outcomes[step.register]
+            if power:
+                m = gates.gate_power(ring, step.name, power)
+                state = gates.apply_site_gate(state, m, step.site)
+    return protocols.Transcript(seed, outcomes, state, len(script.resources), cdits, prob)
+
+
+def _replay_branches(ring, script, input_state=None):
+    """Replay the whole script once per outcome tuple, keeping p > 1e-15."""
+    n_meas = sum(isinstance(s, MeasureStep) for s in script.steps)
+    out = []
+    for combo in gates.all_digit_tuples(ring.d, n_meas):
+        tr = _replay(ring, script, input_state, forced=dict(enumerate(combo)))
+        if tr.probability > 1e-15:
+            out.append(tr)
+    return out
+
+
+def _assert_same_transcripts(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert list(a.outcomes.items()) == list(b.outcomes.items())
+        assert a.probability == b.probability
+        assert (a.seed, a.edits, a.cdits) == (b.seed, b.edits, b.cdits)
+        assert a.final_state.vector.dtype == b.final_state.vector.dtype
+        assert np.array_equal(a.final_state.vector, b.final_state.vector)
+
+
+def _oracle_cases():
+    cases = []
+    for d in range(2, 8):
+        cases.append((f"teleport-d{d}", d, teleportation_script, rand_state(d, 1, 100 + d)))
+    for d, n in [(2, 3), (2, 6), (3, 4), (5, 3)]:
+        cases.append((f"build_max-d{d}-n{n}", d, lambda ring, n=n: build_max_script(ring, n), None))
+    for d, sizes in [(2, (2, 2, 1)), (3, (1, 2))]:
+        tag = "".join(map(str, sizes))
+        cases.append((f"bvk-d{d}-{tag}", d, lambda ring, s=sizes: bvk_merge_script(ring, s), None))
+    for d in (2, 3, 5):
+        for variant in (1, 2):
+            for simplified in (True, False):
+                for a, b in [(0, 0), (1, d - 1), (d - 1, 1)]:
+                    cases.append((
+                        f"phase_space-v{variant}-{'short' if simplified else 'long'}-d{d}-{a}{b}",
+                        d,
+                        lambda ring, v=variant, s=simplified: phase_space_measurement(ring, v, s),
+                        QState.basis(d, 2, (a, b)),
+                    ))
+    return [pytest.param(d, build, psi, id=name) for name, d, build, psi in cases]
+
+
+@pytest.mark.parametrize("d,build,psi", _oracle_cases())
+def test_run_branches_matches_replay_oracle(d, build, psi):
+    ring = RINGS[d]
+    script = build(ring)
+    _assert_same_transcripts(run_branches(ring, script, psi), _replay_branches(ring, script, psi))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_run_matches_replay_oracle(d):
+    ring = RINGS[d]
+    for seed in range(10):
+        for script, psi in (
+            (teleportation_script(ring), rand_state(d, 1, seed)),
+            (build_max_script(ring, 4), None),
+            (bvk_merge_script(ring, (1, 2)), None),
+        ):
+            _assert_same_transcripts(
+                [run(ring, script, psi, seed=seed)], [_replay(ring, script, psi, seed=seed)]
+            )
+
+
+def test_run_branches_builds_the_initial_state_once(monkeypatch):
+    calls = []
+    build = protocols._initial_state
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(protocols, "_initial_state", counted)
+    ring = RINGS[3]
+    for script in (build_max_script(ring, 4), bvk_merge_script(ring, (2, 1))):
+        calls.clear()
+        assert len(run_branches(ring, script)) > 1
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_run_branches_never_expands_a_zero_probability_child(monkeypatch, d):
+    """On |a,b> the first meter is uniform and the second reads a + b for
+    certain, so only d of the d + d*d children may be projected."""
+    calls = []
+    collapse = gates.collapse_site
+
+    def counted(state, site, outcome, p):
+        assert p > 0.0
+        calls.append(outcome)
+        return collapse(state, site, outcome, p)
+
+    monkeypatch.setattr(gates, "collapse_site", counted)
+    ring = RINGS[d]
+    psi = QState.basis(d, 2, (1, d - 1))
+    branches = run_branches(ring, phase_space_measurement(ring, 1), psi)
+    assert len(branches) == d
+    assert len(calls) == 2 * d
