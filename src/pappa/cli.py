@@ -16,6 +16,7 @@ environment variable ``PAPPA_TOL`` overrides the default tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -49,13 +50,10 @@ class SystemExit2(Exception):
 
 def _cmd_diagram(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
-    diagram = dsl.parse_diagram(text, args.file)
-    d = args.d or diagram.d
-    if args.d and args.d != diagram.d:
-        diagram = dsl.parse_diagram(
-            text.replace(f"d={diagram.d}", f"d={args.d}", 1), args.file
-        )
+        diagram = dsl.parse_diagram(fh.read(), args.file)
+    if args.d:
+        diagram = dataclasses.replace(diagram, d=args.d)
+    d = diagram.d
     ring = make_phase_ring(d)
     _check_dims(d, max(diagram.in_points, diagram.out_points) // 2)
     op = evaluate(ring, diagram)

@@ -7,7 +7,10 @@ are 0-based.  ``#`` starts a comment.
 
 Circuit files: ``circuit d=<int> n=<int>`` then statements ``gate X@2``,
 ``gate F^-1@1``, ``ctrl X c=1 t=2``, ``sft``, ``measure@1 -> m1`` and
-``cond m1 apply Z^-m1 @3``.  Sites are 1-based.
+``cond m1 apply Z^-m1 @3``.  Sites are 1-based.  A circuit is a protocol
+of one party that owns every qudit: its statements parse to protocol
+steps, and ``run_circuit`` runs them through ``protocols.run``, which holds
+O(1) states on a sampled run.
 
 Protocol files: ``party A: q1 q3``, ``resource max2: q2 q4``,
 ``input: q1``, ``gate F^-1 @q1``, ``ctrl X c=q1 t=q2``,
@@ -20,9 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import diagrams, gates, protocols
+from . import protocols
 from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym
 from .gates import QState
 from .phases import PhaseRing
@@ -104,45 +105,16 @@ def parse_diagram(text: str, path: str = "<diagram>") -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CGate:
-    name: str
-    power: int
-    site: int
-
-
-@dataclass(frozen=True)
-class CCtrl:
-    name: str
-    control: int
-    target: int
-    exponent: int = 1
-
-
-@dataclass(frozen=True)
-class CSft:
-    pass
-
-
-@dataclass(frozen=True)
-class CMeasure:
-    site: int
-    register: str
-
-
-@dataclass(frozen=True)
-class CCond:
-    register: str
-    name: str
-    coeff: int
-    site: int
+CIRCUIT_PARTY = "circuit"
 
 
 @dataclass
 class Circuit:
+    """A parsed .pc file: ``ops`` are protocol steps of the one party ``CIRCUIT_PARTY``."""
+
     d: int
     n: int
-    ops: list = field(default_factory=list)
+    ops: list[protocols.Step] = field(default_factory=list)
 
 
 _GATE_TOKEN = re.compile(r"^([XYZFG])(?:\^(-?\d+))?$")
@@ -156,6 +128,25 @@ def _parse_gate_token(token: str, path: str, lineno: int) -> tuple[str, int]:
     return m.group(1), int(m.group(2) or 1)
 
 
+def _parse_cond(line: str, site_re: str, path: str, lineno: int):
+    """Match ``cond REG apply GATE^[-][c*]REG @SITE``, SITE matching ``site_re``.
+
+    Returns (register, gate name, coefficient, site token), or None when
+    the line is no ``cond`` statement.
+    """
+    m = re.match(rf"^cond\s+(\w+)\s+apply\s+(\S+)\s*@({site_re})$", line)
+    if not m:
+        return None
+    reg, gate_tok = m.group(1), m.group(2)
+    gm = _COND_GATE.match(gate_tok)
+    if not gm or gm.group(4) != reg:
+        raise ParseError(
+            path, lineno, f"conditional gate {gate_tok!r} must use register {reg!r}"
+        )
+    coeff = int(gm.group(3) or 1) * (-1 if gm.group(2) == "-" else 1)
+    return reg, gm.group(1), coeff, m.group(3)
+
+
 def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
     lines = list(_clean_lines(text))
     if not lines:
@@ -166,6 +157,7 @@ def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
         raise ParseError(path, lineno, f"bad header {header!r}")
     circ = Circuit(int(m.group(1)), int(m.group(2)))
     measured: set[str] = set()
+    party = CIRCUIT_PARTY
 
     def site(tok: str, lineno: int) -> int:
         try:
@@ -178,78 +170,46 @@ def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
 
     for lineno, line in lines[1:]:
         if line == "sft":
-            circ.ops.append(CSft())
+            circ.ops.append(protocols.SftStep(party))
             continue
         m = re.match(r"^gate\s+(\S+)@(\d+)$", line)
         if m:
             name, power = _parse_gate_token(m.group(1), path, lineno)
-            circ.ops.append(CGate(name, power, site(m.group(2), lineno)))
+            circ.ops.append(protocols.GateStep(party, name, site(m.group(2), lineno), power))
             continue
         m = re.match(r"^ctrl\s+(\S+)\s+c=(\d+)\s+t=(\d+)$", line)
         if m:
             name, power = _parse_gate_token(m.group(1), path, lineno)
-            circ.ops.append(
-                CCtrl(name, site(m.group(2), lineno), site(m.group(3), lineno), power)
-            )
+            c, t = site(m.group(2), lineno), site(m.group(3), lineno)
+            circ.ops.append(protocols.CtrlStep(party, name, c, t, power))
             continue
         m = re.match(r"^measure@(\d+)\s*->\s*(\w+)$", line)
         if m:
-            circ.ops.append(CMeasure(site(m.group(1), lineno), m.group(2)))
+            circ.ops.append(protocols.MeasureStep(party, site(m.group(1), lineno), m.group(2)))
             measured.add(m.group(2))
             continue
-        m = re.match(r"^cond\s+(\w+)\s+apply\s+(\S+)\s*@(\d+)$", line)
-        if m:
-            reg, gate_tok = m.group(1), m.group(2)
-            gm = _COND_GATE.match(gate_tok)
-            if not gm or gm.group(4) != reg:
-                raise ParseError(
-                    path, lineno, f"conditional gate {gate_tok!r} must use register {reg!r}"
-                )
+        cond = _parse_cond(line, r"\d+", path, lineno)
+        if cond:
+            reg, name, coeff, tok = cond
             if reg not in measured:
                 raise ParseError(
                     path, lineno, f"cond uses register {reg!r} before any measure sets it"
                 )
-            coeff = int(gm.group(3) or 1) * (-1 if gm.group(2) == "-" else 1)
-            circ.ops.append(CCond(reg, gm.group(1), coeff, site(m.group(3), lineno)))
+            circ.ops.append(protocols.CondStep(party, name, site(tok, lineno), reg, coeff))
             continue
         raise ParseError(path, lineno, f"unrecognized statement {line!r}")
     return circ
 
 
 def run_circuit(
-    ring: PhaseRing, circ: Circuit, state: QState | None = None, seed: int | None = 0
+    ring: PhaseRing, circ: Circuit, seed: int | None = 0
 ) -> tuple[QState, dict[str, int]]:
-    """Run a parsed circuit from |0...0> (or ``state``); returns (state, outcomes)."""
-    if ring.d != circ.d:
-        raise ValueError("ring degree and circuit degree differ")
-    rng = np.random.default_rng(seed)
-    st = state.copy() if state is not None else QState.zero(circ.d, circ.n)
-    regs: dict[str, int] = {}
-    for op in circ.ops:
-        if isinstance(op, CGate):
-            st = gates.apply_gate_spec(
-                ring, st, gates.GateSpec(op.name, (op.site,), op.power)
-            )
-        elif isinstance(op, CCtrl):
-            st = gates.apply_gate_spec(
-                ring,
-                st,
-                gates.GateSpec(
-                    "ctrl", (op.control, op.target), op.exponent, base=op.name
-                ),
-            )
-        elif isinstance(op, CSft):
-            st = gates.apply_gate_spec(ring, st, gates.GateSpec("sft"))
-        elif isinstance(op, CMeasure):
-            outcome, st, _ = gates.measure(st, op.site, rng)
-            regs[op.register] = int(outcome)
-        elif isinstance(op, CCond):
-            power = op.coeff * regs[op.register]
-            if power:
-                st = gates.apply_gate_spec(
-                    ring, st, gates.GateSpec(op.name, (op.site,), power)
-                )
-    return st, regs
+    """Run a parsed circuit from |0...0> as a one-party protocol; returns (state, outcomes)."""
+    script = protocols.ProtocolScript(
+        circ.d, circ.n, {CIRCUIT_PARTY: tuple(range(circ.n))}, [], circ.ops
+    )
+    tr = protocols.run(ring, script, seed=seed)
+    return tr.final_state, tr.outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +286,11 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
         if m:
             steps.append(protocols.SendStep(m.group(1), m.group(2), m.group(3)))
             continue
-        m = re.match(r"^cond\s+(\w+)\s+apply\s+(\S+)\s*@(q\d+)$", line)
-        if m:
-            reg, gate_tok = m.group(1), m.group(2)
-            gm = _COND_GATE.match(gate_tok)
-            if not gm or gm.group(4) != reg:
-                raise ParseError(
-                    path, lineno, f"conditional gate {gate_tok!r} must use register {reg!r}"
-                )
-            coeff = int(gm.group(3) or 1) * (-1 if gm.group(2) == "-" else 1)
-            site = _q(m.group(3), path, lineno)
-            steps.append(
-                protocols.CondStep(party_of(site, lineno), gm.group(1), site, reg, coeff)
-            )
+        cond = _parse_cond(line, r"q\d+", path, lineno)
+        if cond:
+            reg, name, coeff, tok = cond
+            site = _q(tok, path, lineno)
+            steps.append(protocols.CondStep(party_of(site, lineno), name, site, reg, coeff))
             continue
         raise ParseError(path, lineno, f"unrecognized statement {line!r}")
     n_sites = max(owner) + 1 if owner else 0

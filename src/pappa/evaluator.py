@@ -66,14 +66,6 @@ class QOperator:
             raise ValueError("operator widths do not compose")
         return QOperator(self.d, other.n_in, self.n_out, self.matrix @ other.matrix)
 
-    def tensor(self, other: "QOperator") -> "QOperator":
-        return QOperator(
-            self.d,
-            self.n_in + other.n_in,
-            self.n_out + other.n_out,
-            np.kron(self.matrix, other.matrix),
-        )
-
     def dagger(self) -> "QOperator":
         return QOperator(self.d, self.n_out, self.n_in, self.matrix.conj().T)
 

@@ -340,13 +340,17 @@ def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
     return QState(d, n, v)
 
 
+def draw(state: QState, site: int, rng: np.random.Generator) -> tuple[int, float]:
+    """Sample one computational-basis outcome of ``site`` with ``rng``; return (outcome, p)."""
+    probs = site_probabilities(state, site)
+    outcome = int(rng.choice(state.d, p=probs / probs.sum()))
+    return outcome, float(probs[outcome])
+
+
 def measure(state: QState, site: int, rng: np.random.Generator) -> tuple[int, QState, float]:
     """Computational-basis measurement of one site, sampled with ``rng``."""
-    probs = site_probabilities(state, site)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(state.d, p=probs))
-    post, p = project_site(state, site, outcome)
-    return outcome, post, p
+    outcome, p = draw(state, site, rng)
+    return outcome, collapse_site(state, site, outcome, p), p
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +406,7 @@ def apply_gate_spec(ring: PhaseRing, state: QState, spec: GateSpec) -> QState:
         a, b = spec.sites
         return apply_controlled(state, pauli_z_power(ring, 1), a, b, spec.power)
     if spec.kind == "sft":
-        # omega**0.5 b_{2n-2,-} ... b_{0,-}, the product evaluator.sft_via_braids builds
-        state = QState(state.d, n, state.vector * ring.omega_sqrt)
-        for s in range(2 * n - 1):
-            state = apply_braid(ring, state, s, -1)
-        return state
+        return apply_sft(ring, state)
     if spec.kind == "matrix":
         if spec.matrix is None:
             raise ValueError("matrix gate needs a matrix")
@@ -416,6 +416,17 @@ def apply_gate_spec(ring: PhaseRing, state: QState, spec: GateSpec) -> QState:
             return apply_two_site_gate(state, spec.matrix, *spec.sites)
         raise ValueError("custom matrices support one or two sites")
     raise ValueError(f"unknown gate kind {spec.kind!r}")
+
+
+def apply_sft(ring: PhaseRing, state: QState) -> QState:
+    """The string Fourier transform on the whole register, as 2n-1 local braids.
+
+    omega**0.5 b_{2n-2,-} ... b_{0,-}, the product ``evaluator.sft_via_braids`` builds.
+    """
+    state = QState(state.d, state.n, state.vector * ring.omega_sqrt)
+    for s in range(2 * state.n - 1):
+        state = apply_braid(ring, state, s, -1)
+    return state
 
 
 def apply_braid(ring: PhaseRing, state: QState, strand: int, sign: int) -> QState:

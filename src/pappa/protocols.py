@@ -73,7 +73,14 @@ class CondStep:
     coeff: int = 1
 
 
-Step = GateStep | CtrlStep | MeasureStep | SendStep | CondStep
+@dataclass(frozen=True)
+class SftStep:
+    """The string Fourier transform on the whole register; the party must own every site."""
+
+    party: str
+
+
+Step = GateStep | CtrlStep | MeasureStep | SendStep | CondStep | SftStep
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,8 @@ class ProtocolScript:
                         f"{step.party} conditions on unreceived register "
                         f"{step.register}"
                     )
+            elif isinstance(step, SftStep):
+                self._check_sites(step.party, range(self.n_sites))
 
     def _check_sites(self, party: str, sites) -> None:
         if party not in self.parties:
@@ -173,8 +182,8 @@ def _initial_state(
         blocks.append((res.sites, entangle.max_state(ring, res.k).vector))
         used.update(res.sites)
     rest = tuple(s for s in range(total) if s not in used)
-    if rest:
-        zero = np.zeros(d ** len(rest))
+    if rest or not blocks:
+        zero = np.zeros(d ** len(rest), dtype=complex)
         zero[0] = 1.0
         blocks.append((rest, zero))
     order = [s for sites, _ in blocks for s in sites]
@@ -189,17 +198,20 @@ def _initial_state(
 def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, seed, fork):
     """Walk the outcome tree of ``script`` depth first; return its leaves.
 
-    ``fork(state, site, prob)`` yields the children taken at a measurement
-    as (outcome, post_state, p), lazily and in outcome order; ``prob`` is
-    the running probability above the fork and ``p`` the child's own.
-    Only the pending forks (each holding its parent state) and the state
-    being advanced are alive, so the walk holds at most m+1 states for m
-    measurements.
+    ``fork(state, site)`` lists the children taken at a measurement as
+    (outcome, p) pairs in outcome order, ``p`` being the child's own
+    probability.  A child's state is collapsed from its parent only when
+    the walk reaches it, and a fork is dropped with its parent state when
+    its last child is taken.  So only the parents of forks with children
+    left and the state being advanced are alive: at most m+1 states for m
+    measurements, and O(1) when every fork has one child, as in ``run``.
     """
+    if ring.d != script.d:
+        raise ValueError(f"ring degree {ring.d} and script degree {script.d} differ")
     script.validate()
     steps = script.steps
     leaves: list[Transcript] = []
-    pending: list[tuple] = []  # (children, measure step, resume at, outcomes, cdits, prob)
+    pending: list[tuple] = []  # (children, parent, measure step, resume at, outcomes, cdits, prob)
     state = _initial_state(ring, script, input_state)
     start, outcomes, cdits, prob = 0, {}, 0, 1.0
     while True:
@@ -214,7 +226,9 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
                     state, base, step.control, step.target, step.exponent
                 )
             elif isinstance(step, MeasureStep):
-                pending.append((fork(state, step.site, prob), step, i + 1, outcomes, cdits, prob))
+                children = fork(state, step.site)
+                if children:
+                    pending.append((children, state, step, i + 1, outcomes, cdits, prob))
                 break
             elif isinstance(step, SendStep):
                 if step.src != step.dst:
@@ -224,21 +238,21 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
                 if power:
                     m = gates.gate_power(ring, step.name, power)
                     state = gates.apply_site_gate(state, m, step.site)
+            elif isinstance(step, SftStep):
+                state = gates.apply_sft(ring, state)
         else:
             leaves.append(Transcript(seed, outcomes, state, len(script.resources), cdits, prob))
         # resume at the next child of the deepest fork that has one left
-        while pending:
-            children, step, start, outcomes, cdits, prob = pending[-1]
-            try:
-                outcome, state, p = next(children)
-            except StopIteration:
-                pending.pop()
-                continue
-            outcomes = {**outcomes, step.register: outcome}
-            prob *= p
-            break
-        else:
+        if not pending:
             return leaves
+        children, parent, step, start, outcomes, cdits, prob = pending[-1]
+        outcome, p = children.pop(0)
+        if not children:
+            pending.pop()
+        state = gates.collapse_site(parent, step.site, outcome, p)
+        del parent  # a fork's parent state lives only as long as its fork
+        outcomes = {**outcomes, step.register: outcome}
+        prob *= p
 
 
 def run(
@@ -250,8 +264,8 @@ def run(
     """Sample one transcript; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
 
-    def sample(state, site, prob):
-        yield gates.measure(state, site, rng)
+    def sample(state, site):
+        return [gates.draw(state, site, rng)]
 
     (tr,) = _run(ring, script, input_state, seed, sample)
     return tr
@@ -265,20 +279,17 @@ def run_branches(
     One depth-first walk of the outcome tree: the script is validated and
     the initial state built once, the steps before each measurement run
     once per surviving prefix, and each measurement forks into outcomes
-    0..d-1 from one ``site_probabilities`` call.  A child whose running
-    probability is exactly 0 is dropped unexpanded, and a leaf is kept
-    when its probability exceeds 1e-15.  Transcripts come back in the
-    order of ``gates.all_digit_tuples`` over the outcomes.  The cost is
-    one pass over the steps per surviving prefix, not d**m full replays,
-    and at most m+1 states are alive at once for m measurements.
+    0..d-1 from one ``site_probabilities`` call.  An outcome of
+    probability exactly 0 is dropped unexpanded, and a leaf is kept when
+    its probability exceeds 1e-15.  Transcripts come back in the order of
+    ``gates.all_digit_tuples`` over the outcomes.  The cost is one pass
+    over the steps per surviving prefix, not d**m full replays, and at
+    most m+1 states are alive at once for m measurements.
     """
 
-    def every(state, site, prob):
+    def every(state, site):
         probs = gates.site_probabilities(state, site)
-        for outcome in range(state.d):
-            p = float(probs[outcome])
-            if prob * p != 0.0:
-                yield outcome, gates.collapse_site(state, site, outcome, p), p
+        return [(k, float(p)) for k, p in enumerate(probs) if p != 0.0]
 
     leaves = _run(ring, script, input_state, None, every)
     return [tr for tr in leaves if tr.probability > 1e-15]

@@ -178,3 +178,22 @@ def test_cond_on_unmeasured_register_exit_code_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: {pc}:2: cond uses register 'm1' before any measure sets it\n"
+
+
+def test_diagram_d_override_ignores_comments(tmp_path, monkeypatch):
+    from pappa import cli
+
+    seen = []
+    evaluate = cli.evaluate
+
+    def recording(ring, diagram):
+        seen.append(diagram.d)
+        return evaluate(ring, diagram)
+
+    monkeypatch.setattr(cli, "evaluate", recording)
+    pd = tmp_path / "loop.pd"
+    pd.write_text("# was d=2\ndiagram d=2 in=0 out=0\ncap@0\ncup@0\n")
+    code, out = run_cli(["diagram", "eval", str(pd), "--d", "3"])
+    assert code == 0
+    assert seen == [3]
+    assert out.startswith("d=3\n")

@@ -1,9 +1,11 @@
 """Parsers for the .pd / .pc / .pp text formats."""
 
+import random
+
 import numpy as np
 import pytest
 
-from pappa import dsl, protocols
+from pappa import dsl, gates, protocols
 from pappa.diagrams import BraidNeg, BraidPos, Cap, Charge, Cup, Sym
 from pappa.dsl import ParseError, parse_circuit, parse_diagram, parse_protocol, run_circuit
 from pappa.evaluator import evaluate
@@ -115,6 +117,86 @@ def test_circuit_errors():
     with pytest.raises(ParseError) as err:
         parse_circuit("circuit d=2 n=2\ncond m1 apply Z^-m2 @1\n", "x.pc")
     assert "x.pc:2" in str(err.value)
+
+
+def _step_loop_run_circuit(ring, circ, seed):
+    """The loop that ran .pc circuits before they ran as one-party protocols:
+    each step through ``apply_gate_spec``, each meter sampled with ``rng``."""
+    rng = np.random.default_rng(seed)
+    st = QState.zero(circ.d, circ.n)
+    regs = {}
+    for op in circ.ops:
+        if isinstance(op, protocols.GateStep):
+            st = gates.apply_gate_spec(ring, st, gates.GateSpec(op.name, (op.site,), op.power))
+        elif isinstance(op, protocols.CtrlStep):
+            spec = gates.GateSpec("ctrl", (op.control, op.target), op.exponent, base=op.name)
+            st = gates.apply_gate_spec(ring, st, spec)
+        elif isinstance(op, protocols.SftStep):
+            st = gates.apply_gate_spec(ring, st, gates.GateSpec("sft"))
+        elif isinstance(op, protocols.MeasureStep):
+            probs = gates.site_probabilities(st, op.site)
+            outcome = int(rng.choice(circ.d, p=probs / probs.sum()))
+            st, _ = gates.project_site(st, op.site, outcome)
+            regs[op.register] = outcome
+        elif isinstance(op, protocols.CondStep):
+            power = op.coeff * regs[op.register]
+            if power:
+                st = gates.apply_gate_spec(ring, st, gates.GateSpec(op.name, (op.site,), power))
+        else:
+            raise TypeError(f"unexpected circuit step {op!r}")
+    return st, regs
+
+
+def _random_pc(rng, d, n):
+    """A .pc text mixing gate, ctrl, sft, measure and cond lines."""
+    def gate():
+        return rng.choice("XYZFG") + rng.choice(["", f"^{rng.randint(-3, 3)}"])
+
+    lines, regs = [f"circuit d={d} n={n}"], []
+    for _ in range(rng.randint(6, 14)):
+        kind = rng.choice(["gate", "gate", "ctrl", "sft", "measure", "cond"])
+        if kind == "cond" and not regs:
+            kind = "measure"
+        if kind == "gate":
+            lines.append(f"gate {gate()}@{rng.randint(1, n)}")
+        elif kind == "ctrl":
+            c, t = rng.sample(range(1, n + 1), 2)
+            lines.append(f"ctrl {gate()} c={c} t={t}")
+        elif kind == "sft":
+            lines.append("sft")
+        elif kind == "measure":
+            regs.append(f"m{len(regs) + 1}")
+            lines.append(f"measure@{rng.randint(1, n)} -> {regs[-1]}")
+        else:
+            reg = rng.choice(regs)
+            coeff = rng.choice(["", "-", "2*", "-2*"])
+            gate_tok = f"{rng.choice('XYZFG')}^{coeff}{reg}"
+            lines.append(f"cond {reg} apply {gate_tok} @{rng.randint(1, n)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (5, 3)])
+def test_run_circuit_matches_the_step_loop(d, n):
+    ring = make_phase_ring(d)
+    for seed in range(10):
+        circ = parse_circuit(_random_pc(random.Random(f"{d}/{seed}"), d, n), "r.pc")
+        state, regs = run_circuit(ring, circ, seed=seed)
+        want, want_regs = _step_loop_run_circuit(ring, circ, seed)
+        assert state.vector.dtype == complex
+        assert np.array_equal(state.vector, want.vector)
+        assert list(regs.items()) == list(want_regs.items())
+
+
+def test_run_circuit_refuses_a_ring_of_another_degree():
+    circ = parse_circuit("circuit d=2 n=1\ngate X@1\n", "x.pc")
+    with pytest.raises(ValueError, match="degree"):
+        run_circuit(make_phase_ring(3), circ)
+
+
+def test_protocol_run_refuses_a_ring_of_another_degree():
+    script = protocols.build_max_script(make_phase_ring(2), 3)
+    with pytest.raises(ValueError, match="degree"):
+        protocols.run(make_phase_ring(3), script)
 
 
 TELEPORT_PP = """\

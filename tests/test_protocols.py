@@ -1,5 +1,7 @@
 """Protocols: teleportation, resource distillation, multipartite merging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from pappa.protocols import (
     ProtocolScript,
     Resource,
     SendStep,
+    SftStep,
     build_max_script,
     bvk_merge_script,
     phase_free_fidelity,
@@ -511,3 +514,31 @@ def test_run_branches_never_expands_a_zero_probability_child(monkeypatch, d):
     branches = run_branches(ring, phase_space_measurement(ring, 1), psi)
     assert len(branches) == d
     assert len(calls) == 2 * d
+
+
+def test_sampled_run_holds_a_constant_number_of_states():
+    """Eight meters at d=2, n=16: a sampled run keeps no pre-measurement state."""
+    n = 16
+    steps = []
+    for site in range(8):
+        steps += [GateStep("a", "F", site), MeasureStep("a", site, f"m{site}")]
+    script = ProtocolScript(2, n, {"a": tuple(range(n))}, [], steps)
+    run(RINGS[2], script, seed=1)
+    tracemalloc.start()
+    try:
+        run(RINGS[2], script, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * 2**n
+
+
+def test_sft_step_needs_a_party_owning_every_site():
+    ring = RINGS[3]
+    psi = rand_state(3, 2, 0)
+    whole = ProtocolScript(3, 2, {"a": (0, 1)}, [], [SftStep("a")], input_sites=(0, 1))
+    out = run(ring, whole, psi).final_state
+    assert np.array_equal(out.vector, gates.apply_sft(ring, psi).vector)
+    split = ProtocolScript(3, 2, {"a": (0,), "b": (1,)}, [], [SftStep("a")], input_sites=(0, 1))
+    with pytest.raises(LocalityError):
+        run(ring, split, psi)
