@@ -46,7 +46,9 @@ print("\nPara isotopy: sliding one charge past another vertically costs q^(kl)."
 k, l = 1, 2
 low = Diagram.identity(d, 4).then(Charge(0, k, 0)).then(Charge(3, l, 1))
 high = Diagram.identity(d, 4).then(Charge(0, k, 1)).then(Charge(3, l, 0))
-ratio = evaluate(ring, low).matrix[0, 0] / evaluate(ring, high).matrix[0, 0]
+low_m, high_m = evaluate(ring, low).matrix, evaluate(ring, high).matrix
+entry = np.unravel_index(np.argmax(np.abs(high_m)), high_m.shape)
+ratio = low_m[entry] / high_m[entry]
 print(f"  evaluation ratio = {ratio:.6f},  q^(k l) = {ring.q_pow(k * l):.6f}")
 
 print("\nVertical reflection is the adjoint:")

@@ -7,6 +7,13 @@ states, verifies the Clifford-group identities, and runs multi-party
 communication protocols with edit/cdit accounting.
 """
 
+import os as _os
+
+# One BLAS thread unless the user set one, before numpy loads: more threads
+# only add overhead here, and move residual digits of the verify reports.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .clifford import (
     PhaselessUnitary,
     generate_group,
@@ -56,16 +63,15 @@ from .evaluator import (
     sft_via_braids,
 )
 from .gates import (
-    GateSpec,
+    Local,
     QState,
-    apply_gate_spec,
+    apply_local,
     controlled_gate,
     cz_gate,
     fourier_gate,
     gaussian_gate,
     measure,
     pauli_gate,
-    sft_gate,
     sft_matrix,
     sym_gate,
 )

@@ -383,16 +383,6 @@ def sft_rotate(diagram: Diagram) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-def _widths(in_points: int, gens: list[Generator]) -> list[int]:
-    """Input width of each generator in the flattened program."""
-    out = []
-    w = in_points
-    for g in gens:
-        out.append(w)
-        w += _gen_width_delta(g)
-    return out
-
-
 def _touches(gen: Generator, lo: int, hi: int) -> bool:
     a, b = _gen_span(gen, 0)
     return not (b < lo or a > hi)

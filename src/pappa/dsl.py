@@ -181,6 +181,8 @@ def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
         if m:
             name, power = _parse_gate_token(m.group(1), path, lineno)
             c, t = site(m.group(2), lineno), site(m.group(3), lineno)
+            if c == t:
+                raise ParseError(path, lineno, "control and target must differ")
             circ.ops.append(protocols.CtrlStep(party, name, c, t, power))
             continue
         m = re.match(r"^measure@(\d+)\s*->\s*(\w+)$", line)
@@ -271,6 +273,8 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
             name, power = _parse_gate_token(m.group(1), path, lineno)
             c = _q(m.group(2), path, lineno)
             t = _q(m.group(3), path, lineno)
+            if c == t:
+                raise ParseError(path, lineno, "control and target must differ")
             steps.append(
                 protocols.CtrlStep(party_of(c, lineno), name, c, t, power)
             )

@@ -66,13 +66,6 @@ class QOperator:
             raise ValueError("operator widths do not compose")
         return QOperator(self.d, other.n_in, self.n_out, self.matrix @ other.matrix)
 
-    def dagger(self) -> "QOperator":
-        return QOperator(self.d, self.n_out, self.n_in, self.matrix.conj().T)
-
-    def distance(self, other) -> float:
-        m = other.matrix if isinstance(other, QOperator) else other
-        return float(np.abs(self.matrix - m).max())
-
 
 @dataclass(frozen=True)
 class StringSite:
@@ -238,12 +231,18 @@ def braid_block(ring: PhaseRing, parity: int, sign: int) -> np.ndarray:
     return block
 
 
+def braid_local(ring: PhaseRing, strand: int, sign: int) -> gates.Local:
+    """The braid on strands (strand, strand+1) as its block on its one or two qudits."""
+    j = strand // 2
+    return gates.Local((j, j + 1) if strand % 2 else (j,), braid_block(ring, strand % 2, sign))
+
+
 def _braid_matrix(ring: PhaseRing, n: int, strand: int, sign: int) -> np.ndarray:
-    """b_+ / b_- on strands (strand, strand+1), embedded from :func:`braid_block`."""
+    """b_+ / b_- on strands (strand, strand+1), embedded from :func:`braid_local`."""
     if not 0 <= strand < 2 * n - 1:
         raise ValueError(f"braid strand {strand} out of range for n={n}")
-    block = braid_block(ring, strand % 2, sign)
-    return gates.embed_site_matrix(ring.d, n, strand // 2, block)
+    local = braid_local(ring, strand, sign)
+    return gates.embed_site_matrix(ring.d, n, local.sites[0], local.block)
 
 
 def braid_op(ring: PhaseRing, n: int, strand: int, sign: int) -> QOperator:
@@ -425,10 +424,10 @@ def local_conjugation_op(
     """Embed a (possibly charged) transformation on one party's qudits.
 
     ``owner_mask`` flags the qudits the operator acts on (in register
-    order).  The masked qudits are routed to adjacency with b_0 swaps,
-    ``t`` is applied there with Z**charge strings on every later qudit,
-    and the routing is undone.  For a neutral ``t`` on already adjacent
-    qudits this is the plain tensor embedding.
+    order).  ``t`` acts on the masked qudits in that order, and a charged
+    ``t`` carries a Z**charge string on every unmasked qudit after the
+    first masked one.  For a neutral ``t`` on adjacent qudits this is the
+    plain tensor embedding.
     """
     mask = [bool(b) for b in owner_mask]
     if len(mask) != n:
@@ -438,28 +437,9 @@ def local_conjugation_op(
     if t.shape != (ring.d**w, ring.d**w):
         raise ValueError("operator size does not match masked qudit count")
     d = ring.d
-    first = sites[0]
-    # adjacent-transposition network moving masked qudits to first..first+w-1
-    perm = list(range(n))
-    swaps: list[int] = []
-    for idx, site in enumerate(sites):
-        cur = perm.index(site)
-        dest = first + idx
-        while cur > dest:
-            swaps.append(cur - 1)
-            perm[cur - 1], perm[cur] = perm[cur], perm[cur - 1]
-            cur -= 1
-    swap = gates.sym_gate_matrix(ring, 0)
-    route = np.eye(d**n, dtype=complex)
-    for pos in swaps:
-        route = gates.kron_all(
-            [np.eye(d, dtype=complex)] * pos
-            + [swap]
-            + [np.eye(d, dtype=complex)] * (n - pos - 2)
-        ) @ route
-    core = gates.kron_all(
-        [np.eye(d, dtype=complex)] * first
-        + [t]
-        + [gates.pauli_z_power(ring, charge)] * (n - first - w)
-    )
-    return QOperator(d, n, n, route.conj().T @ core @ route)
+    z = gates.pauli_z_power(ring, charge)
+    m = gates.Local(tuple(sites), t).to_matrix(d, n)
+    for site in range(sites[0] + 1, n):
+        if not mask[site]:
+            m = gates.apply_local(m, d, n, gates.Local((site,), z))
+    return QOperator(d, n, n, m)

@@ -8,14 +8,14 @@ Single-qudit conventions (basis |0..d-1>, index arithmetic mod d):
 Multi-qudit basis: |k_1,...,k_n> maps to index sum(k_j * d**(n-j)), i.e.
 qudit 1 is the first (most significant) tensor factor.
 
-Gate application to states is site-local (reshape kernels); full d**n x d**n
-matrices are only materialized by the verification helpers and the dense
-builders (``sym_gate``, ``sft_matrix``, ``evaluator.braid_op``), which serve
-as oracles.  On states, ``braid`` and ``sym`` act on at most two adjacent
-qudits (the Jordan-Wigner Z-strings of a braid's two charges cancel), and
-``sft`` is omega**0.5 times 2n-1 such braids, so each costs O(n d**(n+2))
-rather than the d**(2n) of its matrix: an ``sft`` at d=2, n=20 (the 2**20
-state cap) runs.
+Every local operation is a :class:`Local`, a d**w x d**w block on w listed
+qudits in any order: a gate, a block-diagonal controlled gate, or a braid's
+``evaluator.braid_block``; the SFT is omega**0.5 times 2n-1 braids.  The one
+kernel that applies a block to a state, :func:`apply_local`, costs
+O(d**(n+w)) rather than the d**(2n) of the matrix, so an ``sft`` at d=2,
+n=20 (the 2**20 state cap) runs.  ``Local.to_matrix`` is that kernel on the
+identity; the dense forms (it, ``sym_gate``, ``sft_matrix``,
+``evaluator.braid_op``) serve as oracles and as the Clifford checks' matrices.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ def pauli_z_power(ring: PhaseRing, k: int = 1) -> np.ndarray:
 
 def pauli_gate(ring: PhaseRing, which: str) -> np.ndarray:
     """One of the qudit Pauli matrices X, Y, Z."""
-    builders = {"X": pauli_x_power, "Y": pauli_y_power, "Z": pauli_z_power}
-    if which not in builders:
+    if which not in ("X", "Y", "Z"):
         raise ValueError(f"unknown Pauli {which!r}")
-    return builders[which](ring, 1)
+    return gate_power(ring, which, 1)
 
 
 def fourier_gate(ring: PhaseRing) -> np.ndarray:
@@ -191,9 +190,6 @@ class QState:
     def zero(cls, d: int, n: int) -> "QState":
         return cls.basis(d, n, (0,) * n)
 
-    def copy(self) -> "QState":
-        return QState(self.d, self.n, self.vector.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
 
@@ -202,26 +198,36 @@ class QState:
         return float(abs(np.vdot(self.vector, other.vector)))
 
 
+@dataclass(frozen=True, eq=False)
+class Local:
+    """A d**w x d**w ``block`` acting on the w qudits ``sites`` (0-based).
+
+    The first listed site is the most significant digit of the block's
+    index.  Sites may come in any order and need not be adjacent.
+    """
+
+    sites: tuple[int, ...]
+    block: np.ndarray
+
+    def to_matrix(self, d: int, n: int) -> np.ndarray:
+        """The d**n x d**n operator on an n-qudit register."""
+        return apply_local(np.eye(d**n, dtype=complex), d, n, self)
+
+
+def apply_local(x: np.ndarray, d: int, n: int, local: Local) -> np.ndarray:
+    """Apply ``local`` to ``x``: d**n entries, then an optional batch axis."""
+    sites, w = local.sites, len(local.sites)
+    if any(not 0 <= s < n for s in sites):
+        raise ValueError(f"sites {sites} outside register of {n}")
+    t = x.reshape([d] * n + list(x.shape[1:]))
+    op = local.block.reshape([d] * (2 * w))
+    t = np.tensordot(op, t, axes=(list(range(w, 2 * w)), list(sites)))
+    return np.moveaxis(t, list(range(w)), list(sites)).reshape(x.shape)
+
+
 def apply_site_gate(state: QState, m: np.ndarray, site: int) -> QState:
     """Apply a d x d matrix to one qudit (0-based site)."""
-    d, n = state.d, state.n
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for n={n}")
-    t = state.vector.reshape([d] * n)
-    t = np.moveaxis(np.tensordot(m, t, axes=([1], [site])), 0, site)
-    return QState(d, n, t.reshape(-1))
-
-
-def apply_two_site_gate(state: QState, m: np.ndarray, site_a: int, site_b: int) -> QState:
-    """Apply a d^2 x d^2 matrix to the (ordered) pair of qudits (a, b)."""
-    d, n = state.d, state.n
-    if site_a == site_b:
-        raise ValueError("two-site gate needs distinct sites")
-    t = state.vector.reshape([d] * n)
-    op = m.reshape(d, d, d, d)
-    t = np.tensordot(op, t, axes=([2, 3], [site_a, site_b]))
-    t = np.moveaxis(t, [0, 1], [site_a, site_b])
-    return QState(d, n, t.reshape(-1))
+    return QState(state.d, state.n, apply_local(state.vector, state.d, state.n, Local((site,), m)))
 
 
 def apply_full_matrix(state: QState, m: np.ndarray) -> QState:
@@ -233,25 +239,23 @@ def apply_full_matrix(state: QState, m: np.ndarray) -> QState:
 # ---------------------------------------------------------------------------
 
 
+def ctrl_local(a: np.ndarray, control: int, target: int, exponent: int = 1) -> Local:
+    """A**(exponent * k) on ``target``, k the value of ``control``, as one block."""
+    if control == target:
+        raise ValueError("control and target must differ")
+    d = a.shape[0]
+    block = np.zeros((d * d, d * d), dtype=complex)
+    for c in range(d):
+        block[c * d : (c + 1) * d, c * d : (c + 1) * d] = np.linalg.matrix_power(a, exponent * c)
+    return Local((control, target), block)
+
+
 def apply_controlled(
     state: QState, a: np.ndarray, control: int, target: int, exponent: int = 1
 ) -> QState:
     """Apply A**(exponent * k) to ``target`` where k is the control value."""
-    d, n = state.d, state.n
-    if control == target:
-        raise ValueError("control and target must differ")
-    t = state.vector.reshape([d] * n)
-    t = np.moveaxis(t, control, 0)
-    pieces = []
-    tgt = target if target < control else target - 1
-    for c in range(d):
-        sub = QState(d, n - 1, t[c].reshape(-1))
-        if exponent * c != 0:
-            sub = apply_site_gate(sub, np.linalg.matrix_power(a, exponent * c), tgt)
-        pieces.append(sub.vector.reshape([d] * (n - 1)))
-    t = np.stack(pieces, axis=0)
-    t = np.moveaxis(t, 0, control)
-    return QState(d, n, t.reshape(-1))
+    local = ctrl_local(a, control, target, exponent)
+    return QState(state.d, state.n, apply_local(state.vector, state.d, state.n, local))
 
 
 def controlled_gate(
@@ -273,32 +277,14 @@ def controlled_gate(
         control, target = target, control
     elif flavor != "first-controls":
         raise ValueError(f"unknown flavor {flavor!r}")
-    if control == target:
-        raise ValueError("control and target must differ")
-    d = ring.d
-    dim = d**n
-    m = np.zeros((dim, dim), dtype=complex)
-    powers = [np.linalg.matrix_power(a, c) for c in range(d)]
-    for idx in range(dim):
-        digits = index_digits(idx, d, n)
-        c = digits[control]
-        col = np.zeros(dim, dtype=complex)
-        col[idx] = 1.0
-        sub = QState(d, n, col)
-        sub = apply_site_gate(sub, powers[c], target)
-        m[:, idx] = sub.vector
-    return m
+    return ctrl_local(a, control, target).to_matrix(ring.d, n)
 
 
 def cz_gate(ring: PhaseRing, n: int = 2, site_a: int = 0, site_b: int = 1) -> np.ndarray:
     """C_Z = diag(q**(k_a * k_b)); identical for both control flavors."""
     d = ring.d
-    dim = d**n
-    m = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        digits = index_digits(idx, d, n)
-        m[idx, idx] = ring.q_pow(digits[site_a] * digits[site_b])
-    return m
+    block = np.diag([ring.q_pow(ka * kb) for ka in range(d) for kb in range(d)])
+    return Local((site_a, site_b), block).to_matrix(d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -354,99 +340,6 @@ def measure(state: QState, site: int, rng: np.random.Generator) -> tuple[int, QS
 
 
 # ---------------------------------------------------------------------------
-# symbolic gates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    """A symbolic gate with site placement, resolvable against any register.
-
-    Kinds: ``X Y Z F G`` (with integer ``power``), ``ctrl`` (controlled
-    power of a named base gate; sites = (control, target)), ``cz``,
-    ``braid`` (sites = (strand,), ``sign`` +-1), ``sym`` (sites =
-    (strand,), parameter ``m``), ``sft`` (whole register), and ``matrix``
-    (a custom matrix over ``sites``).
-    """
-
-    kind: str
-    sites: tuple[int, ...] = ()
-    power: int = 1
-    base: str = "X"
-    sign: int = 1
-    m: int = 0
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind == "ctrl" and len(set(self.sites)) != 2:
-            raise ValueError("controlled gates need distinct control and target")
-
-
-def apply_gate_spec(ring: PhaseRing, state: QState, spec: GateSpec) -> QState:
-    """Apply a symbolic gate to a state (site-local kernels throughout)."""
-    n = state.n
-    if spec.kind == "braid":
-        (strand,) = spec.sites
-        return apply_braid(ring, state, strand, spec.sign)
-    if spec.kind == "sym":
-        (strand,) = spec.sites
-        j = _sym_pair(n, strand)
-        return apply_two_site_gate(state, sym_gate_matrix(ring, spec.m), j, j + 1)
-    if any(not 0 <= s < n for s in spec.sites):
-        raise ValueError(f"sites {spec.sites} outside register of {n}")
-    if spec.kind in _GATE_BUILDERS:
-        (site,) = spec.sites
-        return apply_site_gate(state, gate_power(ring, spec.kind, spec.power), site)
-    if spec.kind == "ctrl":
-        control, target = spec.sites
-        return apply_controlled(
-            state, gate_power(ring, spec.base, 1), control, target, spec.power
-        )
-    if spec.kind == "cz":
-        a, b = spec.sites
-        return apply_controlled(state, pauli_z_power(ring, 1), a, b, spec.power)
-    if spec.kind == "sft":
-        return apply_sft(ring, state)
-    if spec.kind == "matrix":
-        if spec.matrix is None:
-            raise ValueError("matrix gate needs a matrix")
-        if len(spec.sites) == 1:
-            return apply_site_gate(state, spec.matrix, spec.sites[0])
-        if len(spec.sites) == 2:
-            return apply_two_site_gate(state, spec.matrix, *spec.sites)
-        raise ValueError("custom matrices support one or two sites")
-    raise ValueError(f"unknown gate kind {spec.kind!r}")
-
-
-def apply_sft(ring: PhaseRing, state: QState) -> QState:
-    """The string Fourier transform on the whole register, as 2n-1 local braids.
-
-    omega**0.5 b_{2n-2,-} ... b_{0,-}, the product ``evaluator.sft_via_braids`` builds.
-    """
-    state = QState(state.d, state.n, state.vector * ring.omega_sqrt)
-    for s in range(2 * state.n - 1):
-        state = apply_braid(ring, state, s, -1)
-    return state
-
-
-def apply_braid(ring: PhaseRing, state: QState, strand: int, sign: int) -> QState:
-    """The braid on strands (strand, strand+1), applied as its local block.
-
-    An even strand pairs the two strings of qudit strand//2; an odd one
-    straddles qudits (strand-1)//2 and (strand+1)//2.
-    """
-    from .evaluator import braid_block
-
-    if not 0 <= strand < 2 * state.n - 1:
-        raise ValueError(f"braid strand {strand} out of range for n={state.n}")
-    block = braid_block(ring, strand % 2, sign)
-    j = strand // 2
-    if strand % 2:
-        return apply_two_site_gate(state, block, j, j + 1)
-    return apply_site_gate(state, block, j)
-
-
-# ---------------------------------------------------------------------------
 # symmetry family b_m and the string Fourier transform
 # ---------------------------------------------------------------------------
 
@@ -497,15 +390,20 @@ def sft_matrix(ring: PhaseRing, n: int) -> np.ndarray:
     return out
 
 
-def sft_gate(ring: PhaseRing, n: int, method: str = "matrix-formula") -> np.ndarray:
-    """String Fourier transform, by closed form or by the braid product."""
-    if method == "matrix-formula":
-        return sft_matrix(ring, n)
-    if method == "braid-product":
-        from . import evaluator
+def sft_locals(ring: PhaseRing, n: int) -> list[Local]:
+    """b_{0,-}, ..., b_{2n-2,-} in order: the SFT is omega**0.5 times their product."""
+    from .evaluator import braid_local
 
-        return evaluator.sft_via_braids(ring, n)
-    raise ValueError(f"unknown method {method!r}")
+    return [braid_local(ring, s, -1) for s in range(2 * n - 1)]
+
+
+def apply_sft(ring: PhaseRing, state: QState) -> QState:
+    """The string Fourier transform on the whole register, as 2n-1 local braids."""
+    d, n = state.d, state.n
+    v = state.vector * ring.omega_sqrt
+    for local in sft_locals(ring, n):
+        v = apply_local(v, d, n, local)
+    return QState(d, n, v)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ costs one cdit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,51 +196,71 @@ def _initial_state(
     return QState(d, total, np.transpose(t, axes).reshape(-1))
 
 
+def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
+    """What the walk applies at ``step``: (scale or None, Locals).
+
+    A cond step without its register ``value`` gives a function of that
+    value which builds the gate once per value; measure and send steps give
+    None.  The SFT's omega**0.5 stays a scale, as in ``gates.apply_sft``.
+    """
+    if isinstance(step, GateStep):
+        return None, [gates.Local((step.site,), gates.gate_power(ring, step.name, step.power))]
+    if isinstance(step, CtrlStep):
+        base = gates.gate_power(ring, step.name, 1)
+        return None, [gates.ctrl_local(base, step.control, step.target, step.exponent)]
+    if isinstance(step, CondStep):
+        if value is None:
+            return functools.cache(functools.partial(_locals, ring, n, step))
+        power = step.coeff * value
+        if not power:
+            return None, []
+        return None, [gates.Local((step.site,), gates.gate_power(ring, step.name, power))]
+    if isinstance(step, SftStep):
+        return ring.omega_sqrt, gates.sft_locals(ring, n)
+    return None
+
+
 def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, seed, fork):
     """Walk the outcome tree of ``script`` depth first; return its leaves.
 
-    ``fork(state, site)`` lists the children taken at a measurement as
-    (outcome, p) pairs in outcome order, ``p`` being the child's own
-    probability.  A child's state is collapsed from its parent only when
-    the walk reaches it, and a fork is dropped with its parent state when
-    its last child is taken.  So only the parents of forks with children
-    left and the state being advanced are alive: at most m+1 states for m
-    measurements, and O(1) when every fork has one child, as in ``run``.
+    Each step is resolved to its local operations once, before the walk
+    (a cond step once per register value it meets).  ``fork(state, site)``
+    lists the children taken at a measurement as (outcome, p) pairs in
+    outcome order, ``p`` being the child's own probability.  A child's
+    state is collapsed from its parent only when the walk reaches it, and
+    a fork is dropped with its parent state when its last child is taken.
+    So only the parents of forks with children left and the state being
+    advanced are alive: at most m+1 states for m measurements, and O(1)
+    when every fork has one child, as in ``run``.
     """
     if ring.d != script.d:
         raise ValueError(f"ring degree {ring.d} and script degree {script.d} differ")
     script.validate()
-    steps = script.steps
+    d, n, steps = ring.d, script.n_sites, script.steps
+    ops = [_locals(ring, n, step) for step in steps]
     leaves: list[Transcript] = []
     pending: list[tuple] = []  # (children, parent, measure step, resume at, outcomes, cdits, prob)
     state = _initial_state(ring, script, input_state)
     start, outcomes, cdits, prob = 0, {}, 0, 1.0
     while True:
         for i in range(start, len(steps)):
-            step = steps[i]
-            if isinstance(step, GateStep):
-                m = gates.gate_power(ring, step.name, step.power)
-                state = gates.apply_site_gate(state, m, step.site)
-            elif isinstance(step, CtrlStep):
-                base = gates.gate_power(ring, step.name, 1)
-                state = gates.apply_controlled(
-                    state, base, step.control, step.target, step.exponent
-                )
-            elif isinstance(step, MeasureStep):
+            step, op = steps[i], ops[i]
+            if isinstance(step, MeasureStep):
                 children = fork(state, step.site)
                 if children:
                     pending.append((children, state, step, i + 1, outcomes, cdits, prob))
                 break
-            elif isinstance(step, SendStep):
+            if isinstance(step, SendStep):
                 if step.src != step.dst:
                     cdits += 1
-            elif isinstance(step, CondStep):
-                power = step.coeff * outcomes[step.register]
-                if power:
-                    m = gates.gate_power(ring, step.name, power)
-                    state = gates.apply_site_gate(state, m, step.site)
-            elif isinstance(step, SftStep):
-                state = gates.apply_sft(ring, state)
+                continue
+            if isinstance(step, CondStep):
+                op = op(outcomes[step.register])
+            scale, locs = op
+            v = state.vector if scale is None else state.vector * scale
+            for local in locs:
+                v = gates.apply_local(v, d, n, local)
+            state = QState(d, n, v)
         else:
             leaves.append(Transcript(seed, outcomes, state, len(script.resources), cdits, prob))
         # resume at the next child of the deepest fork that has one left

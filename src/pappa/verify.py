@@ -151,8 +151,9 @@ def suite_sft(d: int, n_max: int = 3, tol: float = 1e-9) -> SuiteResult:
     """Braid-product vs closed-form SFT, rotation order, Max/GHZ forms."""
     ring = make_phase_ring(d)
     res = SuiteResult("sft", tol=tol)
+    sfts = {n: gates.sft_matrix(ring, n) for n in {*range(1, n_max + 1), 2, 3}}
     for n in range(1, n_max + 1):
-        s = gates.sft_matrix(ring, n)
+        s = sfts[n]
         res.add(f"cross_oracle_n{n}", _mx(s - evaluator.sft_via_braids(ring, n)))
         res.add(f"unitary_n{n}", _mx(s @ s.conj().T - np.eye(d**n)))
         power = np.linalg.matrix_power(s, 2 * n)
@@ -174,21 +175,20 @@ def suite_sft(d: int, n_max: int = 3, tol: float = 1e-9) -> SuiteResult:
                     )
         res.add(f"charge_sectors_n{n}", worst)
     for n in (2, 3):
-        s = gates.sft_matrix(ring, n)
+        s = sfts[n]
         maxv = entangle.max_state(ring, n).vector
         res.add(f"max_state_n{n}", _mx(s[:, 0] - maxv))
         fs = gates.kron_all([gates.fourier_gate(ring)] * n)
+        fs_inv = np.linalg.inv(fs)
         ghz = entangle.ghz_state(ring, n).vector
         res.add(f"ghz_duality_n{n}", _mx(fs @ maxv - ghz))
-        res.add(
-            f"ghz_duality_inv_n{n}", _mx(np.linalg.inv(fs) @ maxv - ghz)
-        )
+        res.add(f"ghz_duality_inv_n{n}", _mx(fs_inv @ maxv - ghz))
         worst = 0.0
         for ks in gates.all_digit_tuples(d, n):
             closed = entangle.max_basis(ring, ks).vector
             worst = max(worst, _mx(closed - s[:, gates.basis_index(ks, d)]))
             ghzk = entangle.ghz_basis(ring, ks).vector
-            worst = max(worst, _mx(ghzk - np.linalg.inv(fs) @ closed))
+            worst = max(worst, _mx(ghzk - fs_inv @ closed))
         res.add(f"basis_closed_forms_n{n}", worst)
     return res
 

@@ -197,3 +197,19 @@ def test_diagram_d_override_ignores_comments(tmp_path, monkeypatch):
     assert code == 0
     assert seen == [3]
     assert out.startswith("d=3\n")
+
+
+def test_circuit_ctrl_on_one_site_exit_code_2(tmp_path, capsys):
+    pc = tmp_path / "ctrl.pc"
+    pc.write_text("circuit d=2 n=2\ngate X@1\nctrl X c=1 t=1\n")
+    code, _ = run_cli(["circuit", "run", str(pc)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {pc}:3: control and target must differ\n"
+
+
+def test_protocol_ctrl_on_one_site_exit_code_2(tmp_path, capsys):
+    pp = tmp_path / "ctrl.pp"
+    pp.write_text("party alice: q1 q2\nctrl X c=q1 t=q1\n")
+    code, _ = run_cli(["protocol", "run", str(pp), "--d", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {pp}:2: control and target must differ\n"

@@ -12,6 +12,8 @@ from pappa.evaluator import evaluate
 from pappa.gates import QState
 from pappa.phases import make_phase_ring
 
+from gatespec import GateSpec, apply_gate_spec
+
 LOOP_PD = """\
 # a neutral loop
 diagram d=4 in=0 out=0
@@ -127,12 +129,12 @@ def _step_loop_run_circuit(ring, circ, seed):
     regs = {}
     for op in circ.ops:
         if isinstance(op, protocols.GateStep):
-            st = gates.apply_gate_spec(ring, st, gates.GateSpec(op.name, (op.site,), op.power))
+            st = apply_gate_spec(ring, st, GateSpec(op.name, (op.site,), op.power))
         elif isinstance(op, protocols.CtrlStep):
-            spec = gates.GateSpec("ctrl", (op.control, op.target), op.exponent, base=op.name)
-            st = gates.apply_gate_spec(ring, st, spec)
+            spec = GateSpec("ctrl", (op.control, op.target), op.exponent, base=op.name)
+            st = apply_gate_spec(ring, st, spec)
         elif isinstance(op, protocols.SftStep):
-            st = gates.apply_gate_spec(ring, st, gates.GateSpec("sft"))
+            st = apply_gate_spec(ring, st, GateSpec("sft"))
         elif isinstance(op, protocols.MeasureStep):
             probs = gates.site_probabilities(st, op.site)
             outcome = int(rng.choice(circ.d, p=probs / probs.sum()))
@@ -141,7 +143,7 @@ def _step_loop_run_circuit(ring, circ, seed):
         elif isinstance(op, protocols.CondStep):
             power = op.coeff * regs[op.register]
             if power:
-                st = gates.apply_gate_spec(ring, st, gates.GateSpec(op.name, (op.site,), power))
+                st = apply_gate_spec(ring, st, GateSpec(op.name, (op.site,), power))
         else:
             raise TypeError(f"unexpected circuit step {op!r}")
     return st, regs

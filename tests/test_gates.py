@@ -25,6 +25,8 @@ from pappa.gates import (
 )
 from pappa.phases import make_phase_ring
 
+from gatespec import GateSpec, apply_gate_spec
+
 RINGS = {d: make_phase_ring(d) for d in (2, 3, 4, 5, 7)}
 
 
@@ -231,7 +233,7 @@ def test_trick4_identity_d2():
 
 
 def test_gate_spec_dispatch():
-    from pappa.gates import GateSpec, apply_gate_spec, sft_matrix
+    from pappa.gates import sft_matrix
 
     ring = RINGS[3]
     psi = QState.basis(3, 2, (1, 2))
@@ -250,8 +252,6 @@ def test_gate_spec_dispatch():
 
 
 def test_gate_spec_validation():
-    from pappa.gates import GateSpec, apply_gate_spec
-
     with pytest.raises(ValueError):
         GateSpec("ctrl", (1, 1))
     with pytest.raises(ValueError):
@@ -266,7 +266,6 @@ LOCAL_SIZES = [(d, n) for d in (2, 3, 5) for n in range(1, 5) if d**n <= 625]
 @pytest.mark.parametrize("d,n", LOCAL_SIZES)
 def test_braid_spec_matches_dense_braid_op(d, n):
     from pappa.evaluator import braid_op
-    from pappa.gates import GateSpec, apply_gate_spec
 
     ring = RINGS[d]
     rng = np.random.default_rng(31)
@@ -280,8 +279,6 @@ def test_braid_spec_matches_dense_braid_op(d, n):
 
 @pytest.mark.parametrize("d,n", [(d, n) for d, n in LOCAL_SIZES if n >= 2])
 def test_sym_spec_matches_dense_sym_gate(d, n):
-    from pappa.gates import GateSpec, apply_gate_spec
-
     ring = RINGS[d]
     rng = np.random.default_rng(32)
     for strand in range(1, 2 * n - 1, 2):
@@ -306,8 +303,6 @@ def test_embedded_braid_matches_charge_sum(d):
 
 
 def test_local_kinds_build_no_full_matrix(monkeypatch):
-    from pappa.gates import GateSpec, apply_gate_spec
-
     def refuse(*args, **kwargs):
         raise AssertionError("a d**n x d**n matrix was built")
 
@@ -327,8 +322,6 @@ def test_local_kinds_build_no_full_matrix(monkeypatch):
 
 
 def test_braid_and_sym_strand_ranges():
-    from pappa.gates import GateSpec, apply_gate_spec
-
     ring = RINGS[2]
     psi = QState.zero(2, 2)
     for spec in (

@@ -1,0 +1,235 @@
+"""``Local`` and ``apply_local``, the one kernel for local operations, against
+dense builders that share no code with it."""
+
+import numpy as np
+import pytest
+
+from pappa import gates, protocols
+from pappa.evaluator import local_conjugation_op
+from pappa.gates import Local, QState, apply_local, controlled_gate, index_digits
+from pappa.phases import make_phase_ring
+
+RINGS = {d: make_phase_ring(d) for d in (2, 3, 5)}
+EPS = np.finfo(float).eps
+
+
+def dense_local(d, n, sites, block):
+    """The d**n x d**n matrix of ``block`` on ``sites``, entry by entry."""
+    dim = d**n
+    out = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        ks = index_digits(col, d, n)
+        for row in range(dim):
+            ls = index_digits(row, d, n)
+            if any(ks[j] != ls[j] for j in range(n) if j not in sites):
+                continue
+            r = c = 0
+            for s in sites:
+                r, c = r * d + ls[s], c * d + ks[s]
+            out[row, col] = block[r, c]
+    return out
+
+
+def _random(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+LOCAL_CASES = [
+    (d, n, w, seed)
+    for d, n in ((2, 5), (3, 4), (5, 3))
+    for w in (1, 2, 3)
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("d,n,w,seed", LOCAL_CASES)
+def test_apply_local_matches_index_loop(d, n, w, seed):
+    rng = np.random.default_rng(100 * d + 10 * w + seed)
+    sites = tuple(int(s) for s in rng.permutation(n)[:w])
+    local = Local(sites, _random(rng, d**w, d**w))
+    dense = dense_local(d, n, sites, local.block)
+    x = _random(rng, d**n)
+    assert np.abs(apply_local(x, d, n, local) - dense @ x).max() < 1e-12
+    batch = _random(rng, d**n, 3)
+    got = apply_local(batch, d, n, local)
+    assert got.shape == batch.shape
+    assert np.abs(got - dense @ batch).max() < 1e-12
+    assert np.array_equal(local.to_matrix(d, n), dense)
+
+
+@pytest.mark.parametrize("sites", [(0, 2), (2, 0), (3, 1), (1, 3, 0), (2, 0, 3)])
+def test_apply_local_nonadjacent_sites_in_any_order(sites):
+    d, n = 2, 4
+    rng = np.random.default_rng(len(sites))
+    local = Local(sites, _random(rng, d ** len(sites), d ** len(sites)))
+    x = _random(rng, d**n)
+    want = dense_local(d, n, sites, local.block) @ x
+    assert np.abs(apply_local(x, d, n, local) - want).max() < 1e-12
+
+
+def test_apply_local_rejects_bad_sites():
+    x = np.zeros(8, dtype=complex)
+    for sites in ((3,), (-1,), (0, 3)):
+        with pytest.raises(ValueError, match="outside register"):
+            apply_local(x, 2, 3, Local(sites, np.eye(2 ** len(sites))))
+    with pytest.raises(ValueError):
+        apply_local(x, 2, 3, Local((1, 1), np.eye(4)))
+
+
+# ---------------------------------------------------------------------------
+# the kernels Local replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def controlled_gate_columns(ring, n, control, target, a):
+    """The column loop ``controlled_gate`` used: each basis column through
+    ``apply_site_gate`` with A**k_control on the target."""
+    d = ring.d
+    dim = d**n
+    m = np.zeros((dim, dim), dtype=complex)
+    powers = [np.linalg.matrix_power(a, c) for c in range(d)]
+    for idx in range(dim):
+        col = np.zeros(dim, dtype=complex)
+        col[idx] = 1.0
+        c = index_digits(idx, d, n)[control]
+        m[:, idx] = gates.apply_site_gate(QState(d, n, col), powers[c], target).vector
+    return m
+
+
+def apply_controlled_stacked(state, a, control, target, exponent=1):
+    """The kernel ``apply_controlled`` used: one sub-state per control value."""
+    d, n = state.d, state.n
+    t = np.moveaxis(state.vector.reshape([d] * n), control, 0)
+    tgt = target if target < control else target - 1
+    pieces = []
+    for c in range(d):
+        sub = QState(d, n - 1, t[c].reshape(-1))
+        if exponent * c != 0:
+            sub = gates.apply_site_gate(sub, np.linalg.matrix_power(a, exponent * c), tgt)
+        pieces.append(sub.vector.reshape([d] * (n - 1)))
+    return np.moveaxis(np.stack(pieces, axis=0), 0, control).reshape(-1)
+
+
+def local_conjugation_swaps(ring, n, mask, t, charge=0):
+    """The swap network ``local_conjugation_op`` used: route the masked qudits
+    to adjacency with b_0, apply ``t`` with a Z**charge tail, route back."""
+    d = ring.d
+    sites = [i for i, b in enumerate(mask) if b]
+    first, w = sites[0], len(sites)
+    perm, swaps = list(range(n)), []
+    for idx, site in enumerate(sites):
+        cur = perm.index(site)
+        while cur > first + idx:
+            swaps.append(cur - 1)
+            perm[cur - 1], perm[cur] = perm[cur], perm[cur - 1]
+            cur -= 1
+    eye = np.eye(d, dtype=complex)
+    route = np.eye(d**n, dtype=complex)
+    for pos in swaps:
+        swap = gates.sym_gate_matrix(ring, 0)
+        route = gates.kron_all([eye] * pos + [swap] + [eye] * (n - pos - 2)) @ route
+    tail = [gates.pauli_z_power(ring, charge)] * (n - first - w)
+    core = gates.kron_all([eye] * first + [t] + tail)
+    return route.conj().T @ core @ route
+
+
+def _gates(ring, rng):
+    named = [gates.gate_power(ring, name, 1) for name in "XYZFG"]
+    return named + [gates._random_unitary(ring.d, rng)]
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3)])
+def test_controlled_gate_matches_column_loop(d, n):
+    ring = RINGS[d]
+    rng = np.random.default_rng(d + n)
+    for a in _gates(ring, rng):
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                want = controlled_gate_columns(ring, n, control, target, a)
+                assert np.array_equal(controlled_gate(ring, n, control, target, a), want)
+                flipped = controlled_gate(ring, n, target, control, a, flavor="second-controls")
+                assert np.array_equal(flipped, want)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (2, 12), (3, 4), (5, 3)])
+def test_apply_controlled_matches_stacked_substates(d, n):
+    ring = RINGS[d]
+    rng = np.random.default_rng(7 * d + n)
+    pairs = [(0, n - 1), (n - 1, 0), (1, 0), (0, 1)]
+    for a in _gates(ring, rng):
+        for control, target in pairs:
+            for exponent in (1, -1, 2):
+                psi = gates._random_state(ring, n, rng)
+                got = gates.apply_controlled(psi, a, control, target, exponent).vector
+                want = apply_controlled_stacked(psi, a, control, target, exponent)
+                assert np.abs(got - want).max() <= 4 * EPS, (control, target, exponent)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_cz_gate_is_its_diagonal(d):
+    ring = RINGS[d]
+    for n, a, b in ((2, 0, 1), (3, 2, 0)):
+        cz = gates.cz_gate(ring, n, a, b)
+        diag = [ring.q_pow(ks[a] * ks[b]) for ks in gates.all_digit_tuples(d, n)]
+        assert np.array_equal(cz, np.diag(diag))
+
+
+MASKS = [(1, 0), (0, 1), (1, 1), (1, 0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 0), (0, 1, 0, 1)]
+
+
+@pytest.mark.parametrize("d,mask", [(d, m) for d in (2, 3, 5) for m in MASKS if d ** len(m) <= 125])
+def test_local_conjugation_matches_swap_network(d, mask):
+    n, w = len(mask), sum(mask)
+    ring = RINGS[d]
+    rng = np.random.default_rng(sum(mask) + 3 * n + d)
+    t = _random(rng, d**w, d**w)
+    for charge in range(d):
+        got = local_conjugation_op(ring, n, mask, t, charge).matrix
+        want = local_conjugation_swaps(ring, n, mask, t, charge)
+        # a charged tail multiplies t by q**k in BLAS, which may fuse the product
+        assert np.abs(got - want).max() <= 4 * EPS * np.abs(t).max(), charge
+
+
+# ---------------------------------------------------------------------------
+# the walker resolves steps once
+# ---------------------------------------------------------------------------
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_walker_builds_each_gate_once(monkeypatch, d):
+    """Teleportation visits each cond step on all d**2 branches, but builds its
+    gate once per nonzero register value; the ctrl and F once per walk."""
+    ring = RINGS[d]
+    script = protocols.teleportation_script(ring)
+    psi = gates._random_state(ring, 1, np.random.default_rng(d))
+    built = _counting(monkeypatch, gates, "gate_power")
+    powers = _counting(monkeypatch, np.linalg, "matrix_power")
+    branches = protocols.run_branches(ring, script, psi)
+    assert len(branches) == d * d
+    assert len(built) == 2 + 2 * (d - 1)
+    assert len(powers) == d
+
+
+def test_walker_ctrl_powers_per_step_not_per_visit(monkeypatch):
+    """build_max at n=4 runs its later merges once per earlier outcome; the
+    ctrl blocks are still built once per ctrl step."""
+    ring = RINGS[3]
+    script = protocols.build_max_script(ring, 4)
+    ctrl_steps = sum(isinstance(s, protocols.CtrlStep) for s in script.steps)
+    powers = _counting(monkeypatch, np.linalg, "matrix_power")
+    assert len(protocols.run_branches(ring, script)) == 27
+    assert len(powers) == 3 * ctrl_steps

@@ -12,10 +12,11 @@ from pappa.gates import (
     basis_index,
     gaussian_gate,
     index_digits,
-    sft_gate,
     sft_matrix,
 )
 from pappa.phases import make_phase_ring
+
+from gatespec import GateSpec, apply_gate_spec
 
 RINGS = {d: make_phase_ring(d) for d in (2, 3, 5)}
 
@@ -55,7 +56,6 @@ def test_sft_matrix_matches_entrywise_loop(d, n):
 def test_cross_oracle_braid_product_vs_matrix(d, n):
     ring = RINGS[d]
     assert mx(sft_matrix(ring, n) - sft_via_braids(ring, n)) < 1e-9
-    assert mx(sft_gate(ring, n, "braid-product") - sft_gate(ring, n)) < 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -194,7 +194,7 @@ def test_sft_spec_matches_dense_matrix(d, n):
     s = sft_matrix(ring, n)
     for _ in range(2):
         v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
-        out = gates.apply_gate_spec(ring, QState(d, n, v), gates.GateSpec("sft"))
+        out = apply_gate_spec(ring, QState(d, n, v), GateSpec("sft"))
         assert mx(out.vector - s @ v) < 1e-12
 
 
