@@ -19,10 +19,12 @@ import argparse
 import dataclasses
 import os
 import sys
+from itertools import accumulate
 
 import numpy as np
 
 from . import dsl, protocols, verify
+from .diagrams import _gen_width_delta
 from .evaluator import evaluate
 from .gates import QState
 from .phases import make_phase_ring
@@ -55,7 +57,8 @@ def _cmd_diagram(args) -> int:
         diagram = dataclasses.replace(diagram, d=args.d)
     d = diagram.d
     ring = make_phase_ring(d)
-    _check_dims(d, max(diagram.in_points, diagram.out_points) // 2)
+    widths = accumulate(map(_gen_width_delta, diagram.flat()), initial=diagram.in_points)
+    _check_dims(d, max(diagram.out_points, *widths) // 2)
     op = evaluate(ring, diagram)
     print(f"d={d}")
     print(f"in_points={diagram.in_points}")

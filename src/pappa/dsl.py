@@ -233,11 +233,16 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
     input_sites: tuple[int, ...] = ()
     output_sites: tuple[int, ...] = ()
     owner: dict[int, str] = {}
+    step_lines: list[int] = []
 
     def party_of(site: int, lineno: int) -> str:
         if site not in owner:
             raise ParseError(path, lineno, f"site q{site + 1} not owned by any party")
         return owner[site]
+
+    def add(step: protocols.Step) -> None:
+        steps.append(step)
+        step_lines.append(lineno)
 
     for lineno, line in _clean_lines(text):
         m = re.match(r"^party\s+(\w+)\s*:\s*(.+)$", line)
@@ -266,7 +271,7 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
         if m:
             name, power = _parse_gate_token(m.group(1), path, lineno)
             site = _q(m.group(2), path, lineno)
-            steps.append(protocols.GateStep(party_of(site, lineno), name, site, power))
+            add(protocols.GateStep(party_of(site, lineno), name, site, power))
             continue
         m = re.match(r"^ctrl\s+(\S+)\s+c=(q\d+)\s+t=(q\d+)$", line)
         if m:
@@ -275,26 +280,22 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
             t = _q(m.group(3), path, lineno)
             if c == t:
                 raise ParseError(path, lineno, "control and target must differ")
-            steps.append(
-                protocols.CtrlStep(party_of(c, lineno), name, c, t, power)
-            )
+            add(protocols.CtrlStep(party_of(c, lineno), name, c, t, power))
             continue
         m = re.match(r"^meter\s+(q\d+)\s*->\s*(\w+)$", line)
         if m:
             site = _q(m.group(1), path, lineno)
-            steps.append(
-                protocols.MeasureStep(party_of(site, lineno), site, m.group(2))
-            )
+            add(protocols.MeasureStep(party_of(site, lineno), site, m.group(2)))
             continue
         m = re.match(r"^send\s+(\w+)\s*->\s*(\w+)\s+(\w+)$", line)
         if m:
-            steps.append(protocols.SendStep(m.group(1), m.group(2), m.group(3)))
+            add(protocols.SendStep(m.group(1), m.group(2), m.group(3)))
             continue
         cond = _parse_cond(line, r"q\d+", path, lineno)
         if cond:
             reg, name, coeff, tok = cond
             site = _q(tok, path, lineno)
-            steps.append(protocols.CondStep(party_of(site, lineno), name, site, reg, coeff))
+            add(protocols.CondStep(party_of(site, lineno), name, site, reg, coeff))
             continue
         raise ParseError(path, lineno, f"unrecognized statement {line!r}")
     n_sites = max(owner) + 1 if owner else 0
@@ -309,7 +310,10 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
         input_sites=input_sites,
         output_sites=output_sites,
     )
-    script.validate()
+    try:
+        script.validate()
+    except protocols.LocalityError as exc:
+        raise ParseError(path, step_lines[exc.step], str(exc)) from exc
     return script
 
 

@@ -1,4 +1,4 @@
-"""Compilation of charged-string pictures to dense qudit operators.
+"""Compilation of charged-string pictures to qudit operators.
 
 Strand layout (0-based everywhere): a boundary with 2n points hosts n
 qudits; qudit j owns strands 2j (its left string) and 2j+1 (its right
@@ -24,26 +24,26 @@ into two qudits, resp. fuse two qudits by charge addition, with weight
 d**-0.25.  The straddling values are forced by the Temperley-Lieb zigzag
 relations and the neutral nested-cap picture of the maximally entangled
 state, and are cross-checked against both in the tests.
+
+:func:`evaluate` applies each generator to an accumulator of d**n rows (n
+the current width) and d**n_in columns: a braid, ``sym`` or bound box is a
+``gates.Local``, a charge its one-qudit head times a Z-tail phase vector,
+and a cap or cup inserts, drops, splits or fuses a digit axis by indexing.
+A generator on w qudits costs O(d**(n+w) * d**n_in), and no d**n x d**n
+generator matrix is built; the dense forms (``_cap_matrix``, ``_cup_matrix``,
+``_charge_run_matrix``) are the same kernels applied to the identity.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
-from .diagrams import (
-    Box,
-    BraidNeg,
-    BraidPos,
-    Cap,
-    Charge,
-    Cup,
-    Diagram,
-    Sym,
-)
+from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym
 from .phases import PhaseRing
 
 
@@ -118,58 +118,49 @@ def parafermion_relations_check(ring: PhaseRing, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# caps and cups
+# caps and cups: insert, drop, split or fuse a digit axis
 # ---------------------------------------------------------------------------
+
+
+def _cap(ring: PhaseRing, n: int, strand: int, x: np.ndarray) -> np.ndarray:
+    """Cap whose two new strands appear at (strand, strand+1), applied to ``x``."""
+    d = ring.d
+    if not 0 <= strand <= 2 * n:
+        raise ValueError(f"cap position {strand} out of range for n={n}")
+    j = strand // 2
+    if strand % 2 == 0:  # a new qudit in d**0.25 |0> at slot j
+        t = x.reshape(d**j, 1, d ** (n - j), -1)
+        out = np.zeros((d**j, d) + t.shape[2:], dtype=complex)
+        out[:, :1] = d**0.25 * t
+    else:  # qudit j's digit k splits into (a, k - a)
+        sums = np.add.outer(np.arange(d), np.arange(d)) % d
+        out = d**-0.25 * np.take(x.reshape(d**j, d, -1), sums, axis=1)
+    return out.reshape(d ** (n + 1), -1)
+
+
+def _cup(ring: PhaseRing, n: int, strand: int, x: np.ndarray) -> np.ndarray:
+    """Cup consuming input strands (strand, strand+1), applied to ``x``."""
+    d = ring.d
+    if n < 1 or not 0 <= strand < 2 * n - 1:
+        raise ValueError(f"cup position {strand} out of range for n={n}")
+    j = strand // 2
+    if strand % 2 == 0:  # qudit j projected onto d**0.25 <0|
+        out = d**0.25 * x.reshape(d**j, d, -1)[:, 0]
+    else:  # qudits j, j+1 fuse to the sum of their digits
+        a = np.arange(d)
+        pairs = a * d + (a[:, None] - a) % d  # [k, a]: the index of (a, k - a)
+        out = d**-0.25 * np.take(x.reshape(d**j, d * d, -1), pairs, axis=1).sum(axis=2)
+    return out.reshape(d ** (n - 1), -1)
 
 
 def _cap_matrix(ring: PhaseRing, n: int, strand: int) -> np.ndarray:
     """Cap whose two new strands appear at (strand, strand+1); d^(n+1) x d^n."""
-    d = ring.d
-    if not 0 <= strand <= 2 * n:
-        raise ValueError(f"cap position {strand} out of range for n={n}")
-    out = np.zeros((d ** (n + 1), d**n), dtype=complex)
-    if strand % 2 == 0:
-        slot = strand // 2
-        w = d**0.25
-        for idx in range(d**n):
-            ks = gates.index_digits(idx, d, n)
-            new = ks[:slot] + (0,) + ks[slot:]
-            out[gates.basis_index(new, d), idx] = w
-    else:
-        j = (strand - 1) // 2
-        w = d**-0.25
-        for idx in range(d**n):
-            ks = gates.index_digits(idx, d, n)
-            for a in range(d):
-                b = (ks[j] - a) % d
-                new = ks[:j] + (a, b) + ks[j + 1 :]
-                out[gates.basis_index(new, d), idx] = w
-    return out
+    return _cap(ring, n, strand, np.eye(ring.d**n, dtype=complex))
 
 
 def _cup_matrix(ring: PhaseRing, n: int, strand: int) -> np.ndarray:
     """Cup consuming input strands (strand, strand+1); d^(n-1) x d^n."""
-    d = ring.d
-    if n < 1 or not 0 <= strand < 2 * n - 1:
-        raise ValueError(f"cup position {strand} out of range for n={n}")
-    out = np.zeros((d ** (n - 1), d**n), dtype=complex)
-    if strand % 2 == 0:
-        slot = strand // 2
-        w = d**0.25
-        for idx in range(d**n):
-            ks = gates.index_digits(idx, d, n)
-            if ks[slot] != 0:
-                continue
-            rest = ks[:slot] + ks[slot + 1 :]
-            out[gates.basis_index(rest, d), idx] = w
-    else:
-        j = (strand - 1) // 2
-        w = d**-0.25
-        for idx in range(d**n):
-            ks = gates.index_digits(idx, d, n)
-            merged = ks[:j] + (((ks[j] + ks[j + 1]) % d),) + ks[j + 2 :]
-            out[gates.basis_index(merged, d), idx] = w
-    return out
+    return _cup(ring, n, strand, np.eye(ring.d**n, dtype=complex))
 
 
 def cap_op(ring: PhaseRing, n: int, slot: int) -> QOperator:
@@ -264,31 +255,100 @@ def sft_via_braids(ring: PhaseRing, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# diagram evaluation
+# charges and boxes
 # ---------------------------------------------------------------------------
 
 
-def _charge_run_matrix(ring: PhaseRing, n: int, charges) -> np.ndarray:
-    """Operator of a run of charges with explicit tiers.
+@functools.lru_cache(maxsize=None)
+def _digit_sums(d: int, m: int) -> np.ndarray:
+    """Sum of the digits of each index of an m-qudit register (read-only)."""
+    sums = np.indices([d] * m).reshape(m, -1).sum(axis=0)
+    sums.flags.writeable = False
+    return sums
+
+
+def _z_tail(ring: PhaseRing, x: np.ndarray, n: int, site: int, k: int) -> np.ndarray:
+    """Z**k on every qudit after ``site``: one multiply by a q-table phase vector."""
+    rest = n - site - 1
+    if rest <= 0 or k % ring.d == 0:
+        return x
+    q_table = np.array([ring.q_pow(e) for e in range(ring.d)])
+    phases = q_table[k * _digit_sums(ring.d, rest) % ring.d]
+    return (x.reshape(-1, phases.size, x.shape[-1]) * phases[:, None]).reshape(x.shape)
+
+
+def _charge(ring: PhaseRing, n: int, strand: int, k: int, x: np.ndarray) -> np.ndarray:
+    """The charge word of :func:`charge_word` applied to ``x``: its head, then its Z tail."""
+    j = strand // 2
+    head = gates.pauli_x_power(ring, k) if strand % 2 else gates.pauli_y_power(ring, -k)
+    return _z_tail(ring, gates.apply_local(x, ring.d, n, gates.Local((j,), head)), n, j, k)
+
+
+def _charge_run(ring: PhaseRing, n: int, charges, x: np.ndarray) -> np.ndarray:
+    """A run of charges with explicit tiers, applied to ``x``.
 
     Higher tier applies first; equal tiers form the twisted product
     (scalar zeta**(-k*l) per left/right pair, then left-low staircase).
     """
-    d = ring.d
-    out = np.eye(d**n, dtype=complex)
-    tiers = sorted({c.tier for c in charges}, reverse=True)
-    for tier in tiers:
+    for tier in sorted({c.tier for c in charges}, reverse=True):
         group = sorted((c for c in charges if c.tier == tier), key=lambda c: c.strand)
-        scalar = 1.0 + 0j
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if group[i].strand != group[j].strand:
-                    scalar *= ring.zeta_pow(-group[i].k * group[j].k)
-        word = np.eye(d**n, dtype=complex)
-        for c in group:
-            word = word @ charge_word(ring, n, c.strand, c.k)
-        out = scalar * word @ out
-    return out
+        for c in reversed(group):
+            x = _charge(ring, n, c.strand, c.k, x)
+        pairs = itertools.combinations(group, 2)
+        x = ring.zeta_pow(-sum(a.k * b.k for a, b in pairs if a.strand != b.strand)) * x
+    return x
+
+
+def _charge_run_matrix(ring: PhaseRing, n: int, charges) -> np.ndarray:
+    """Operator of a run of charges with explicit tiers (see :func:`_charge_run`)."""
+    return _charge_run(ring, n, charges, np.eye(ring.d**n, dtype=complex))
+
+
+def _box(ring: PhaseRing, n: int, box: Box, x: np.ndarray, boxes) -> np.ndarray:
+    """A bound box applied to ``x``: a block with a Z tail, or charged matrix units.
+
+    At an odd strand offset (one qudit wide only) the box is
+    d**-0.5 sum_ab m[a, b] charge_a cap cup charge_-b, the matrix-unit
+    picture |a><b| = d**-0.5 cap_a cup_-b at the straddling position.
+    """
+    if boxes is None or box.name not in boxes:
+        raise ValueError(f"no matrix bound for box {box.name!r}")
+    d, m, w = ring.d, boxes[box.name], box.strands // 2
+    m = m.conj().T if box.dagger else m
+    if m.shape != (d**w, d**w):
+        raise ValueError(f"box {box.name!r} expects a {d**w} x {d**w} matrix")
+    j, s = box.first // 2, box.first
+    if s % 2 == 0:
+        x = gates.apply_local(x, d, n, gates.Local(tuple(range(j, j + w)), m))
+        return _z_tail(ring, x, n, j + w - 1, box.charge)
+    if box.strands != 2:
+        raise ValueError("straddling boxes wider than one qudit are not supported")
+    units = [_cup(ring, n, s, _charge(ring, n, s + 1, -b, x)) for b in range(d)]
+    mixed = np.tensordot(m, np.array([_cap(ring, n - 1, s, u) for u in units]), axes=(1, 0))
+    return sum(_charge(ring, n, s + 1, a, mixed[a]) for a in range(d)) / d**0.5
+
+
+# ---------------------------------------------------------------------------
+# diagram evaluation
+# ---------------------------------------------------------------------------
+
+
+def _apply_generator(ring: PhaseRing, n: int, gen, x: np.ndarray, boxes) -> tuple[np.ndarray, int]:
+    """One non-charge generator applied to ``x`` (d**n rows); returns (x, new n)."""
+    if isinstance(gen, Cap):
+        return _cap(ring, n, gen.strand, x), n + 1
+    if isinstance(gen, Cup):
+        return _cup(ring, n, gen.strand, x), n - 1
+    if isinstance(gen, Box):
+        return _box(ring, n, gen, x, boxes), n
+    if isinstance(gen, (BraidPos, BraidNeg)):
+        local = braid_local(ring, gen.strand, +1 if isinstance(gen, BraidPos) else -1)
+    elif isinstance(gen, Sym):
+        j = gates._sym_pair(n, gen.strand)
+        local = gates.Local((j, j + 1), gates.sym_gate_matrix(ring, gen.m))
+    else:
+        raise TypeError(f"unknown generator {gen!r}")
+    return gates.apply_local(x, ring.d, n, local), n
 
 
 def evaluate(
@@ -297,102 +357,26 @@ def evaluate(
     """Compile a diagram to the operator it simulates.
 
     ``boxes`` binds named Box generators to matrices (a box of width 2w
-    strands needs a d**w x d**w matrix).  Layers apply top-first; the
-    diagram scalar multiplies the result.
+    strands needs a d**w x d**w matrix).  Layers apply top-first to an
+    accumulator of d**n rows (n the current width) and d**n_in columns,
+    starting from the identity; the diagram scalar multiplies the result.
     """
     if diagram.in_points % 2 or diagram.out_points % 2:
         raise ValueError("diagram boundary must have an even number of points")
-    d = ring.d
-    n = diagram.in_points // 2
-    acc = np.eye(d**n, dtype=complex)
+    d, n_in, n_out = ring.d, diagram.in_points // 2, diagram.out_points // 2
     scalar = diagram.scalar_value(ring)
     if scalar == 0:
-        return QOperator(
-            d,
-            diagram.in_points // 2,
-            diagram.out_points // 2,
-            np.zeros((d ** (diagram.out_points // 2), d ** (diagram.in_points // 2)), complex),
-        )
-
-    pending: list[Charge] = []
-
-    def flush():
-        nonlocal acc, pending
-        if pending:
-            acc = _charge_run_matrix(ring, n, pending) @ acc
-            pending = []
-
-    for layer in diagram.layers:
-        for gen in layer:
-            if isinstance(gen, Charge):
-                pending.append(gen)
-                continue
-            flush()
-            if isinstance(gen, Cap):
-                acc = _cap_matrix(ring, n, gen.strand) @ acc
-                n += 1
-            elif isinstance(gen, Cup):
-                acc = _cup_matrix(ring, n, gen.strand) @ acc
-                n -= 1
-            elif isinstance(gen, BraidPos):
-                acc = _braid_matrix(ring, n, gen.strand, +1) @ acc
-            elif isinstance(gen, BraidNeg):
-                acc = _braid_matrix(ring, n, gen.strand, -1) @ acc
-            elif isinstance(gen, Sym):
-                acc = gates.sym_gate(ring, n, gen.strand, gen.m) @ acc
-            elif isinstance(gen, Box):
-                acc = _box_matrix(ring, n, gen, boxes) @ acc
-            else:
-                raise TypeError(f"unknown generator {gen!r}")
-    flush()
-    if n != diagram.out_points // 2:
+        return QOperator(d, n_in, n_out, np.zeros((d**n_out, d**n_in), complex))
+    x, n = np.eye(d**n_in, dtype=complex), n_in
+    for is_charge, run in itertools.groupby(diagram.flat(), lambda g: isinstance(g, Charge)):
+        if is_charge:
+            x = _charge_run(ring, n, list(run), x)
+            continue
+        for gen in run:
+            x, n = _apply_generator(ring, n, gen, x, boxes)
+    if n != n_out:
         raise ValueError("layer widths inconsistent with declared out_points")
-    return QOperator(d, diagram.in_points // 2, n, scalar * acc)
-
-
-def _box_matrix(
-    ring: PhaseRing, n: int, box: Box, boxes: dict[str, np.ndarray] | None
-) -> np.ndarray:
-    if boxes is None or box.name not in boxes:
-        raise ValueError(f"no matrix bound for box {box.name!r}")
-    m = boxes[box.name]
-    if box.dagger:
-        m = m.conj().T
-    w = box.strands // 2
-    if m.shape != (ring.d**w, ring.d**w):
-        raise ValueError(f"box {box.name!r} expects a {ring.d**w} x {ring.d**w} matrix")
-    if box.first % 2:
-        # straddling placement: expand through charged matrix units
-        return _straddling_box(ring, n, box, m)
-    j = box.first // 2
-    charge_tail = [gates.pauli_z_power(ring, box.charge)] * (n - j - w)
-    return gates.kron_all(
-        [np.eye(ring.d, dtype=complex)] * j + [m] + charge_tail
-    )
-
-
-def _straddling_box(ring: PhaseRing, n: int, box: Box, m: np.ndarray) -> np.ndarray:
-    """Box at an odd strand offset, expanded via charged matrix units.
-
-    Only the single-qudit case (2 strands) is needed; it follows the
-    matrix-unit picture |a><b| = d**-0.5 cap_a cup_{-b} placed at the
-    straddling position.
-    """
-    if box.strands != 2:
-        raise ValueError("straddling boxes wider than one qudit are not supported")
-    d = ring.d
-    s = box.first
-    acc = np.zeros((d**n, d**n), dtype=complex)
-    cap = _cap_matrix(ring, n - 1, s)
-    cup = _cup_matrix(ring, n, s)
-    for a in range(d):
-        ca = charge_word(ring, n, s + 1, a) @ cap
-        for b in range(d):
-            if m[a, b] == 0:
-                continue
-            cb = cup @ charge_word(ring, n, s + 1, -b)
-            acc += m[a, b] * (ca @ cb)
-    return acc / d**0.5
+    return QOperator(d, n_in, n, scalar * x)
 
 
 def resolution_of_identity_check(ring: PhaseRing) -> float:

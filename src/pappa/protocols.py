@@ -24,6 +24,8 @@ from .phases import DEFAULT_TOL, PhaseRing
 class LocalityError(ValueError):
     """A step tried to act outside its party's sites or registers."""
 
+    step: int | None = None  # the index of that step, set by ProtocolScript.validate
+
 
 # ---------------------------------------------------------------------------
 # script structure
@@ -116,29 +118,35 @@ class ProtocolScript:
         if set(owned) != set(range(self.n_sites)):
             raise ValueError("party sites must partition the register")
         known: dict[str, set[str]] = {p: set() for p in self.parties}
-        for step in self.steps:
-            if isinstance(step, GateStep):
-                self._check_sites(step.party, (step.site,))
-            elif isinstance(step, CtrlStep):
-                self._check_sites(step.party, (step.control, step.target))
-            elif isinstance(step, MeasureStep):
-                self._check_sites(step.party, (step.site,))
-                known[step.party].add(step.register)
-            elif isinstance(step, SendStep):
-                if step.register not in known[step.src]:
-                    raise LocalityError(
-                        f"{step.src} cannot send unknown register {step.register}"
-                    )
-                known[step.dst].add(step.register)
-            elif isinstance(step, CondStep):
-                self._check_sites(step.party, (step.site,))
-                if step.register not in known[step.party]:
-                    raise LocalityError(
-                        f"{step.party} conditions on unreceived register "
-                        f"{step.register}"
-                    )
-            elif isinstance(step, SftStep):
-                self._check_sites(step.party, range(self.n_sites))
+        for i, step in enumerate(self.steps):
+            try:
+                self._check_step(step, known)
+            except LocalityError as exc:
+                exc.step = i
+                raise
+
+    def _check_step(self, step: Step, known: dict[str, set[str]]) -> None:
+        if isinstance(step, GateStep):
+            self._check_sites(step.party, (step.site,))
+        elif isinstance(step, CtrlStep):
+            self._check_sites(step.party, (step.control, step.target))
+        elif isinstance(step, MeasureStep):
+            self._check_sites(step.party, (step.site,))
+            known[step.party].add(step.register)
+        elif isinstance(step, SendStep):
+            self._check_sites(step.src, ())
+            self._check_sites(step.dst, ())
+            if step.register not in known[step.src]:
+                raise LocalityError(f"{step.src} cannot send unknown register {step.register}")
+            known[step.dst].add(step.register)
+        elif isinstance(step, CondStep):
+            self._check_sites(step.party, (step.site,))
+            if step.register not in known[step.party]:
+                raise LocalityError(
+                    f"{step.party} conditions on unreceived register {step.register}"
+                )
+        elif isinstance(step, SftStep):
+            self._check_sites(step.party, range(self.n_sites))
 
     def _check_sites(self, party: str, sites) -> None:
         if party not in self.parties:

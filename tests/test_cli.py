@@ -168,7 +168,7 @@ def test_send_of_unknown_register_exit_code_2(tmp_path, capsys):
     pp.write_text("party alice: q1\nparty bob: q2\nmeter q2 -> m1\nsend alice->bob m1\n")
     code, _ = run_cli(["protocol", "run", str(pp), "--d", "2"])
     assert code == 2
-    assert capsys.readouterr().err == "error: alice cannot send unknown register m1\n"
+    assert capsys.readouterr().err == f"error: {pp}:4: alice cannot send unknown register m1\n"
 
 
 def test_cond_on_unmeasured_register_exit_code_2(tmp_path, capsys):
@@ -213,3 +213,32 @@ def test_protocol_ctrl_on_one_site_exit_code_2(tmp_path, capsys):
     code, _ = run_cli(["protocol", "run", str(pp), "--d", "3"])
     assert code == 2
     assert capsys.readouterr().err == f"error: {pp}:2: control and target must differ\n"
+
+
+def test_send_from_unknown_party_exit_code_2(tmp_path, capsys):
+    pp = tmp_path / "send.pp"
+    pp.write_text("party alice: q1\nparty bob: q2\n\nmeter q1 -> m1\nsend alice->carol m1\n")
+    code, _ = run_cli(["protocol", "run", str(pp), "--d", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {pp}:5: unknown party carol\n"
+
+
+def _cap_cup_pd(tmp_path, count):
+    pd = tmp_path / f"loops{count}.pd"
+    pd.write_text("diagram d=2 in=0 out=0\n" + "cap@0\n" * count + "cup@0\n" * count)
+    return str(pd)
+
+
+def test_wide_interior_is_bounded_exit_code_2(tmp_path, capsys):
+    # the boundary is empty, but 21 nested caps reach 2**21 entries
+    code, out = run_cli(["diagram", "eval", _cap_cup_pd(tmp_path, 21)])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: dimension overflow") and err.count("\n") == 1
+
+
+def test_wide_interior_within_bound_evaluates(tmp_path):
+    code, out = run_cli(["diagram", "eval", _cap_cup_pd(tmp_path, 16)])
+    assert code == 0
+    assert "scalar_real=256\n" in out
