@@ -13,7 +13,7 @@ from pappa.clifford import (
     verify_cz_from_sft,
     verify_sft_factorizations,
 )
-from pappa.gates import controlled_gate, embed_site_matrix, gate_power
+from pappa.gates import Local, controlled_gate, gate_power
 
 print("C_Z is the SFT dressed by single-qudit Cliffords:")
 print("  C_Z = (F^-1 x FG^-1) SFT (FGF^-1 x F^-1G^-1)")
@@ -52,7 +52,7 @@ print("\nTwo-qubit closure with the SFT reaches the entangling gates:")
 gens2 = {}
 for site in (0, 1):
     for name in "XYZFG":
-        gens2[f"{name}{site}"] = embed_site_matrix(2, 2, site, gate_power(ring, name, 1))
+        gens2[f"{name}{site}"] = Local((site,), gate_power(ring, name, 1)).to_matrix(2, 2)
 gens2["sft"] = sft_matrix(ring, 2)
 rep = generate_group(
     ring, 2, gens2, cap=30_000,

@@ -51,11 +51,7 @@ from .entangle import (
 )
 from .evaluator import (
     QOperator,
-    StringSite,
     braid_op,
-    cap_op,
-    charge_op,
-    cup_op,
     evaluate,
     local_conjugation_op,
     parafermion_relations_check,

@@ -57,8 +57,9 @@ def _cmd_diagram(args) -> int:
         diagram = dataclasses.replace(diagram, d=args.d)
     d = diagram.d
     ring = make_phase_ring(d)
+    # evaluate's accumulator: d**(widest width) rows, d**n_in columns
     widths = accumulate(map(_gen_width_delta, diagram.flat()), initial=diagram.in_points)
-    _check_dims(d, max(diagram.out_points, *widths) // 2)
+    _check_dims(d, max(diagram.out_points, *widths) // 2 + diagram.in_points // 2)
     op = evaluate(ring, diagram)
     print(f"d={d}")
     print(f"in_points={diagram.in_points}")

@@ -259,7 +259,7 @@ def is_clifford(ring: PhaseRing, u: np.ndarray, tol: float = 1e-8) -> bool:
     ui = u.conj().T
     for site in range(n):
         for p in ("X", "Z"):
-            word = gates.embed_site_matrix(ring.d, n, site, pauli_gate(ring, p))
+            word = gates.Local((site,), pauli_gate(ring, p)).to_matrix(ring.d, n)
             if not _pauli_word_match(ring, n, u @ word @ ui, tol):
                 return False
     return True

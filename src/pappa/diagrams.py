@@ -18,7 +18,7 @@ phase precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import takewhile
+from itertools import combinations, groupby, takewhile
 
 from .phases import PhaseRing, make_phase_ring
 
@@ -345,6 +345,22 @@ def twisted_tensor_scalar(ring: PhaseRing, k: int, ell: int) -> complex:
     return ring.zeta_pow(-k * ell)
 
 
+def staircase(run) -> tuple[list[Charge], int]:
+    """A run of charges in application order, and its twisted-product zeta exponent.
+
+    Higher tiers apply first.  Within a tier the right charge is drawn
+    higher, so it applies first, and each pair on distinct strands
+    contributes the twisted-product scalar zeta**(-k*l).
+    """
+    ordered: list[Charge] = []
+    zexp = 0
+    for tier in sorted({c.tier for c in run}, reverse=True):
+        group = sorted((c for c in run if c.tier == tier), key=lambda c: c.strand)
+        zexp -= sum(a.k * b.k for a, b in combinations(group, 2) if a.strand != b.strand)
+        ordered.extend(reversed(group))
+    return ordered, zexp
+
+
 # ---------------------------------------------------------------------------
 # the cyclic boundary rotation (diagram-level string Fourier transform)
 # ---------------------------------------------------------------------------
@@ -412,50 +428,26 @@ def normalize(diagram: Diagram) -> Diagram:
             raise RuntimeError("normalize failed to reach a fixpoint")
         changed = False
 
-        # fold same-tier groups into the staircase order (left charge low)
+        # fold each charge run into the staircase order, merge same-strand
+        # neighbours, reduce mod d and drop zeros
         out: list[Generator] = []
-        i = 0
-        while i < len(gens):
-            if not isinstance(gens[i], Charge):
-                out.append(gens[i])
-                i += 1
+        for is_charge, group in groupby(gens, lambda g: isinstance(g, Charge)):
+            if not is_charge:
+                out.extend(group)
                 continue
-            run = []
-            while i < len(gens) and isinstance(gens[i], Charge):
-                run.append(gens[i])
-                i += 1
-            tiers = {}
-            for c in run:
-                tiers.setdefault(c.tier, []).append(c)
-            if any(len(v) > 1 for v in tiers.values()) or run != sorted(
-                run, key=lambda c: -c.tier
-            ):
+            run = list(group)
+            if any(a.tier <= b.tier for a, b in zip(run, run[1:])):
                 changed = True
-            ordered: list[Charge] = []
-            for tier in sorted(tiers, reverse=True):
-                group = sorted(tiers[tier], key=lambda c: c.strand)
-                for a in range(len(group)):
-                    for b in range(a + 1, len(group)):
-                        if group[a].strand != group[b].strand:
-                            scalar = scalar.times_eps(
-                                -ring.zeta_exp * group[a].k * group[b].k
-                            )
-                # within a tier the right charge is drawn higher
-                ordered.extend(reversed(group))
-            # distinct descending tiers, highest (applied first) first
-            ordered = [
-                Charge(c.strand, c.k, len(ordered) - 1 - pos)
-                for pos, c in enumerate(ordered)
-            ]
-            # merge same-strand neighbours, reduce mod d, drop zeros
+            ordered, zexp = staircase(run)
+            scalar = scalar.times_eps(ring.zeta_exp * zexp)
             merged: list[Charge] = []
             for c in ordered:
                 if merged and merged[-1].strand == c.strand:
-                    merged[-1] = Charge(c.strand, (merged[-1].k + c.k) % d, c.tier)
+                    merged[-1] = Charge(c.strand, (merged[-1].k + c.k) % d)
                     changed = True
                 else:
-                    merged.append(Charge(c.strand, c.k % d, c.tier))
-            kept = [c for c in merged if c.k % d != 0]
+                    merged.append(Charge(c.strand, c.k % d))
+            kept = [c for c in merged if c.k != 0]
             if len(kept) != len(run) or any(
                 (a.strand, a.k) != (b.strand, b.k) for a, b in zip(kept, run)
             ):
@@ -535,23 +527,20 @@ def _contract_pass(d: int, gens: list[Generator], scalar: DiagScalar):
             if isinstance(h, Cup) and h.strand in (s - 1, s, s + 1):
                 if h.strand == s:
                     # drop cap, cup and the charges absorbed into the loop
-                    keep = []
-                    for t, gen in enumerate(gens):
-                        if t in (i, j) or t in charge_idx:
-                            continue
-                        keep.append(_reindex(gen, s, -2) if i < t < j else gen)
+                    inner = [
+                        _reindex(gen, s, -2)
+                        for t, gen in enumerate(gens[i + 1 : j], i + 1)
+                        if t not in charge_idx
+                    ]
+                    keep = _join_runs([gens[:i], inner, gens[j + 1 :]])
                     if loop_charge % d != 0:
                         return keep, DiagScalar.zero()
                     return keep, scalar.times(DiagScalar(quarter_d=2))
                 if charge_idx:
                     break  # charged legs block the zigzag rewrites
                 lo = s - 1 if h.strand == s - 1 else s
-                keep = []
-                for t, gen in enumerate(gens):
-                    if t in (i, j):
-                        continue
-                    keep.append(_reindex(gen, lo + 2, -2) if i < t < j else gen)
-                return keep, scalar
+                inner = [_reindex(gen, lo + 2, -2) for gen in gens[i + 1 : j]]
+                return _join_runs([gens[:i], inner, gens[j + 1 :]]), scalar
             if _gen_width_delta(h) != 0:
                 break
             if isinstance(h, Charge) and h.strand == s + 1:
@@ -561,6 +550,19 @@ def _contract_pass(d: int, gens: list[Generator], scalar: DiagScalar):
             if _touches(h, s - 1, s + 2):
                 break
     return None
+
+
+def _join_runs(parts) -> list[Generator]:
+    """Concatenate generator lists; a charge run cut by a removed cap or cup stays in order.
+
+    As in ``compose``, each part's trailing charges keep applying before
+    the next part's leading charges when the two runs become one.
+    """
+    out: list[Generator] = []
+    for part in parts:
+        lifted = _lift_trailing_charges(tuple((g,) for g in out), part)
+        out = [g for (g,) in lifted] + list(part)
+    return out
 
 
 def _reindex(gen: Generator, threshold: int, delta: int) -> Generator:

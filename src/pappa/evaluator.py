@@ -16,7 +16,8 @@ c_s c_t = q c_t c_s for s < t.
 Vertical order is operator order: of two charges, the higher one is
 applied first.  Two charges at the same height form the twisted product,
 which inserts the scalar zeta**(-k*l) relative to the left-low/right-high
-reading.
+reading.  ``diagrams.staircase`` is the one definition of this order, for
+evaluation and for ``normalize`` alike, and ``_z_tail`` the one Z-string.
 
 Caps and cups at even strand positions create/annihilate a qudit in
 d**0.25 |0>; at odd (straddling) positions they split a qudit's charge
@@ -30,8 +31,15 @@ the current width) and d**n_in columns: a braid, ``sym`` or bound box is a
 ``gates.Local``, a charge its one-qudit head times a Z-tail phase vector,
 and a cap or cup inserts, drops, splits or fuses a digit axis by indexing.
 A generator on w qudits costs O(d**(n+w) * d**n_in), and no d**n x d**n
-generator matrix is built; the dense forms (``_cap_matrix``, ``_cup_matrix``,
-``_charge_run_matrix``) are the same kernels applied to the identity.
+generator matrix is built.
+
+The dense forms that remain are the same kernels applied to the identity:
+``charge_word``, ``_cap_matrix``, ``_cup_matrix``, ``_charge_run_matrix``,
+``_braid_matrix`` and ``braid_op`` (through ``Local.to_matrix``) and
+``sft_via_braids`` (through ``gates.apply_sft``).  They exist for test
+oracles and for the consistency checks below and in ``clifford.py``;
+``diagram eval --emit matrix`` prints ``evaluate``'s own accumulator, which
+starts as the identity.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym
+from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym, staircase
 from .phases import PhaseRing
 
 
@@ -61,45 +69,12 @@ class QOperator:
         if self.matrix.shape != expected:
             raise ValueError(f"matrix shape {self.matrix.shape} != {expected}")
 
-    def __matmul__(self, other: "QOperator") -> "QOperator":
-        if self.n_in != other.n_out:
-            raise ValueError("operator widths do not compose")
-        return QOperator(self.d, other.n_in, self.n_out, self.matrix @ other.matrix)
-
-
-@dataclass(frozen=True)
-class StringSite:
-    """One of the 2n strand positions, addressed as (qudit, side)."""
-
-    qudit: int
-    side: str  # "left" | "right"
-
-    @classmethod
-    def from_strand(cls, s: int) -> "StringSite":
-        return cls(s // 2, "left" if s % 2 == 0 else "right")
-
-    @property
-    def strand(self) -> int:
-        return 2 * self.qudit + (0 if self.side == "left" else 1)
-
 
 def charge_word(ring: PhaseRing, n: int, strand: int, k: int) -> np.ndarray:
-    """Jordan-Wigner matrix of a charge k on one strand of an n-qudit row."""
+    """Jordan-Wigner matrix of a charge k on one strand of an n-qudit row (:func:`_charge`)."""
     if not 0 <= strand < 2 * n:
         raise ValueError(f"strand {strand} out of range for n={n}")
-    j, right = strand // 2, strand % 2 == 1
-    head = gates.pauli_x_power(ring, k) if right else gates.pauli_y_power(ring, -k)
-    mats = (
-        [np.eye(ring.d, dtype=complex)] * j
-        + [head]
-        + [gates.pauli_z_power(ring, k)] * (n - j - 1)
-    )
-    return gates.kron_all(mats)
-
-
-def charge_op(ring: PhaseRing, n: int, site: StringSite, k: int) -> QOperator:
-    """Charge-k operator at a strand site (see :func:`charge_word`)."""
-    return QOperator(ring.d, n, n, charge_word(ring, n, site.strand, k))
+    return _charge(ring, n, strand, k, np.eye(ring.d**n, dtype=complex))
 
 
 def parafermion_relations_check(ring: PhaseRing, n: int) -> float:
@@ -163,20 +138,6 @@ def _cup_matrix(ring: PhaseRing, n: int, strand: int) -> np.ndarray:
     return _cup(ring, n, strand, np.eye(ring.d**n, dtype=complex))
 
 
-def cap_op(ring: PhaseRing, n: int, slot: int) -> QOperator:
-    """Insert a new qudit in state d**0.25 |0> at qudit slot ``slot``."""
-    if not 0 <= slot <= n:
-        raise ValueError(f"slot {slot} out of range for n={n}")
-    return QOperator(ring.d, n, n + 1, _cap_matrix(ring, n, 2 * slot))
-
-
-def cup_op(ring: PhaseRing, n: int, slot: int) -> QOperator:
-    """Project qudit ``slot`` onto d**0.25 <0|."""
-    if not 0 <= slot < n:
-        raise ValueError(f"slot {slot} out of range for n={n}")
-    return QOperator(ring.d, n, n - 1, _cup_matrix(ring, n, 2 * slot))
-
-
 # ---------------------------------------------------------------------------
 # braids
 # ---------------------------------------------------------------------------
@@ -232,8 +193,7 @@ def _braid_matrix(ring: PhaseRing, n: int, strand: int, sign: int) -> np.ndarray
     """b_+ / b_- on strands (strand, strand+1), embedded from :func:`braid_local`."""
     if not 0 <= strand < 2 * n - 1:
         raise ValueError(f"braid strand {strand} out of range for n={n}")
-    local = braid_local(ring, strand, sign)
-    return gates.embed_site_matrix(ring.d, n, local.sites[0], local.block)
+    return braid_local(ring, strand, sign).to_matrix(ring.d, n)
 
 
 def braid_op(ring: PhaseRing, n: int, strand: int, sign: int) -> QOperator:
@@ -246,12 +206,10 @@ def sft_via_braids(ring: PhaseRing, n: int) -> np.ndarray:
 
     The last of the 2n braids in the string picture is capped off and
     contributes the twist scalar omega**0.5 (a negative-braid closure).
+    This is :func:`gates.apply_sft` on the identity.
     """
-    dim = ring.d**n
-    acc = np.eye(dim, dtype=complex) * ring.omega_sqrt
-    for s in range(2 * n - 1):
-        acc = _braid_matrix(ring, n, s, -1) @ acc
-    return acc
+    eye = gates.QState(ring.d, n, np.eye(ring.d**n, dtype=complex))
+    return gates.apply_sft(ring, eye).vector
 
 
 # ---------------------------------------------------------------------------
@@ -278,25 +236,18 @@ def _z_tail(ring: PhaseRing, x: np.ndarray, n: int, site: int, k: int) -> np.nda
 
 
 def _charge(ring: PhaseRing, n: int, strand: int, k: int, x: np.ndarray) -> np.ndarray:
-    """The charge word of :func:`charge_word` applied to ``x``: its head, then its Z tail."""
+    """A charge's Jordan-Wigner word applied to ``x``: its X**k or Y**-k head, then its Z tail."""
     j = strand // 2
     head = gates.pauli_x_power(ring, k) if strand % 2 else gates.pauli_y_power(ring, -k)
     return _z_tail(ring, gates.apply_local(x, ring.d, n, gates.Local((j,), head)), n, j, k)
 
 
 def _charge_run(ring: PhaseRing, n: int, charges, x: np.ndarray) -> np.ndarray:
-    """A run of charges with explicit tiers, applied to ``x``.
-
-    Higher tier applies first; equal tiers form the twisted product
-    (scalar zeta**(-k*l) per left/right pair, then left-low staircase).
-    """
-    for tier in sorted({c.tier for c in charges}, reverse=True):
-        group = sorted((c for c in charges if c.tier == tier), key=lambda c: c.strand)
-        for c in reversed(group):
-            x = _charge(ring, n, c.strand, c.k, x)
-        pairs = itertools.combinations(group, 2)
-        x = ring.zeta_pow(-sum(a.k * b.k for a, b in pairs if a.strand != b.strand)) * x
-    return x
+    """A run of charges with explicit tiers, applied to ``x`` in ``diagrams.staircase`` order."""
+    ordered, zexp = staircase(charges)
+    for c in ordered:
+        x = _charge(ring, n, c.strand, c.k, x)
+    return ring.zeta_pow(zexp) * x
 
 
 def _charge_run_matrix(ring: PhaseRing, n: int, charges) -> np.ndarray:

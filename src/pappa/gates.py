@@ -13,9 +13,14 @@ qudits in any order: a gate, a block-diagonal controlled gate, or a braid's
 ``evaluator.braid_block``; the SFT is omega**0.5 times 2n-1 braids.  The one
 kernel that applies a block to a state, :func:`apply_local`, costs
 O(d**(n+w)) rather than the d**(2n) of the matrix, so an ``sft`` at d=2,
-n=20 (the 2**20 state cap) runs.  ``Local.to_matrix`` is that kernel on the
-identity; the dense forms (it, ``sym_gate``, ``sft_matrix``,
-``evaluator.braid_op``) serve as oracles and as the Clifford checks' matrices.
+n=20 (the 2**20 state cap) runs.
+
+The dense d**n x d**n forms that remain are that kernel on the identity:
+``Local.to_matrix``, through which ``sym_gate``, ``controlled_gate`` and
+``cz_gate`` embed their blocks, and ``apply_sft`` on a batch of basis
+states (``evaluator.sft_via_braids``); ``sft_matrix`` is the closed form.
+They exist for test oracles and for the checks of ``verify`` and
+``clifford.py``, which compare matrices.
 """
 
 from __future__ import annotations
@@ -146,22 +151,6 @@ def kron_all(mats) -> np.ndarray:
     for m in mats:
         out = np.kron(out, m)
     return out
-
-
-def embed_site_matrix(d: int, n: int, site: int, m: np.ndarray) -> np.ndarray:
-    """1 x ... x m x ... x 1 with ``m`` at tensor slot ``site`` (0-based).
-
-    ``m`` may span several adjacent slots (a d**w x d**w block covers
-    slots site..site+w-1).
-    """
-    w = 1
-    while d**w < m.shape[0]:
-        w += 1
-    if m.shape != (d**w, d**w) or not 0 <= site <= n - w:
-        raise ValueError(f"a {m.shape} block at site {site} does not fit n={n}, d={d}")
-    left = np.eye(d**site, dtype=complex)
-    right = np.eye(d ** (n - site - w), dtype=complex)
-    return np.kron(np.kron(left, m), right)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +349,8 @@ def sym_gate(ring: PhaseRing, n: int, strand: int, m: int) -> np.ndarray:
     ``strand`` is 0-based and must be odd (the boundary between qudits
     (strand-1)//2 and (strand+1)//2).
     """
-    return embed_site_matrix(ring.d, n, _sym_pair(n, strand), sym_gate_matrix(ring, m))
+    j = _sym_pair(n, strand)
+    return Local((j, j + 1), sym_gate_matrix(ring, m)).to_matrix(ring.d, n)
 
 
 def _sym_pair(n: int, strand: int) -> int:
@@ -398,7 +388,11 @@ def sft_locals(ring: PhaseRing, n: int) -> list[Local]:
 
 
 def apply_sft(ring: PhaseRing, state: QState) -> QState:
-    """The string Fourier transform on the whole register, as 2n-1 local braids."""
+    """The string Fourier transform on the whole register, as 2n-1 local braids.
+
+    ``state.vector`` may carry a batch axis; on the identity this is
+    ``evaluator.sft_via_braids``.
+    """
     d, n = state.d, state.n
     v = state.vector * ring.omega_sqrt
     for local in sft_locals(ring, n):
@@ -447,14 +441,15 @@ def circuit_tricks_check(ring: PhaseRing, rng: np.random.Generator | None = None
     a = _random_unitary(d, rng)
     for sgn in (1, -1):
         c1a = controlled_gate(ring, 2, 0, 1, a)
-        g = embed_site_matrix(d, 2, 0, gaussian_power(ring, sgn))
+        g = Local((0,), gaussian_power(ring, sgn)).to_matrix(d, 2)
         rep.residuals[f"trick1_g{sgn:+d}"] = float(np.abs(g @ c1a - c1a @ g).max())
 
     # Trick 2: a Gaussian before a meter changes nothing observable.
     psi = _random_state(ring, 2, rng)
     for sgn in (1, -1):
         plain = _branch_ensemble(psi, None, 0)
-        gauss = _branch_ensemble(psi, embed_site_matrix(d, 2, 0, gaussian_power(ring, sgn)), 0)
+        g = Local((0,), gaussian_power(ring, sgn)).to_matrix(d, 2)
+        gauss = _branch_ensemble(psi, g, 0)
         worst = 0.0
         for (_, p0, s0), (_, p1, s1) in zip(plain, gauss):
             worst = max(worst, abs(p0 - p1))

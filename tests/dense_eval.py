@@ -2,17 +2,36 @@
 
 This is how ``pappa.evaluator.evaluate`` worked before it applied each
 generator to its accumulator: caps and cups built entry by entry in loops
-over basis indices, charge runs as Kronecker chains of ``charge_word``,
-boxes embedded with ``kron_all`` or expanded through charged matrix units,
-and a dense accumulator multiplied by each of them.  The tests use it as
-the oracle of the matrix-free kernels.
+over basis indices, charge runs as Kronecker chains of Pauli matrices
+(``charge_word``), boxes embedded with ``kron_all`` or expanded through
+charged matrix units, and a dense accumulator multiplied by each of them.
+The tests use it as the oracle of the matrix-free kernels, so it shares no
+charge or tier code with them.
 """
 
 import numpy as np
 
 from pappa import gates
 from pappa.diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Sym
-from pappa.evaluator import QOperator, _braid_matrix, charge_word
+from pappa.evaluator import QOperator, _braid_matrix
+
+
+def charge_word(ring, n, strand, k):
+    """Jordan-Wigner matrix of a charge k on one strand, as a Kronecker chain.
+
+    Left string of qudit j: 1 x...x Y**-k x Z**k x...x Z**k; right string:
+    1 x...x X**k x Z**k x...x Z**k.
+    """
+    if not 0 <= strand < 2 * n:
+        raise ValueError(f"strand {strand} out of range for n={n}")
+    j, right = strand // 2, strand % 2 == 1
+    head = gates.pauli_x_power(ring, k) if right else gates.pauli_y_power(ring, -k)
+    mats = (
+        [np.eye(ring.d, dtype=complex)] * j
+        + [head]
+        + [gates.pauli_z_power(ring, k)] * (n - j - 1)
+    )
+    return gates.kron_all(mats)
 
 
 def cap_matrix(ring, n, strand):

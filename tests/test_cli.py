@@ -242,3 +242,24 @@ def test_wide_interior_within_bound_evaluates(tmp_path):
     code, out = run_cli(["diagram", "eval", _cap_cup_pd(tmp_path, 16)])
     assert code == 0
     assert "scalar_real=256\n" in out
+
+
+def _braid_pd(tmp_path, points):
+    pd = tmp_path / f"braid{points}.pd"
+    pd.write_text(f"diagram d=2 in={points} out={points}\nb+@0\n")
+    return str(pd)
+
+
+def test_wide_boundary_is_bounded_exit_code_2(tmp_path, capsys):
+    # 11 qudits fit the widest layer, but the accumulator has 2**11 x 2**11 entries
+    code, out = run_cli(["diagram", "eval", _braid_pd(tmp_path, 22)])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: dimension overflow") and err.count("\n") == 1
+
+
+def test_boundary_within_bound_evaluates(tmp_path):
+    code, out = run_cli(["diagram", "eval", _braid_pd(tmp_path, 4)])
+    assert code == 0
+    assert out.startswith("d=2\nin_points=4\nout_points=4\n") and out.endswith("PASS\n")

@@ -13,8 +13,8 @@ from pappa.clifford import (
     verify_sft_factorizations,
 )
 from pappa.gates import (
+    Local,
     cz_gate,
-    embed_site_matrix,
     fourier_gate,
     gaussian_gate,
     pauli_gate,
@@ -78,8 +78,8 @@ def _single_qudit_generators(ring, n):
     gens = {}
     for site in range(n):
         for name in "XYZFG":
-            gens[f"{name}{site}"] = embed_site_matrix(
-                ring.d, n, site, gates.gate_power(ring, name, 1)
+            gens[f"{name}{site}"] = Local((site,), gates.gate_power(ring, name, 1)).to_matrix(
+                ring.d, n
             )
     return gens
 

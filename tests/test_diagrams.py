@@ -209,16 +209,29 @@ def test_out_of_range_generator_rejected():
         Diagram(2, 2, 2, ((BraidPos(1),),))
 
 
+def _same_tier_run(dia, rng):
+    """``dia`` followed by 2-4 charges of one tier on distinct strands (a twisted product)."""
+    size = min(dia.out_points, int(rng.integers(2, 5)))
+    strands = rng.choice(dia.out_points, size=size, replace=False)
+    tier = int(rng.integers(-1, 3))
+    for s in strands:
+        dia = dia.then(Charge(int(s), int(rng.integers(1, dia.d)), tier))
+    return dia
+
+
 def test_normalize_idempotent_fuzz():
     rng = np.random.default_rng(7)
-    for d in (2, 3):
+    twist = np.random.default_rng(8)
+    for d in (2, 3, 5):
         ring = RINGS[d]
         for _ in range(40):
             dia = _random_diagram(d, rng)
-            n1 = normalize(dia)
-            assert normalize(n1) == n1
-            if not n1.is_zero:
-                assert mx(ev(ring, n1) - ev(ring, dia)) < 1e-9
+            cases = [dia, _same_tier_run(dia, twist)] if dia.out_points >= 2 else [dia]
+            for case in cases:
+                n1 = normalize(case)
+                assert normalize(n1) == n1
+                if not n1.is_zero:
+                    assert mx(ev(ring, n1) - ev(ring, case)) < 1e-9
 
 
 def test_normalize_charged_loop_is_zero():

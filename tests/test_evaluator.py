@@ -7,11 +7,9 @@ from pappa import gates
 from pappa.diagrams import Box, Cap, Charge, Cup, Diagram, compose, tensor
 from pappa.evaluator import (
     QOperator,
-    StringSite,
-    cap_op,
-    charge_op,
+    _cap_matrix,
+    _cup_matrix,
     charge_word,
-    cup_op,
     evaluate,
     local_conjugation_op,
     parafermion_relations_check,
@@ -34,7 +32,7 @@ def ev(ring, dia, boxes=None):
 def test_charge_right_strand_is_x_with_z_string():
     for d in (2, 3):
         ring = RINGS[d]
-        got = charge_op(ring, 3, StringSite(0, "right"), 1).matrix
+        got = charge_word(ring, 3, 1, 1)
         want = kron_all(
             [pauli_x_power(ring, 1), pauli_z_power(ring, 1), pauli_z_power(ring, 1)]
         )
@@ -44,13 +42,13 @@ def test_charge_right_strand_is_x_with_z_string():
 def test_charge_left_strand_is_y_inverse_with_z_string():
     for d in (2, 3):
         ring = RINGS[d]
-        got = charge_op(ring, 3, StringSite(0, "left"), 1).matrix
+        got = charge_word(ring, 3, 0, 1)
         want = kron_all(
             [pauli_y_power(ring, -1), pauli_z_power(ring, 1), pauli_z_power(ring, 1)]
         )
         assert mx(got - want) < 1e-12
         # charge -1 on the left strand reads Y (x) Z^-1 (x) Z^-1
-        got = charge_op(ring, 3, StringSite(0, "left"), -1).matrix
+        got = charge_word(ring, 3, 0, -1)
         want = kron_all(
             [pauli_y_power(ring, 1), pauli_z_power(ring, -1), pauli_z_power(ring, -1)]
         )
@@ -59,15 +57,13 @@ def test_charge_left_strand_is_y_inverse_with_z_string():
 
 def test_charge_zero_is_identity():
     ring = RINGS[3]
-    assert mx(charge_op(ring, 2, StringSite(1, "right"), 0).matrix - np.eye(9)) < 1e-12
+    assert mx(charge_word(ring, 2, 3, 0) - np.eye(9)) < 1e-12
 
 
-def test_string_site_strand_round_trip():
-    for s in range(6):
-        site = StringSite.from_strand(s)
-        assert site.strand == s
-    assert StringSite.from_strand(0).side == "left"
-    assert StringSite.from_strand(1).side == "right"
+def test_charge_word_rejects_strand_out_of_range():
+    for strand in (-1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            charge_word(RINGS[3], 2, strand, 1)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (3, 3)])
@@ -79,11 +75,11 @@ def test_parafermion_relations(d, n):
 def test_cap_cup_loop_and_orthogonality(d):
     ring = RINGS[d]
     # cup . cap in the empty context evaluates to sqrt(d)
-    loop = (cup_op(ring, 1, 0) @ cap_op(ring, 0, 0)).matrix
+    loop = ev(ring, Diagram.single(d, 0, Cap(0)).then(Cup(0)))
     assert abs(loop[0, 0] - d**0.5) < 1e-12
     # charged pairing: cup_{-l} cap_k = sqrt(d) delta_{lk}
-    cap = cap_op(ring, 0, 0).matrix
-    cup = cup_op(ring, 1, 0).matrix
+    cap = _cap_matrix(ring, 0, 0)
+    cup = _cup_matrix(ring, 1, 0)
     for k in range(d):
         for l in range(d):
             capk = charge_word(ring, 1, 1, k) @ cap
@@ -95,7 +91,7 @@ def test_cap_cup_loop_and_orthogonality(d):
 def test_charged_cap_is_basis_ket():
     for d in (2, 3):
         ring = RINGS[d]
-        cap = cap_op(ring, 0, 0).matrix
+        cap = ev(ring, Diagram.single(d, 0, Cap(0)))
         for k in range(d):
             vec = (charge_word(ring, 1, 1, k) @ cap)[:, 0]
             expect = np.zeros(d)
@@ -103,18 +99,18 @@ def test_charged_cap_is_basis_ket():
             assert mx(vec - expect) < 1e-12
 
 
-def test_cap_op_inserts_at_slot():
+def test_cap_inserts_at_slot():
     ring = RINGS[2]
-    op = cap_op(ring, 1, 0)  # new qudit before the existing one
+    op = ev(ring, Diagram.single(2, 2, Cap(0)))  # new qudit before the existing one
     psi = np.array([0.0, 1.0])  # |1>
-    out = op.matrix @ psi
+    out = op @ psi
     expect = np.zeros(4)
     expect[gates.basis_index((0, 1), 2)] = 2**0.25
     assert mx(out - expect) < 1e-12
     with pytest.raises(ValueError):
-        cap_op(ring, 1, 2)
+        _cap_matrix(ring, 1, 3)
     with pytest.raises(ValueError):
-        cup_op(ring, 1, 1)
+        _cup_matrix(ring, 1, 1)
 
 
 def test_pauli_reduce_dictionary():
