@@ -230,8 +230,7 @@ def _z_tail(ring: PhaseRing, x: np.ndarray, n: int, site: int, k: int) -> np.nda
     rest = n - site - 1
     if rest <= 0 or k % ring.d == 0:
         return x
-    q_table = np.array([ring.q_pow(e) for e in range(ring.d)])
-    phases = q_table[k * _digit_sums(ring.d, rest) % ring.d]
+    phases = gates._q_table(ring)[k * _digit_sums(ring.d, rest) % ring.d]
     return (x.reshape(-1, phases.size, x.shape[-1]) * phases[:, None]).reshape(x.shape)
 
 
@@ -368,9 +367,6 @@ def local_conjugation_op(
     if len(mask) != n:
         raise ValueError("owner mask length must equal qudit count")
     sites = [i for i, b in enumerate(mask) if b]
-    w = len(sites)
-    if t.shape != (ring.d**w, ring.d**w):
-        raise ValueError("operator size does not match masked qudit count")
     d = ring.d
     z = gates.pauli_z_power(ring, charge)
     m = gates.Local(tuple(sites), t).to_matrix(d, n)

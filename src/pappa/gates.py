@@ -11,9 +11,9 @@ qudit 1 is the first (most significant) tensor factor.
 Every local operation is a :class:`Local`, a d**w x d**w block on w listed
 qudits in any order: a gate, a block-diagonal controlled gate, or a braid's
 ``evaluator.braid_block``; the SFT is omega**0.5 times 2n-1 braids.  The one
-kernel that applies a block to a state, :func:`apply_local`, costs
-O(d**(n+w)) rather than the d**(2n) of the matrix, so an ``sft`` at d=2,
-n=20 (the 2**20 state cap) runs.
+kernel that applies a block to a state, :func:`apply_local`, is a transpose,
+one ``np.dot`` and the transpose back: O(d**(n+w)) work and two states of
+memory, not the d**(2n) of the matrix, so an ``sft`` at d=2, n=20 runs.
 
 The dense d**n x d**n forms that remain are that kernel on the identity:
 ``Local.to_matrix``, through which ``sym_gate``, ``controlled_gate`` and
@@ -25,6 +25,7 @@ They exist for test oracles and for the checks of ``verify`` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,14 @@ def all_digit_tuples(d: int, n: int):
         yield index_digits(idx, d, n)
 
 
+@functools.lru_cache(maxsize=None)
+def _q_table(ring: PhaseRing) -> np.ndarray:
+    """q**e for e = 0..d-1, built once per ring (read-only)."""
+    table = np.array([ring.q_pow(e) for e in range(ring.d)])
+    table.flags.writeable = False
+    return table
+
+
 def kron_all(mats) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for m in mats:
@@ -203,15 +212,26 @@ class Local:
         return apply_local(np.eye(d**n, dtype=complex), d, n, self)
 
 
-def apply_local(x: np.ndarray, d: int, n: int, local: Local) -> np.ndarray:
-    """Apply ``local`` to ``x``: d**n entries, then an optional batch axis."""
-    sites, w = local.sites, len(local.sites)
+@functools.lru_cache(maxsize=None)
+def _local_axes(d: int, n: int, sites: tuple[int, ...], batch: tuple[int, ...]):
+    """x's full shape, the order with ``sites`` first, d**w, that order's shape, its inverse."""
     if any(not 0 <= s < n for s in sites):
         raise ValueError(f"sites {sites} outside register of {n}")
-    t = x.reshape([d] * n + list(x.shape[1:]))
-    op = local.block.reshape([d] * (2 * w))
-    t = np.tensordot(op, t, axes=(list(range(w, 2 * w)), list(sites)))
-    return np.moveaxis(t, list(range(w)), list(sites)).reshape(x.shape)
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"sites {sites} repeat a qudit")
+    full = (d,) * n + batch
+    axes = sites + tuple(a for a in range(len(full)) if a not in sites)
+    return full, axes, d**len(sites), tuple(full[a] for a in axes), tuple(np.argsort(axes).tolist())
+
+
+def apply_local(x: np.ndarray, d: int, n: int, local: Local) -> np.ndarray:
+    """Apply ``local`` to ``x`` (d**n entries, then an optional batch axis) with one ``np.dot``."""
+    full, axes, dw, front, inverse = _local_axes(d, n, tuple(local.sites), x.shape[1:])
+    if local.block.shape != (dw, dw):
+        raise ValueError(f"block of shape {local.block.shape} is not {dw} x {dw}")
+    # the transposed copy has no name, so it is freed before the copy back
+    y = np.dot(local.block, x.reshape(full).transpose(axes).reshape(dw, -1))
+    return y.reshape(front).transpose(inverse).reshape(x.shape)
 
 
 def apply_site_gate(state: QState, m: np.ndarray, site: int) -> QState:
@@ -308,11 +328,8 @@ def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
     t = state.vector.reshape([d] * n)
     out = np.zeros_like(t)
     kept = (slice(None),) * site + (outcome,)
-    out[kept] = t[kept]
-    v = out.reshape(-1)
-    if p > 0:
-        v = v / np.sqrt(p)
-    return QState(d, n, v)
+    out[kept] = t[kept] / np.sqrt(p) if p > 0 else t[kept]
+    return QState(d, n, out.reshape(-1))
 
 
 def draw(state: QState, site: int, rng: np.random.Generator) -> tuple[int, float]:
@@ -373,9 +390,8 @@ def sft_matrix(ring: PhaseRing, n: int) -> np.ndarray:
     before = np.cumsum(digits, axis=1) - digits  # l_1 + ... + l_{j-1}
     expo = -(before @ digits.T)  # [l, k]: -sum_{j1<j2} l_j1 k_j2
     zeta_table = np.array([ring.zeta_pow(e) for e in range(2 * d)])
-    q_table = np.array([ring.q_pow(e) for e in range(d)])
     scale = float(d) ** ((1 - n) / 2)
-    out = scale * zeta_table[total**2 % (2 * d)][:, None] * q_table[expo % d]
+    out = scale * zeta_table[total**2 % (2 * d)][:, None] * _q_table(ring)[expo % d]
     out[(total[:, None] - total[None, :]) % d != 0] = 0.0
     return out
 
@@ -495,9 +511,7 @@ def circuit_tricks_check(ring: PhaseRing, rng: np.random.Generator | None = None
 
 def _site2_vec(state: QState, m1: int, m2: int) -> np.ndarray:
     """Slice out the wire-3 vector of a 3-qudit state with wires 1,2 collapsed."""
-    d = state.d
-    t = state.vector.reshape([d] * 3)
-    return t[m1, m2, :]
+    return state.vector.reshape([state.d] * 3)[m1, m2, :]
 
 
 def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,8 @@
 """``Local`` and ``apply_local``, the one kernel for local operations, against
 dense builders that share no code with it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,8 +74,112 @@ def test_apply_local_rejects_bad_sites():
     for sites in ((3,), (-1,), (0, 3)):
         with pytest.raises(ValueError, match="outside register"):
             apply_local(x, 2, 3, Local(sites, np.eye(2 ** len(sites))))
-    with pytest.raises(ValueError):
-        apply_local(x, 2, 3, Local((1, 1), np.eye(4)))
+
+
+@pytest.mark.parametrize("sites", [(1, 1), (0, 2, 0), (2, 2, 2)])
+def test_apply_local_rejects_repeated_sites(sites):
+    x = np.zeros(8, dtype=complex)
+    with pytest.raises(ValueError, match="repeat a qudit"):
+        apply_local(x, 2, 3, Local(sites, np.eye(2 ** len(sites))))
+
+
+@pytest.mark.parametrize("d,sites,size", [(2, (0,), 4), (2, (0, 1), 2), (3, (1,), 2), (3, (2,), 9)])
+def test_apply_local_rejects_wrong_block_shape(d, sites, size):
+    """A reshape would take a block of the wrong size on a few sites as one on more."""
+    x = np.ones(d**3, dtype=complex)
+    with pytest.raises(ValueError, match="block of shape"):
+        apply_local(x, d, 3, Local(sites, np.eye(size)))
+    with pytest.raises(ValueError, match="block of shape"):
+        apply_local(x, d, 3, Local(sites, np.ones((d ** len(sites), 1))))
+
+
+# ---------------------------------------------------------------------------
+# the tensordot kernel and the copy-then-divide collapse, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def apply_local_tensordot(x, d, n, local):
+    """The kernel ``apply_local`` used: ``tensordot`` over the sites, then ``moveaxis``."""
+    sites, w = local.sites, len(local.sites)
+    t = x.reshape([d] * n + list(x.shape[1:]))
+    op = local.block.reshape([d] * (2 * w))
+    t = np.tensordot(op, t, axes=(list(range(w, 2 * w)), list(sites)))
+    return np.moveaxis(t, list(range(w)), list(sites)).reshape(x.shape)
+
+
+def collapse_site_copy_then_divide(state, site, outcome, p):
+    """The ``collapse_site`` body that copied the kept slice, then divided the whole vector."""
+    d, n = state.d, state.n
+    t = state.vector.reshape([d] * n)
+    out = np.zeros_like(t)
+    kept = (slice(None),) * site + (outcome,)
+    out[kept] = t[kept]
+    v = out.reshape(-1)
+    if p > 0:
+        v = v / np.sqrt(p)
+    return v
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+TENSORDOT_CASES = [(d, w, seed) for d in (2, 3, 5) for w in (1, 2, 3) for seed in range(4)]
+
+
+@pytest.mark.parametrize("d,w,seed", TENSORDOT_CASES)
+def test_apply_local_is_bit_identical_to_tensordot(d, w, seed):
+    rng = np.random.default_rng(1000 * d + 10 * w + seed)
+    n = {2: 6, 3: 5, 5: 5}[d]
+    random_sites = tuple(int(s) for s in rng.permutation(n)[:w])
+    spread_reversed = tuple(range(0, 2 * w, 2))[::-1]
+    last_reversed = tuple(range(n - w, n))[::-1]
+    for sites in (random_sites, spread_reversed, last_reversed):
+        block = _random(rng, d**w, d**w)
+        for local in (Local(sites, block), Local(sites, block.T)):
+            x = _random(rng, d**n)
+            assert np.array_equal(apply_local(x, d, n, local), apply_local_tensordot(x, d, n, local))
+            batch = _random(rng, d**n, 1 + seed)
+            assert np.array_equal(apply_local(batch, d, n, local), apply_local_tensordot(batch, d, n, local))
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 3), (5, 2)])
+def test_collapse_site_is_bit_identical_to_copy_then_divide(d, n):
+    """Same values and the same signs of zeros, including p = 0 and negative zeros."""
+    rng = np.random.default_rng(10 * d + n)
+    for trial in range(10):
+        v = _random(rng, d**n)
+        v[rng.random(d**n) < 0.3] = complex(-0.0, -0.0) if trial % 2 else 0j
+        psi = QState(d, n, v)
+        site, outcome = int(rng.integers(n)), int(rng.integers(d))
+        for p in (0.0, float(gates.site_probabilities(psi, site)[outcome]), 0.37):
+            got = gates.collapse_site(psi, site, outcome, p).vector
+            assert _same_bits(got, collapse_site_copy_then_divide(psi, site, outcome, p))
+
+
+@pytest.mark.parametrize("sites", [(0,), (5,), (17,), (3, 4), (9, 2)])
+def test_apply_local_allocates_at_most_two_states(sites):
+    """The transposed copy is freed before the copy back, so at most the
+    product and the result are alive at once (d=2, n=18)."""
+    d, n = 2, 18
+    x = np.ones(d**n, dtype=complex)
+    local = Local(sites, np.eye(d ** len(sites), dtype=complex))
+    apply_local(x, d, n, local)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        apply_local(x, d, n, local)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * x.nbytes + 64 * 1024, peak / x.nbytes
+
+
+def test_z_tail_phase_table_is_built_once_per_ring():
+    ring = RINGS[5]
+    table = gates._q_table(ring)
+    assert gates._q_table(ring) is table and not table.flags.writeable
+    assert np.array_equal(table, [ring.q_pow(e) for e in range(5)])
 
 
 # ---------------------------------------------------------------------------
