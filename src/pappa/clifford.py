@@ -204,44 +204,28 @@ def generate_group(
 def _pauli_word_match(ring: PhaseRing, n: int, w: np.ndarray, tol: float) -> bool:
     """True iff w is a phase times X**x Z**z words on the register."""
     d = ring.d
-    dim = d**n
+    cols = np.arange(d**n)
     # every column must have exactly one entry of unit modulus
-    for col in range(dim):
-        v = w[:, col]
-        mags = np.abs(v)
-        top = np.argmax(mags)
-        if abs(mags[top] - 1.0) > tol or mags.sum() - mags[top] > tol:
-            return False
+    mags = np.abs(w)
+    rows = mags.argmax(axis=0)
+    top = mags[rows, cols]
+    if (np.abs(top - 1.0) > tol).any() or (mags.sum(axis=0) - top > tol).any():
+        return False
     # constant digit offset per site
-    shift0 = gates.index_digits(int(np.argmax(np.abs(w[:, 0]))), d, n)
-    for col in range(dim):
-        ks = gates.index_digits(col, d, n)
-        row = int(np.argmax(np.abs(w[:, col])))
-        ls = gates.index_digits(row, d, n)
-        if any((l - k - s) % d for k, l, s in zip(ks, ls, shift0)):
-            return False
-    # phases must be q**(linear form) relative to column 0
-    base = w[int(np.argmax(np.abs(w[:, 0]))), 0]
-    zs = []
-    for site in range(n):
-        unit = [0] * n
-        unit[site] = 1
-        col = gates.basis_index(unit, d)
-        val = w[int(np.argmax(np.abs(w[:, col]))), col] / base
-        match_z = None
-        for z in range(d):
-            if abs(val - ring.q_pow(z)) < 10 * tol:
-                match_z = z
-                break
-        if match_z is None:
-            return False
-        zs.append(match_z)
-    for col in range(dim):
-        ks = gates.index_digits(col, d, n)
-        expect = base * ring.q_pow(sum(z * k for z, k in zip(zs, ks)))
-        if abs(w[int(np.argmax(np.abs(w[:, col]))), col] - expect) > 10 * tol:
-            return False
-    return True
+    digits = gates.digit_table(d, n)
+    shift = (digits[rows] - digits) % d
+    if (shift != shift[0]).any():
+        return False
+    # phases must be q**(linear form) relative to column 0; site j's z is
+    # the first power of q within 10 tol of the phase of its unit column
+    entries = w[rows, cols]
+    base, q = entries[0], gates._q_table(ring)
+    units = d ** np.arange(n - 1, -1, -1)
+    near = np.abs(entries[units, None] / base - q) < 10 * tol
+    if not near.any(axis=1).all():
+        return False
+    expect = base * q[digits @ near.argmax(axis=1) % d]
+    return not (np.abs(entries - expect) > 10 * tol).any()
 
 
 def is_clifford(ring: PhaseRing, u: np.ndarray, tol: float = 1e-8) -> bool:

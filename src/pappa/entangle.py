@@ -11,17 +11,20 @@ transform acting on product states; closed forms:
                 = zeta**(-|k|**2) d**-0.5 * sum_s q**(-s|k|)
                   |k1+s, k1+k2+s, ..., |k|+s>
 
-Entropy is von Neumann entropy in nats with eigenvalues below 1e-12
-treated as null-space.
+Entropy is von Neumann entropy in nats, eigenvalues below 1e-12 treated
+as null-space.  A pure state's ``entanglement_entropy`` comes from its
+Schmidt values, with no d**n x d**n matrix; ``DensityMatrix``,
+``partial_trace`` and ``entropy`` are for mixed states.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import QState, all_digit_tuples, basis_index
+from .gates import QState, _q_table, basis_index, digit_sums, digit_table
 from .phases import PhaseRing
 
 _EIG_CUTOFF = 1e-12
@@ -31,19 +34,12 @@ def max_state(ring: PhaseRing, n: int) -> QState:
     """Uniform superposition over the zero-total-charge sector."""
     d = ring.d
     v = np.zeros(d**n, dtype=complex)
-    amp = float(d) ** (-(n - 1) / 2)
-    for ks in all_digit_tuples(d, n):
-        if sum(ks) % d == 0:
-            v[basis_index(ks, d)] = amp
+    v[digit_sums(d, n) % d == 0] = float(d) ** (-(n - 1) / 2)
     return QState(d, n, v)
 
 
 def ghz_state(ring: PhaseRing, n: int) -> QState:
-    d = ring.d
-    v = np.zeros(d**n, dtype=complex)
-    for k in range(d):
-        v[basis_index((k,) * n, d)] = d**-0.5
-    return QState(d, n, v)
+    return ghz_basis(ring, (0,) * n)
 
 
 def max_basis(ring: PhaseRing, ks) -> QState:
@@ -53,14 +49,9 @@ def max_basis(ring: PhaseRing, ks) -> QState:
     if any(not 0 <= k < d for k in ks):
         raise ValueError("charges must lie in 0..d-1")
     ktot = sum(ks)
-    v = np.zeros(d**n, dtype=complex)
-    amp = float(d) ** (-(n - 1) / 2)
-    prefix = np.cumsum(ks)
-    for ls in all_digit_tuples(d, n):
-        if (sum(ls) - ktot) % d != 0:
-            continue
-        expo = int(sum(int(p) * l for p, l in zip(prefix, ls)))
-        v[basis_index(ls, d)] = amp * ring.q_pow(expo)
+    expo = digit_table(d, n) @ np.cumsum(ks, dtype=np.int64)
+    v = float(d) ** (-(n - 1) / 2) * _q_table(ring)[expo % d]
+    v[(digit_sums(d, n) - ktot) % d != 0] = 0.0
     return QState(d, n, ring.zeta_pow(-ktot * ktot) * v)
 
 
@@ -104,13 +95,19 @@ class DensityMatrix:
         return cls(state.d, state.n, np.outer(v, v.conj()))
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix on the (0-based) site set ``keep``."""
+def _keep_sites(keep, n: int) -> list[int]:
+    """``keep`` as sorted distinct sites, checked to be nonempty and in 0..n-1."""
     keep = sorted(set(keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= rho.n:
+    if keep[0] < 0 or keep[-1] >= n:
         raise ValueError("keep set out of range")
+    return keep
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced density matrix on the (0-based) site set ``keep``."""
+    keep = _keep_sites(keep, rho.n)
     d, n = rho.d, rho.n
     t = rho.matrix.reshape([d] * (2 * n))
     drop = [i for i in range(n) if i not in keep]
@@ -123,12 +120,23 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -sum(lam ln lam) in nats over the support."""
-    lams = np.linalg.eigvalsh(rho.matrix)
+    return _entropy_of(np.linalg.eigvalsh(rho.matrix))
+
+
+def _entropy_of(lams: np.ndarray) -> float:
     lams = lams[lams > _EIG_CUTOFF]
     return float(-(lams * np.log(lams)).sum())
 
 
 def entanglement_entropy(state: QState, cut) -> float:
-    """Entropy of the reduced state on ``cut`` (a site or site set)."""
-    sites = (cut,) if isinstance(cut, int) else tuple(cut)
-    return entropy(partial_trace(DensityMatrix.from_state(state), sites))
+    """Entropy of the reduced state on ``cut`` (a site or site set), from Schmidt values."""
+    try:
+        cut = (operator.index(cut),)
+    except TypeError:
+        pass
+    d, n = state.d, state.n
+    keep = _keep_sites(cut, n)
+    order = keep + [s for s in range(n) if s not in keep]
+    v = (state.vector / np.linalg.norm(state.vector)).reshape((d,) * n)
+    m = v.transpose(order).reshape(d ** len(keep), -1)
+    return _entropy_of(np.linalg.svd(m, compute_uv=False) ** 2)

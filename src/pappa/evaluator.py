@@ -217,20 +217,12 @@ def sft_via_braids(ring: PhaseRing, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _digit_sums(d: int, m: int) -> np.ndarray:
-    """Sum of the digits of each index of an m-qudit register (read-only)."""
-    sums = np.indices([d] * m).reshape(m, -1).sum(axis=0)
-    sums.flags.writeable = False
-    return sums
-
-
 def _z_tail(ring: PhaseRing, x: np.ndarray, n: int, site: int, k: int) -> np.ndarray:
     """Z**k on every qudit after ``site``: one multiply by a q-table phase vector."""
     rest = n - site - 1
     if rest <= 0 or k % ring.d == 0:
         return x
-    phases = gates._q_table(ring)[k * _digit_sums(ring.d, rest) % ring.d]
+    phases = gates._q_table(ring)[k * gates.digit_sums(ring.d, rest) % ring.d]
     return (x.reshape(-1, phases.size, x.shape[-1]) * phases[:, None]).reshape(x.shape)
 
 

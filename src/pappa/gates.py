@@ -6,7 +6,10 @@ Single-qudit conventions (basis |0..d-1>, index arithmetic mod d):
     F|k> = d**-0.5 * sum_l q**(k*l) |l>                 G|k> = zeta**(k*k) |k>
 
 Multi-qudit basis: |k_1,...,k_n> maps to index sum(k_j * d**(n-j)), i.e.
-qudit 1 is the first (most significant) tensor factor.
+qudit 1 is the first (most significant) tensor factor.  The cached,
+read-only :func:`digit_table` holds the digits of every index and
+:func:`digit_sums` their sums; closed forms over basis indices (the SFT,
+the Max states, Pauli-word matching) are array expressions on them.
 
 Every local operation is a :class:`Local`, a d**w x d**w block on w listed
 qudits in any order: a gate, a block-diagonal controlled gate, or a braid's
@@ -132,19 +135,31 @@ def basis_index(digits, d: int) -> int:
     return idx
 
 
-def index_digits(idx: int, d: int, n: int) -> tuple[int, ...]:
-    """Inverse of :func:`basis_index`."""
-    out = []
-    for _ in range(n):
-        out.append(idx % d)
-        idx //= d
-    return tuple(reversed(out))
-
-
 def all_digit_tuples(d: int, n: int):
     """All n-tuples over 0..d-1 in basis-index order."""
-    for idx in range(d**n):
-        yield index_digits(idx, d, n)
+    return map(tuple, digit_table(d, n).tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def digit_table(d: int, n: int) -> np.ndarray:
+    """Row i holds the n digits of index i, qudit 1 first (read-only)."""
+    table = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def digit_sums(d: int, n: int) -> np.ndarray:
+    """``digit_table(d, n).sum(axis=1)`` (read-only).
+
+    Built digit by digit, so wide ``evaluator._z_tail`` calls do not keep
+    the n times larger table cached.
+    """
+    sums = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        sums = np.add.outer(sums, np.arange(d)).reshape(-1)
+    sums.flags.writeable = False
+    return sums
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,8 +400,8 @@ def sft_matrix(ring: PhaseRing, n: int) -> np.ndarray:
     The integer exponents are reduced before one lookup per phase.
     """
     d = ring.d
-    digits = np.indices([d] * n).reshape(n, d**n).T  # row idx: digits of idx
-    total = digits.sum(axis=1)
+    digits = digit_table(d, n)
+    total = digit_sums(d, n)
     before = np.cumsum(digits, axis=1) - digits  # l_1 + ... + l_{j-1}
     expo = -(before @ digits.T)  # [l, k]: -sum_{j1<j2} l_j1 k_j2
     zeta_table = np.array([ring.zeta_pow(e) for e in range(2 * d)])

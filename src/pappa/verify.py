@@ -156,8 +156,8 @@ def suite_sft(d: int, n_max: int = 3, tol: float = 1e-9) -> SuiteResult:
         s = sfts[n]
         res.add(f"cross_oracle_n{n}", _mx(s - evaluator.sft_via_braids(ring, n)))
         res.add(f"unitary_n{n}", _mx(s @ s.conj().T - np.eye(d**n)))
-        sums = evaluator._digit_sums(d, n)
-        rotation = np.diag([ring.q_pow(int(t) ** 2) for t in sums])
+        sums = gates.digit_sums(d, n)
+        rotation = np.diag(gates._q_table(ring)[sums**2 % d])
         res.add(f"full_rotation_n{n}", _mx(np.linalg.matrix_power(s, 2 * n) - rotation))
         # charge sector preservation
         off_sector = (sums[:, None] - sums[None, :]) % d != 0
@@ -172,9 +172,9 @@ def suite_sft(d: int, n_max: int = 3, tol: float = 1e-9) -> SuiteResult:
         res.add(f"ghz_duality_n{n}", _mx(fs @ maxv - ghz))
         res.add(f"ghz_duality_inv_n{n}", _mx(fs_inv @ maxv - ghz))
         worst = 0.0
-        for ks in gates.all_digit_tuples(d, n):
+        for idx, ks in enumerate(gates.digit_table(d, n).tolist()):
             closed = entangle.max_basis(ring, ks).vector
-            worst = max(worst, _mx(closed - s[:, gates.basis_index(ks, d)]))
+            worst = max(worst, _mx(closed - s[:, idx]))
             ghzk = entangle.ghz_basis(ring, ks).vector
             worst = max(worst, _mx(ghzk - fs_inv @ closed))
         res.add(f"basis_closed_forms_n{n}", worst)
@@ -189,10 +189,10 @@ def suite_entropy(d: int, tol: float = 1e-8) -> SuiteResult:
     for n in (2, 3):
         s = gates.sft_matrix(ring, n)
         worst = 0.0
-        for ks in gates.all_digit_tuples(d, n):
+        for idx, ks in enumerate(gates.digit_table(d, n).tolist()):
             if sum(ks) % d != 0:
                 continue
-            vec = gates.QState(d, n, s[:, gates.basis_index(ks, d)])
+            vec = gates.QState(d, n, s[:, idx])
             for site in range(n):
                 worst = max(
                     worst, abs(entangle.entanglement_entropy(vec, site) - target)

@@ -16,6 +16,15 @@ from pappa.diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Sym
 from pappa.evaluator import QOperator, _braid_matrix
 
 
+def index_digits(idx, d, n):
+    """The n digits of ``idx``, qudit 1 first: the scalar oracle of ``gates.digit_table``."""
+    out = []
+    for _ in range(n):
+        out.append(idx % d)
+        idx //= d
+    return tuple(reversed(out))
+
+
 def charge_word(ring, n, strand, k):
     """Jordan-Wigner matrix of a charge k on one strand, as a Kronecker chain.
 
@@ -44,14 +53,14 @@ def cap_matrix(ring, n, strand):
         slot = strand // 2
         w = d**0.25
         for idx in range(d**n):
-            ks = gates.index_digits(idx, d, n)
+            ks = index_digits(idx, d, n)
             new = ks[:slot] + (0,) + ks[slot:]
             out[gates.basis_index(new, d), idx] = w
     else:
         j = (strand - 1) // 2
         w = d**-0.25
         for idx in range(d**n):
-            ks = gates.index_digits(idx, d, n)
+            ks = index_digits(idx, d, n)
             for a in range(d):
                 b = (ks[j] - a) % d
                 new = ks[:j] + (a, b) + ks[j + 1 :]
@@ -69,7 +78,7 @@ def cup_matrix(ring, n, strand):
         slot = strand // 2
         w = d**0.25
         for idx in range(d**n):
-            ks = gates.index_digits(idx, d, n)
+            ks = index_digits(idx, d, n)
             if ks[slot] != 0:
                 continue
             rest = ks[:slot] + ks[slot + 1 :]
@@ -78,7 +87,7 @@ def cup_matrix(ring, n, strand):
         j = (strand - 1) // 2
         w = d**-0.25
         for idx in range(d**n):
-            ks = gates.index_digits(idx, d, n)
+            ks = index_digits(idx, d, n)
             merged = ks[:j] + (((ks[j] + ks[j + 1]) % d),) + ks[j + 2 :]
             out[gates.basis_index(merged, d), idx] = w
     return out

@@ -6,6 +6,7 @@ import pytest
 from pappa import gates
 from pappa.clifford import (
     PhaselessUnitary,
+    _pauli_word_match,
     generate_group,
     is_clifford,
     verify_braid_gaussian_dressing,
@@ -21,6 +22,8 @@ from pappa.gates import (
     sft_matrix,
 )
 from pappa.phases import make_phase_ring
+
+from dense_eval import index_digits
 
 RINGS = {d: make_phase_ring(d) for d in (2, 3, 5)}
 
@@ -180,3 +183,81 @@ def test_named_gates_are_clifford():
         for name in "XYZFG":
             assert is_clifford(ring, gates.gate_power(ring, name, 1)), name
         assert is_clifford(ring, cz_gate(ring, 2))
+
+
+def pauli_word_match_loop(ring, n, w, tol):
+    """The column loops ``_pauli_word_match`` replaced, kept as its oracle."""
+    d = ring.d
+    dim = d**n
+    for col in range(dim):
+        mags = np.abs(w[:, col])
+        top = np.argmax(mags)
+        if abs(mags[top] - 1.0) > tol or mags.sum() - mags[top] > tol:
+            return False
+    shift0 = index_digits(int(np.argmax(np.abs(w[:, 0]))), d, n)
+    for col in range(dim):
+        ks = index_digits(col, d, n)
+        ls = index_digits(int(np.argmax(np.abs(w[:, col]))), d, n)
+        if any((l - k - s) % d for k, l, s in zip(ks, ls, shift0)):
+            return False
+    base = w[int(np.argmax(np.abs(w[:, 0]))), 0]
+    zs = []
+    for site in range(n):
+        col = d ** (n - 1 - site)
+        val = w[int(np.argmax(np.abs(w[:, col]))), col] / base
+        match = [z for z in range(d) if abs(val - ring.q_pow(z)) < 10 * tol]
+        if not match:
+            return False
+        zs.append(match[0])
+    for col in range(dim):
+        ks = index_digits(col, d, n)
+        expect = base * ring.q_pow(sum(z * k for z, k in zip(zs, ks)))
+        if abs(w[int(np.argmax(np.abs(w[:, col]))), col] - expect) > 10 * tol:
+            return False
+    return True
+
+
+def _word_corpus(ring):
+    """(n, w) pairs: conjugated Pauli generators of Cliffords and non-Cliffords, and odd words."""
+    d = ring.d
+    rng = np.random.default_rng(d)
+    f, g = fourier_gate(ring), gaussian_gate(ring)
+    z = np.linalg.qr(rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))[0]
+    unitaries = [
+        (1, sft_matrix(ring, 1)),
+        (2, sft_matrix(ring, 2)),
+        (2, cz_gate(ring, 2)),
+        (2, gates.kron_all([f, g]) @ cz_gate(ring, 2) @ gates.kron_all([g, f]).conj().T),
+        (1, f @ g @ f.conj().T),
+        (2, z),
+    ]
+    if d == 2:
+        unitaries.append((1, np.diag([1.0, np.exp(1j * np.pi / 4)])))
+    out = []
+    for n, u in unitaries:
+        for site in range(n):
+            for p in ("X", "Z"):
+                word = Local((site,), pauli_gate(ring, p)).to_matrix(d, n)
+                out.append((n, u @ word @ u.conj().T))
+    word = gates.kron_all([pauli_gate(ring, "X"), pauli_gate(ring, "Z")]) * ring.zeta
+    out.append((2, word))
+    out.append((2, 1.01 * word))  # one entry per column, none of unit modulus
+    leak = word.copy()
+    leak[0, 0] = 1e-3  # a second, small entry in column 0
+    out.append((2, leak))
+    off = word.copy()
+    off[:, d + 1] *= ring.q  # the column of |1,1>, not a unit column
+    out.append((2, off))
+    out.append((2, gates.sym_gate_matrix(ring, 0)))  # SWAP: digit shift (k2 - k1, k1 - k2)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_pauli_word_match_agrees_with_loop_oracle(d):
+    ring = RINGS[d]
+    flags = []
+    for n, w in _word_corpus(ring):
+        got = _pauli_word_match(ring, n, w, 1e-8)
+        assert got is pauli_word_match_loop(ring, n, w, 1e-8)
+        flags.append(got)
+    assert True in flags and False in flags

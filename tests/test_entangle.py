@@ -1,6 +1,7 @@
 """Resource states, bases, partial trace, and entanglement entropy."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from pappa.gates import (
 )
 from pappa.phases import make_phase_ring
 
-RINGS = {d: make_phase_ring(d) for d in (2, 3, 5)}
+RINGS = {d: make_phase_ring(d) for d in (2, 3, 4, 5, 7)}
 
 
 def mx(a):
@@ -214,3 +215,129 @@ def test_larger_cuts_reported_not_asserted():
     state = QState(2, 3, sft_matrix(ring, 3)[:, 0])
     value = entanglement_entropy(state, (0, 1))
     assert 0.0 <= value <= math.log(4) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the loop forms the array expressions replaced, kept as bit-for-bit oracles
+# ---------------------------------------------------------------------------
+
+
+def max_state_loop(ring, n):
+    d = ring.d
+    v = np.zeros(d**n, dtype=complex)
+    amp = float(d) ** (-(n - 1) / 2)
+    for ks in all_digit_tuples(d, n):
+        if sum(ks) % d == 0:
+            v[basis_index(ks, d)] = amp
+    return v
+
+
+def ghz_state_loop(ring, n):
+    d = ring.d
+    v = np.zeros(d**n, dtype=complex)
+    for k in range(d):
+        v[basis_index((k,) * n, d)] = d**-0.5
+    return v
+
+
+def max_basis_loop(ring, ks):
+    d, n = ring.d, len(ks)
+    ktot = sum(ks)
+    v = np.zeros(d**n, dtype=complex)
+    amp = float(d) ** (-(n - 1) / 2)
+    prefix = np.cumsum(ks)
+    for ls in all_digit_tuples(d, n):
+        if (sum(ls) - ktot) % d != 0:
+            continue
+        expo = int(sum(int(p) * l for p, l in zip(prefix, ls)))
+        v[basis_index(ls, d)] = amp * ring.q_pow(expo)
+    return ring.zeta_pow(-ktot * ktot) * v
+
+
+def _sizes(d, limit=3000):
+    n = 1
+    while d**n <= limit:
+        yield n
+        n += 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_max_and_ghz_states_bit_identical_to_loops(d):
+    ring = RINGS[d]
+    for n in _sizes(d):
+        assert np.array_equal(max_state(ring, n).vector, max_state_loop(ring, n)), n
+        assert np.array_equal(ghz_state(ring, n).vector, ghz_state_loop(ring, n)), n
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_max_basis_bit_identical_to_loop(d):
+    """Every ks while d**n <= 256, three seeded draws per size up to d**n <= 3000."""
+    ring = RINGS[d]
+    rng = np.random.default_rng(d)
+    for n in _sizes(d):
+        if d**n <= 256:
+            draws = all_digit_tuples(d, n)
+        else:
+            draws = [tuple(int(k) for k in rng.integers(d, size=n)) for _ in range(3)]
+        for ks in draws:
+            assert np.array_equal(max_basis(ring, ks).vector, max_basis_loop(ring, ks)), ks
+
+
+def _entropy_oracle(state, cut):
+    sites = (cut,) if isinstance(cut, int) else tuple(cut)
+    return entropy(partial_trace(DensityMatrix.from_state(state), sites))
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 5), (3, 3), (3, 4), (5, 2), (5, 3)])
+def test_entanglement_entropy_matches_density_matrix_oracle(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    cuts = [0, n - 1, (0, n - 1), tuple(range(n - 1, -1, -1)), (n - 1, 0, n - 1), tuple(range(n))]
+    for _ in range(3):
+        state = QState(d, n, rng.normal(size=d**n) + 1j * rng.normal(size=d**n))
+        for cut in cuts:
+            assert abs(entanglement_entropy(state, cut) - _entropy_oracle(state, cut)) < 1e-12
+    # an unnormalised vector: both sides normalise it
+    state = QState(d, n, 7.5 * max_basis(RINGS[d], (1,) + (0,) * (n - 1)).vector)
+    for cut in cuts:
+        assert abs(entanglement_entropy(state, cut) - _entropy_oracle(state, cut)) < 1e-12
+
+
+def test_entanglement_entropy_takes_any_integer_site():
+    state = QState(3, 3, max_basis(RINGS[3], (1, 2, 0)).vector)
+    want = entanglement_entropy(state, 1)
+    assert entanglement_entropy(state, np.int64(1)) == want
+    assert entanglement_entropy(state, (np.int32(1),)) == want
+    assert abs(want - math.log(3)) < 1e-12
+
+
+def test_entanglement_entropy_deduplicates_repeated_sites():
+    state = QState(2, 3, sft_matrix(RINGS[2], 3)[:, 5])
+    assert entanglement_entropy(state, (1, 1)) == entanglement_entropy(state, 1)
+    assert entanglement_entropy(state, (2, 0, 2)) == entanglement_entropy(state, (0, 2))
+
+
+@pytest.mark.parametrize("cut", [(), [], 3, (0, 3), -1, (-1, 0)])
+def test_entanglement_entropy_rejects_empty_or_out_of_range_cuts(cut):
+    state = QState(2, 3, max_state(RINGS[2], 3).vector)
+    with pytest.raises(ValueError):
+        entanglement_entropy(state, cut)
+
+
+def test_entanglement_entropy_at_twenty_qubits(monkeypatch):
+    """Schmidt values of a d=2, n=20 state: no d**n x d**n matrix, each cut well under 1 s."""
+    from pappa import entangle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a d**n x d**n matrix was built")
+
+    monkeypatch.setattr(entangle.np, "outer", refuse)
+    monkeypatch.setattr(entangle.DensityMatrix, "from_state", classmethod(refuse))
+    n = 20
+    rng = np.random.default_rng(20)
+    state = QState(2, n, rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+    for cut in (0, n - 1, (3, 11)):
+        start = time.perf_counter()
+        value = entanglement_entropy(state, cut)
+        assert time.perf_counter() - start < 1.0, cut
+        k = 1 if isinstance(cut, int) else len(cut)
+        assert 0.0 < value <= k * math.log(2) + 1e-12

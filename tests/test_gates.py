@@ -25,6 +25,7 @@ from pappa.gates import (
 )
 from pappa.phases import make_phase_ring
 
+from dense_eval import index_digits
 from gatespec import GateSpec, apply_gate_spec
 
 RINGS = {d: make_phase_ring(d) for d in (2, 3, 4, 5, 7)}
@@ -332,3 +333,22 @@ def test_braid_and_sym_strand_ranges():
     ):
         with pytest.raises(ValueError):
             apply_gate_spec(ring, psi, spec)
+
+
+@pytest.mark.parametrize("d,n", [(2, 0), (2, 1), (2, 5), (3, 4), (4, 3), (5, 3), (7, 2)])
+def test_digit_table_matches_scalar_digits(d, n):
+    table = gates.digit_table(d, n)
+    assert table.shape == (d**n, n)
+    for idx in range(d**n):
+        assert tuple(table[idx].tolist()) == index_digits(idx, d, n)
+        assert gates.basis_index(table[idx].tolist(), d) == idx
+    assert np.array_equal(gates.digit_sums(d, n), table.sum(axis=1))
+    assert list(gates.all_digit_tuples(d, n)) == [index_digits(i, d, n) for i in range(d**n)]
+
+
+def test_digit_tables_are_cached_and_read_only():
+    for build in (gates.digit_table, gates.digit_sums):
+        table = build(3, 3)
+        assert build(3, 3) is table
+        with pytest.raises(ValueError):
+            table[0] = 1

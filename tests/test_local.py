@@ -8,8 +8,10 @@ import pytest
 
 from pappa import gates, protocols
 from pappa.evaluator import local_conjugation_op
-from pappa.gates import Local, QState, apply_local, controlled_gate, index_digits
+from pappa.gates import Local, QState, apply_local, controlled_gate
 from pappa.phases import make_phase_ring
+
+from dense_eval import index_digits
 
 RINGS = {d: make_phase_ring(d) for d in (2, 3, 5)}
 EPS = np.finfo(float).eps

@@ -11,11 +11,11 @@ from pappa.gates import (
     all_digit_tuples,
     basis_index,
     gaussian_gate,
-    index_digits,
     sft_matrix,
 )
 from pappa.phases import make_phase_ring
 
+from dense_eval import index_digits
 from gatespec import GateSpec, apply_gate_spec
 
 RINGS = {d: make_phase_ring(d) for d in (2, 3, 5)}
@@ -198,22 +198,16 @@ def test_sft_spec_matches_dense_matrix(d, n):
         assert mx(out.vector - s @ v) < 1e-12
 
 
-def _single_qudit_entropy(vec, d, n, site):
-    t = np.moveaxis(vec.reshape([d] * n), site, 0).reshape(d, -1)
-    p = np.linalg.svd(t, compute_uv=False) ** 2
-    p = p[p > 1e-15]
-    return float(-(p * np.log(p)).sum())
-
-
 def test_sft_circuit_at_sixteen_qubits(monkeypatch):
     """SFT of a charge-neutral basis state: unit norm, log 2 at every one-qudit cut."""
-    from pappa import dsl
+    from pappa import dsl, entangle
 
     def refuse(*args, **kwargs):
         raise AssertionError("a d**n x d**n matrix was built")
 
     monkeypatch.setattr(gates, "apply_full_matrix", refuse)
     monkeypatch.setattr(gates, "sft_matrix", refuse)
+    monkeypatch.setattr(entangle.DensityMatrix, "from_state", classmethod(refuse))
     n = 16
     flips = [1, 2, 5, 8, 9, 13]  # an even number of ones: total charge 0 mod 2
     text = "circuit d=2 n=16\n" + "".join(f"gate X@{s}\n" for s in flips) + "sft\n"
@@ -222,4 +216,4 @@ def test_sft_circuit_at_sixteen_qubits(monkeypatch):
     assert regs == {}
     assert abs(state.norm() - 1) < 1e-12
     for site in range(n):
-        assert abs(_single_qudit_entropy(state.vector, 2, n, site) - np.log(2)) < 1e-9
+        assert abs(entangle.entanglement_entropy(state, site) - np.log(2)) < 1e-9
