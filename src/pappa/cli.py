@@ -1,16 +1,18 @@
 """Command-line entry point.
 
-Subcommands::
+Subcommands, each with only the flags it reads::
 
     pappa diagram eval FILE.pd [--d D] [--emit matrix|report]
     pappa circuit run FILE.pc [--seed S] [--emit state|report]
     pappa protocol run FILE.pp --d D [--seed S]
-    pappa verify SUITE [--d D] [--tol T]
+    pappa verify SUITE [--d D] [--n N] [--tol T] [--jobs J]
 
 Reports are plain ``key=value`` lines with a final ``PASS`` or ``FAIL``;
 identical flags, seed and files yield a byte-identical report.  Exit
-codes: 0 success, 1 verification failure, 2 parse/usage error.  The
-environment variable ``PAPPA_TOL`` overrides the default tolerance.
+codes: 0 success, 1 verification failure, 2 parse/usage error, reported
+as one ``error: ...`` line on stderr.  ``verify --d`` defaults to 2 and
+``--jobs`` is accepted and ignored.  The environment variable
+``PAPPA_TOL`` overrides the default tolerance.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import dataclasses
 import os
 import sys
 from itertools import accumulate
-
-import numpy as np
+from pathlib import Path
 
 from . import dsl, protocols, verify
 from .diagrams import _gen_width_delta
@@ -43,23 +44,29 @@ def _fmt_complex(z: complex) -> str:
 
 def _check_dims(d: int, n: int) -> None:
     if d**max(n, 1) > MAX_ENTRIES:
-        raise SystemExit2(f"dimension overflow: d**n = {d}**{n} exceeds {MAX_ENTRIES} entries")
+        raise ValueError(f"dimension overflow: d**n = {d}**{n} exceeds {MAX_ENTRIES} entries")
 
 
-class SystemExit2(Exception):
-    """Usage or parse failure (exit code 2)."""
+def _check_block(d: int, w: int) -> None:
+    """Refuse when the widest block on ``w`` qudits (two at most) exceeds the bound."""
+    w = min(w, 2)
+    if d ** (2 * w) > MAX_ENTRIES:
+        raise ValueError(
+            f"block overflow: a {w}-qudit block has d**{2 * w} = {d}**{2 * w} entries, "
+            f"over {MAX_ENTRIES}"
+        )
 
 
 def _cmd_diagram(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        diagram = dsl.parse_diagram(fh.read(), args.file)
-    if args.d:
+    diagram = dsl.parse_diagram(Path(args.file).read_text(encoding="utf-8"), args.file)
+    if args.d is not None:
         diagram = dataclasses.replace(diagram, d=args.d)
     d = diagram.d
+    # evaluate's accumulator: d**(peak width) rows, d**n_in columns
+    peak = max(accumulate(map(_gen_width_delta, diagram.flat()), initial=diagram.in_points)) // 2
+    _check_dims(d, peak + diagram.in_points // 2)
+    _check_block(d, peak)
     ring = make_phase_ring(d)
-    # evaluate's accumulator: d**(widest width) rows, d**n_in columns
-    widths = accumulate(map(_gen_width_delta, diagram.flat()), initial=diagram.in_points)
-    _check_dims(d, max(diagram.out_points, *widths) // 2 + diagram.in_points // 2)
     op = evaluate(ring, diagram)
     print(f"d={d}")
     print(f"in_points={diagram.in_points}")
@@ -78,9 +85,9 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        circ = dsl.parse_circuit(fh.read(), args.file)
+    circ = dsl.parse_circuit(Path(args.file).read_text(encoding="utf-8"), args.file)
     _check_dims(circ.d, circ.n)
+    _check_block(circ.d, circ.n)
     ring = make_phase_ring(circ.d)
     state, regs = dsl.run_circuit(ring, circ, seed=args.seed)
     print(f"d={circ.d}")
@@ -97,11 +104,9 @@ def _cmd_circuit(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    if not args.d:
-        raise SystemExit2("protocol run requires --d")
-    with open(args.file, encoding="utf-8") as fh:
-        script = dsl.parse_protocol(fh.read(), args.d, args.file)
+    script = dsl.parse_protocol(Path(args.file).read_text(encoding="utf-8"), args.d, args.file)
     _check_dims(args.d, script.n_sites)
+    _check_block(args.d, script.n_sites)
     ring = make_phase_ring(args.d)
     psi = None
     if script.input_sites:
@@ -119,12 +124,7 @@ def _cmd_protocol(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in verify.SUITES:
-            raise SystemExit2(
-                f"unknown suite {name!r}; choose from {', '.join(verify.SUITES)} or all"
-            )
-    tol = args.tol
+    tol = _default_tol() if args.tol is None else args.tol
     results = [verify.run_suite(nm, args.d, tol, n=args.n) for nm in names]
     ok = True
     print(f"d={args.d}")
@@ -138,67 +138,57 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--d", type=int, default=None, help="qudit degree")
-    shared.add_argument("--n", type=int, default=None, help="qudit count (suite dependent)")
-    shared.add_argument("--seed", type=int, default=0, help="random seed")
-    shared.add_argument("--tol", type=float, default=_default_tol(), help="tolerance")
-    shared.add_argument("--emit", choices=("matrix", "state", "report"), default="report")
-    shared.add_argument(
-        "--jobs", type=int, default=1, help="accepted and ignored; suites run one after another"
-    )
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so ``main`` reports them as every other refusal."""
 
-    p = argparse.ArgumentParser(prog="pappa", description=__doc__)
+    def error(self, message):
+        raise ValueError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = _Parser(prog="pappa", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    pd = sub.add_parser("diagram", parents=[shared], help="evaluate a .pd diagram file")
+    pd = sub.add_parser("diagram", help="evaluate a .pd diagram file")
     pd.add_argument("action", choices=("eval",))
     pd.add_argument("file")
+    pd.add_argument("--d", type=int, help="qudit degree (default: the file header's)")
+    pd.add_argument("--emit", choices=("matrix", "report"), default="report")
+    pd.set_defaults(run=_cmd_diagram)
 
-    pc = sub.add_parser("circuit", parents=[shared], help="run a .pc circuit file")
+    pc = sub.add_parser("circuit", help="run a .pc circuit file")
     pc.add_argument("action", choices=("run",))
     pc.add_argument("file")
+    pc.add_argument("--seed", type=int, default=0, help="random seed")
+    pc.add_argument("--emit", choices=("state", "report"), default="report")
+    pc.set_defaults(run=_cmd_circuit)
 
-    pp = sub.add_parser("protocol", parents=[shared], help="run a .pp protocol file")
+    pp = sub.add_parser("protocol", help="run a .pp protocol file")
     pp.add_argument("action", choices=("run",))
     pp.add_argument("file")
+    pp.add_argument("--d", type=int, required=True, help="qudit degree")
+    pp.add_argument("--seed", type=int, default=0, help="random seed")
+    pp.set_defaults(run=_cmd_protocol)
 
-    pv = sub.add_parser("verify", parents=[shared], help="run a verification suite")
-    pv.add_argument("suite")
+    pv = sub.add_parser("verify", help="run a verification suite")
+    pv.add_argument("suite", choices=(*verify.SUITES, "all"))
+    pv.add_argument("--d", type=int, default=2, help="qudit degree")
+    pv.add_argument("--n", type=int, help="qudit count (sft suite)")
+    pv.add_argument("--tol", type=float, help="tolerance (default: PAPPA_TOL or 1e-9)")
+    pv.add_argument(
+        "--jobs", type=int, default=1, help="accepted and ignored; suites run one after another"
+    )
+    pv.set_defaults(run=_cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if args.d is None and args.command == "verify":
-        args.d = 2
-    try:
-        if args.command == "diagram":
-            return _cmd_diagram(args)
-        if args.command == "circuit":
-            return _cmd_circuit(args)
-        if args.command == "protocol":
-            return _cmd_protocol(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-    except SystemExit2 as exc:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except (ValueError, dsl.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except dsl.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

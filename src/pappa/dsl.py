@@ -21,10 +21,10 @@ Protocol files: ``party A: q1 q3``, ``resource max2: q2 q4``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from . import protocols
-from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym
+from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, DiagScalar, Diagram, Sym
 from .gates import QState
 from .phases import PhaseRing
 
@@ -47,8 +47,39 @@ def _clean_lines(text: str):
 # diagrams
 # ---------------------------------------------------------------------------
 
-_GEN_RE = re.compile(r"^(cap|cup|b\+|b-|chg|sym)@(-?\d+)((?::-?\d+)*)$")
-_BOX_RE = re.compile(r"^box\s+(\w+)@(\d+):(\d+):(-?\d+)$")
+# One row per generator kind: token, class, the integer arguments written
+# after '@' (constructor order, after a box's name), and how many of them a
+# token must give.  A box token is ``box NAME@...``.
+_KINDS = (
+    ("cap", Cap, ("i",), 1),
+    ("cup", Cup, ("i",), 1),
+    ("b+", BraidPos, ("i",), 1),
+    ("b-", BraidNeg, ("i",), 1),
+    ("chg", Charge, ("i", "k", "tier"), 2),
+    ("sym", Sym, ("i", "m"), 2),
+    ("box", Box, ("i", "w", "c"), 3),
+)
+_BY_TOKEN = {kind[0]: kind for kind in _KINDS}
+_BY_CLASS = {kind[1]: kind for kind in _KINDS}
+_TOKEN_RE = re.compile(r"box\s+\S+|\S+")
+_PLAIN = "|".join(re.escape(kind[0]) for kind in _KINDS if kind[1] is not Box)
+_GEN_RE = re.compile(rf"^(?:({_PLAIN})|box\s+(\w+))@(-?\d+(?::-?\d+)*)$")
+
+
+def _parse_generator(token: str, line: str, path: str, lineno: int):
+    m = _GEN_RE.match(token)
+    if m:
+        kind, name, numbers = m.groups()
+        _, cls, args, required = _BY_TOKEN[kind or "box"]
+        ints = [int(a) for a in numbers.split(":")]
+        if required <= len(ints) <= len(args):
+            return cls(name, *ints) if name else cls(*ints)
+    if token.split()[0] == "box":
+        raise ParseError(path, lineno, f"bad box {line!r}")
+    if not m:
+        raise ParseError(path, lineno, f"bad generator {token!r}")
+    usage = ":".join(args[:required]) + "".join(f"[:{a}]" for a in args[required:])
+    raise ParseError(path, lineno, f"{kind} needs @{usage} in {token!r}")
 
 
 def parse_diagram(text: str, path: str = "<diagram>") -> Diagram:
@@ -60,44 +91,37 @@ def parse_diagram(text: str, path: str = "<diagram>") -> Diagram:
     if not m:
         raise ParseError(path, lineno, f"bad header {header!r}")
     d, in_points, out_points = (int(g) for g in m.groups())
-    layers = []
-    for lineno, line in lines[1:]:
-        layer = []
-        for token in re.split(r"\s+", line):
-            if token == "box":
-                bm = _BOX_RE.match(line[line.index("box") :])
-                if not bm:
-                    raise ParseError(path, lineno, f"bad box {line!r}")
-                layer.append(
-                    Box(bm.group(1), int(bm.group(2)), int(bm.group(3)), int(bm.group(4)))
-                )
-                break
-            gm = _GEN_RE.match(token)
-            if not gm:
-                raise ParseError(path, lineno, f"bad generator {token!r}")
-            kind, strand = gm.group(1), int(gm.group(2))
-            args = [int(a) for a in gm.group(3).split(":")[1:]] if gm.group(3) else []
-            if kind == "cap":
-                layer.append(Cap(strand))
-            elif kind == "cup":
-                layer.append(Cup(strand))
-            elif kind == "b+":
-                layer.append(BraidPos(strand))
-            elif kind == "b-":
-                layer.append(BraidNeg(strand))
-            elif kind == "chg":
-                if len(args) not in (1, 2):
-                    raise ParseError(path, lineno, f"chg needs @i:k[:tier] in {token!r}")
-                layer.append(Charge(strand, args[0], args[1] if len(args) > 1 else 0))
-            elif kind == "sym":
-                if len(args) != 1:
-                    raise ParseError(path, lineno, f"sym needs @i:m in {token!r}")
-                layer.append(Sym(strand, args[0]))
-        layers.append(tuple(layer))
+    layers = [
+        tuple([_parse_generator(tok, line, path, lineno) for tok in _TOKEN_RE.findall(line)])
+        for lineno, line in lines[1:]
+    ]
     try:
         return Diagram(d, in_points, out_points, tuple(layers))
     except ValueError as exc:
         raise ParseError(path, lines[-1][0], str(exc)) from exc
+
+
+def format_diagram(diagram: Diagram) -> str:
+    """Render a diagram back into the .pd text form.
+
+    Raises ValueError for what the form cannot hold: a diagram scalar other
+    than 1, or a daggered box.
+    """
+    if diagram.scalar != DiagScalar():
+        raise ValueError(f".pd cannot hold the diagram scalar {diagram.scalar}")
+    out = [f"diagram d={diagram.d} in={diagram.in_points} out={diagram.out_points}"]
+    for layer in diagram.layers:
+        toks = []
+        for gen in layer:
+            token, _, args, _ = _BY_CLASS[type(gen)]
+            values = astuple(gen)
+            if isinstance(gen, Box):
+                if gen.dagger:
+                    raise ValueError(f".pd cannot hold the daggered box {gen.name!r}")
+                token, values = f"box {gen.name}", values[1:]
+            toks.append(f"{token}@" + ":".join(map(str, values[: len(args)])))
+        out.append(" ".join(toks))
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +257,7 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
     input_sites: tuple[int, ...] = ()
     output_sites: tuple[int, ...] = ()
     owner: dict[int, str] = {}
-    step_lines: list[int] = []
+    lines: dict[tuple[str, int], int] = {}  # ProtocolScript.validate's error keys -> line numbers
 
     def party_of(site: int, lineno: int) -> str:
         if site not in owner:
@@ -241,8 +265,8 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
         return owner[site]
 
     def add(step: protocols.Step) -> None:
+        lines[("step", len(steps))] = lineno
         steps.append(step)
-        step_lines.append(lineno)
 
     for lineno, line in _clean_lines(text):
         m = re.match(r"^party\s+(\w+)\s*:\s*(.+)$", line)
@@ -257,15 +281,18 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
             sites = tuple(_q(tok, path, lineno) for tok in m.group(2).split())
             if len(sites) != int(m.group(1)):
                 raise ParseError(path, lineno, "resource arity does not match sites")
+            lines[("resource", len(resources))] = lineno
             resources.append(protocols.Resource(sites))
             continue
         m = re.match(r"^input\s*:\s*(.+)$", line)
         if m:
             input_sites = tuple(_q(tok, path, lineno) for tok in m.group(1).split())
+            lines[("input", 0)] = lineno
             continue
         m = re.match(r"^output\s*:\s*(.+)$", line)
         if m:
             output_sites = tuple(_q(tok, path, lineno) for tok in m.group(1).split())
+            lines[("output", 0)] = lineno
             continue
         m = re.match(r"^gate\s+(\S+)\s*@(q\d+)$", line)
         if m:
@@ -313,29 +340,5 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
     try:
         script.validate()
     except protocols.LocalityError as exc:
-        raise ParseError(path, step_lines[exc.step], str(exc)) from exc
+        raise ParseError(path, lines[exc.where], str(exc)) from exc
     return script
-
-
-def format_diagram(diagram: Diagram) -> str:
-    """Render a diagram back into the .pd text form."""
-    out = [f"diagram d={diagram.d} in={diagram.in_points} out={diagram.out_points}"]
-    for layer in diagram.layers:
-        toks = []
-        for gen in layer:
-            if isinstance(gen, Cap):
-                toks.append(f"cap@{gen.strand}")
-            elif isinstance(gen, Cup):
-                toks.append(f"cup@{gen.strand}")
-            elif isinstance(gen, BraidPos):
-                toks.append(f"b+@{gen.strand}")
-            elif isinstance(gen, BraidNeg):
-                toks.append(f"b-@{gen.strand}")
-            elif isinstance(gen, Charge):
-                toks.append(f"chg@{gen.strand}:{gen.k}:{gen.tier}")
-            elif isinstance(gen, Sym):
-                toks.append(f"sym@{gen.strand}:{gen.m}")
-            elif isinstance(gen, Box):
-                toks.append(f"box {gen.name}@{gen.first}:{gen.strands}:{gen.charge}")
-        out.append(" ".join(toks))
-    return "\n".join(out) + "\n"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import QState, _q_table, basis_index, digit_sums, digit_table
+from .gates import QState, _q_table, basis_index, digit_sums
 from .phases import PhaseRing
 
 _EIG_CUTOFF = 1e-12
@@ -49,7 +49,12 @@ def max_basis(ring: PhaseRing, ks) -> QState:
     if any(not 0 <= k < d for k in ks):
         raise ValueError("charges must lie in 0..d-1")
     ktot = sum(ks)
-    expo = digit_table(d, n) @ np.cumsum(ks, dtype=np.int64)
+    # sum_j digit_j * (k1 + ... + kj), built digit by digit as in ``digit_sums``
+    digits = np.arange(d, dtype=np.int64)
+    expo, prefix = np.zeros(1, dtype=np.int64), 0
+    for k in ks:
+        prefix += k
+        expo = (expo[:, None] + prefix * digits).reshape(-1)
     v = float(d) ** (-(n - 1) / 2) * _q_table(ring)[expo % d]
     v[(digit_sums(d, n) - ktot) % d != 0] = 0.0
     return QState(d, n, ring.zeta_pow(-ktot * ktot) * v)
@@ -91,8 +96,15 @@ class DensityMatrix:
 
     @classmethod
     def from_state(cls, state: QState) -> "DensityMatrix":
-        v = state.vector / np.linalg.norm(state.vector)
+        v = _normalized(state)
         return cls(state.d, state.n, np.outer(v, v.conj()))
+
+
+def _normalized(state: QState) -> np.ndarray:
+    norm = np.linalg.norm(state.vector)
+    if norm == 0:
+        raise ValueError("a zero state cannot be normalised")
+    return state.vector / norm
 
 
 def _keep_sites(keep, n: int) -> list[int]:
@@ -137,6 +149,6 @@ def entanglement_entropy(state: QState, cut) -> float:
     d, n = state.d, state.n
     keep = _keep_sites(cut, n)
     order = keep + [s for s in range(n) if s not in keep]
-    v = (state.vector / np.linalg.norm(state.vector)).reshape((d,) * n)
+    v = _normalized(state).reshape((d,) * n)
     m = v.transpose(order).reshape(d ** len(keep), -1)
     return _entropy_of(np.linalg.svd(m, compute_uv=False) ** 2)

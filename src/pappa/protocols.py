@@ -22,9 +22,13 @@ from .phases import DEFAULT_TOL, PhaseRing
 
 
 class LocalityError(ValueError):
-    """A step tried to act outside its party's sites or registers."""
+    """A step acts outside its party's sites or registers, or a site set is out of place.
 
-    step: int | None = None  # the index of that step, set by ProtocolScript.validate
+    ``where`` names the offender as ("step", i), ("resource", i), ("input", 0)
+    or ("output", 0); ``ProtocolScript.validate`` sets it.
+    """
+
+    where: tuple[str, int] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +121,34 @@ class ProtocolScript:
                 owned[s] = name
         if set(owned) != set(range(self.n_sites)):
             raise ValueError("party sites must partition the register")
+        shared: set[int] = set()  # resource and input sites, which must not overlap
         known: dict[str, set[str]] = {p: set() for p in self.parties}
-        for i, step in enumerate(self.steps):
-            try:
+        where = None
+        try:
+            for i, res in enumerate(self.resources):
+                where = ("resource", i)
+                self._check_site_set("resource", res.sites, shared)
+            where = ("input", 0)
+            self._check_site_set("input", self.input_sites, shared)
+            where = ("output", 0)
+            self._check_site_set("output", self.output_sites, set())
+            for i, step in enumerate(self.steps):
+                where = ("step", i)
                 self._check_step(step, known)
-            except LocalityError as exc:
-                exc.step = i
-                raise
+        except LocalityError as exc:
+            exc.where = where
+            raise
+
+    def _check_site_set(self, label: str, sites: tuple[int, ...], taken: set[int]) -> None:
+        """``sites`` lie in the register, are distinct, and miss ``taken``, which they join."""
+        for i, s in enumerate(sites):
+            if not 0 <= s < self.n_sites:
+                raise LocalityError(f"{label} site {s} outside 0..{self.n_sites - 1}")
+            if s in sites[:i]:
+                raise LocalityError(f"{label} names site {s} twice")
+            if s in taken:
+                raise LocalityError(f"{label} site {s} already holds a resource or the input")
+        taken.update(sites)
 
     def _check_step(self, step: Step, known: dict[str, set[str]]) -> None:
         if isinstance(step, GateStep):

@@ -216,14 +216,16 @@ def suite_clifford(d: int, tol: float = 1e-9) -> SuiteResult:
     r3 = cliffordmod.verify_braid_gaussian_dressing(ring)
     res.add("braid_gaussian_dressing", r3.residual)
     res.note("braid_dressing_variant", f"{r3.alternate_residual:.6e}")
-    res.note("sft_is_clifford_n1", cliffordmod.is_clifford(ring, gates.sft_matrix(ring, 1)))
-    res.note("sft_is_clifford_n2", cliffordmod.is_clifford(ring, gates.sft_matrix(ring, 2)))
-    if not cliffordmod.is_clifford(ring, gates.sft_matrix(ring, 2)):
+    sft1 = gates.sft_matrix(ring, 1)
+    res.note("sft_is_clifford_n1", cliffordmod.is_clifford(ring, sft1))
+    sft2_clifford = cliffordmod.is_clifford(ring, gates.sft_matrix(ring, 2))
+    res.note("sft_is_clifford_n2", sft2_clifford)
+    if not sft2_clifford:
         res.add("sft_clifford_flag", 1.0)
     if d == 2:
-        t_gate = np.diag([1.0, np.exp(1j * np.pi / 4)])
-        res.note("pi8_is_clifford", cliffordmod.is_clifford(ring, t_gate))
-        if cliffordmod.is_clifford(ring, t_gate):
+        pi8_clifford = cliffordmod.is_clifford(ring, np.diag([1.0, np.exp(1j * np.pi / 4)]))
+        res.note("pi8_is_clifford", pi8_clifford)
+        if pi8_clifford:
             res.add("pi8_flag", 1.0)
     # single-qudit group report: BFS closure of {X,Y,Z,F,G} modulo phase
     gens = {name: gates.gate_power(ring, name, 1) for name in "XYZFG"}
@@ -232,7 +234,7 @@ def suite_clifford(d: int, tol: float = 1e-9) -> SuiteResult:
         1,
         gens,
         cap=50_000,
-        probes={"sft": gates.sft_matrix(ring, 1), "fourier": gates.fourier_gate(ring)},
+        probes={"sft": sft1, "fourier": gates.fourier_gate(ring)},
     )
     res.note("group_n1_order", group.order)
     res.note("group_n1_generators", group.generator_count)

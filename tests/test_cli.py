@@ -263,3 +263,166 @@ def test_boundary_within_bound_evaluates(tmp_path):
     code, out = run_cli(["diagram", "eval", _braid_pd(tmp_path, 4)])
     assert code == 0
     assert out.startswith("d=2\nin_points=4\nout_points=4\n") and out.endswith("PASS\n")
+
+
+# ---------------------------------------------------------------------------
+# one refusal path: exit 2, nothing on stdout, one stderr line
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def corpus(tmp_path, loop_pd, teleport_pp):
+    bell = tmp_path / "bell.pc"
+    bell.write_text("circuit d=2 n=2\nsft\nmeasure@1 -> m1\n")
+    binary = tmp_path / "binary.pd"
+    binary.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff")
+    files = {
+        "pd": loop_pd,
+        "pc": str(bell),
+        "pp": teleport_pp,
+        "dir": str(tmp_path),
+        "missing": str(tmp_path / "missing.pd"),
+        "binary": str(binary),
+    }
+    for name, text in {
+        "parse": "diagram d=2 in=0 out=0\nzap@0\n",
+        "surplus": "diagram d=2 in=2 out=2\nb+@0:7:9\n",
+        "state": "circuit d=2 n=25\n",
+        "block": "circuit d=1048576 n=1\ngate F@1\n",
+    }.items():
+        (tmp_path / name).write_text(text)
+        files[name] = str(tmp_path / name)
+    return files
+
+
+DROPPED_FLAGS = [
+    ("diagram eval {pd}", "--n 2"),
+    ("diagram eval {pd}", "--seed 1"),
+    ("diagram eval {pd}", "--tol 1e-3"),
+    ("diagram eval {pd}", "--jobs 2"),
+    ("circuit run {pc}", "--d 5"),
+    ("circuit run {pc}", "--n 2"),
+    ("circuit run {pc}", "--tol 1e-3"),
+    ("circuit run {pc}", "--jobs 2"),
+    ("protocol run {pp} --d 2", "--n 2"),
+    ("protocol run {pp} --d 2", "--tol 1e-3"),
+    ("protocol run {pp} --d 2", "--emit report"),
+    ("protocol run {pp} --d 2", "--jobs 2"),
+    ("verify sft", "--seed 1"),
+    ("verify sft", "--emit report"),
+]
+
+REFUSALS = [
+    "verify sft --frobnicate",
+    "diagram eval {missing}",
+    "diagram eval {dir}",
+    "diagram eval {binary}",
+    "diagram eval {parse}",
+    "diagram eval {surplus}",
+    "circuit run {state}",
+    "circuit run {block}",
+    "verify nonsense",
+    "protocol run {pp}",
+    "diagram eval {pd} --emit state",
+    "circuit run {pc} --emit matrix",
+    "verify sft --d x",
+    "diagram",
+    "",
+]
+
+
+def _refused(argv, capsys):
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2, argv
+    assert out == "", argv
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
+def test_flag_a_command_does_not_read_exit_code_2(corpus, capsys, command, flag):
+    err = _refused((command.format(**corpus) + " " + flag).split(), capsys)
+    assert err == f"error: unrecognized arguments: {flag}\n"
+
+
+@pytest.mark.parametrize("command", REFUSALS)
+def test_refusal_is_one_error_line_exit_code_2(corpus, capsys, command):
+    _refused(command.format(**corpus).split(), capsys)
+
+
+def test_refusal_messages(corpus, capsys):
+    assert _refused(["diagram", "eval", corpus["dir"]], capsys).startswith("error: [Errno")
+    assert _refused(["diagram", "eval", corpus["surplus"]], capsys) == (
+        f"error: {corpus['surplus']}:2: b+ needs @i in 'b+@0:7:9'\n"
+    )
+    assert _refused(["protocol", "run", corpus["pp"]], capsys) == (
+        "error: the following arguments are required: --d\n"
+    )
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "usage: pappa verify" in capsys.readouterr().out
+
+
+def test_bad_pappa_tol_refuses_only_verify(monkeypatch, capsys, loop_pd):
+    monkeypatch.setenv("PAPPA_TOL", "tight")
+    assert _refused(["verify", "relations"], capsys).startswith("error: could not convert")
+    code, out = run_cli(["diagram", "eval", loop_pd])
+    assert code == 0 and out.endswith("PASS\n")
+    code, out = run_cli(["verify", "relations", "--tol", "1e-3"])
+    assert code == 0 and "tol=1.000e-03\n" in out
+
+
+def test_verify_d_defaults_to_2():
+    code, out = run_cli(["verify", "relations"])
+    assert code == 0 and out.startswith("d=2\n")
+
+
+# ---------------------------------------------------------------------------
+# block bound: d**(2 min(w, 2)) entries, w the qudit count or peak width
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def small_bound(monkeypatch):
+    from pappa import cli
+
+    monkeypatch.setattr(cli, "MAX_ENTRIES", 64)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("f.pc", "circuit d=64 n=1\ngate F@1\n"),
+        ("ctrl.pc", "circuit d=8 n=2\nctrl X c=1 t=2\n"),
+        ("sft.pc", "circuit d=4 n=3\nsft\n"),
+        # a two-qudit interior with an empty boundary: a d**4 braid block
+        ("odd.pd", "diagram d=4 in=0 out=0\ncap@0 cap@2\nb+@1\ncup@2 cup@0\n"),
+    ],
+)
+def test_block_overflow_exit_code_2(tmp_path, capsys, small_bound, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    command = "diagram eval" if name.endswith(".pd") else "circuit run"
+    err = _refused([*command.split(), str(path)], capsys)
+    assert err.startswith("error: block overflow")
+
+
+def test_protocol_block_overflow_exit_code_2(capsys, small_bound, teleport_pp):
+    # d=4, three sites: 64 state entries fit, a 256-entry two-qudit block does not
+    assert _refused(["protocol", "run", teleport_pp, "--d", "4"], capsys).startswith(
+        "error: block overflow"
+    )
+
+
+def test_one_qudit_interior_within_block_bound(tmp_path, small_bound):
+    pd = tmp_path / "one.pd"
+    pd.write_text("diagram d=8 in=2 out=2\nchg@0:1\nb+@0\n")
+    code, out = run_cli(["diagram", "eval", str(pd)])
+    assert code == 0 and out.endswith("PASS\n")

@@ -6,13 +6,27 @@ import numpy as np
 import pytest
 
 from pappa import dsl, gates, protocols
-from pappa.diagrams import BraidNeg, BraidPos, Cap, Charge, Cup, Sym
+from hypothesis import given, settings
+
+from pappa.diagrams import (
+    Box,
+    BraidNeg,
+    BraidPos,
+    Cap,
+    Charge,
+    Cup,
+    Diagram,
+    DiagScalar,
+    Sym,
+    adjoint,
+)
 from pappa.dsl import ParseError, parse_circuit, parse_diagram, parse_protocol, run_circuit
 from pappa.evaluator import evaluate
 from pappa.gates import QState
 from pappa.phases import make_phase_ring
 
 from gatespec import GateSpec, apply_gate_spec
+from test_eval_kernels import diagrams
 
 LOOP_PD = """\
 # a neutral loop
@@ -72,9 +86,49 @@ def test_parse_diagram_errors_carry_line_numbers():
 
 def test_parse_box():
     dia = parse_diagram("diagram d=2 in=2 out=2\nbox T@0:2:1\n", "box.pd")
-    from pappa.diagrams import Box
-
     assert dia.flat() == [Box("T", 0, 2, 1)]
+
+
+def test_box_round_trips_beside_other_generators():
+    dia = parse_diagram("diagram d=2 in=4 out=4\nb+@0 box T@2:2:1 chg@1:1\n", "box.pd")
+    assert dia.flat() == [BraidPos(0), Box("T", 2, 2, 1), Charge(1, 1)]
+    assert parse_diagram(dsl.format_diagram(dia), "again.pd") == dia
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("b+@0:7:9", "b+ needs @i in 'b+@0:7:9'"),
+        ("cap@0:1", "cap needs @i in 'cap@0:1'"),
+        ("chg@0:1:0:2", "chg needs @i:k[:tier] in 'chg@0:1:0:2'"),
+        ("chg@0", "chg needs @i:k[:tier] in 'chg@0'"),
+        ("sym@1", "sym needs @i:m in 'sym@1'"),
+        ("sym@1:1:1", "sym needs @i:m in 'sym@1:1:1'"),
+        ("zap@0", "bad generator 'zap@0'"),
+        ("box T@0:2", "bad box 'box T@0:2'"),
+        ("box T@0:2:1:5", "bad box 'box T@0:2:1:5'"),
+    ],
+)
+def test_generator_arity_errors_carry_path_and_line(token, message):
+    with pytest.raises(ParseError) as err:
+        parse_diagram(f"diagram d=2 in=4 out=4\n\n{token}\n", "bad.pd")
+    assert str(err.value) == f"bad.pd:3: {message}"
+
+
+def test_format_refuses_what_pd_cannot_hold():
+    boxed = Diagram.identity(2, 2).then(Box("U", 0, 2, 1))
+    with pytest.raises(ValueError, match="daggered box 'U'"):
+        dsl.format_diagram(adjoint(boxed))
+    with pytest.raises(ValueError, match="scalar"):
+        dsl.format_diagram(boxed.with_scalar(DiagScalar(omega_half=1)))
+    with pytest.raises(ValueError, match="scalar"):
+        dsl.format_diagram(Diagram.zero(2, 2, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(diagrams(boxes=False))
+def test_parse_of_format_is_identity(dia):
+    assert parse_diagram(dsl.format_diagram(dia), "again.pd") == dia
 
 
 TELEPORT_PC = """\
@@ -239,3 +293,31 @@ def test_protocol_parse_errors():
         parse_protocol("party a: q1 q3\n", 2, "p.pp")  # gap at q2
     with pytest.raises(ParseError):
         parse_protocol("party a: q1\nresource max2: q1\n", 2, "p.pp")
+
+
+PP_PARTIES = "party alice: q1 q2\nparty bob: q3 q4\n"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("resource max2: q1 q1", "3: resource names site 0 twice"),
+        ("resource max2: q1 q3\nresource max2: q3 q4", "4: resource site 2 already holds"),
+        ("resource max2: q1 q5", "3: resource site 4 outside 0..3"),
+        ("input: q7", "3: input site 6 outside 0..3"),
+        ("input: q2 q2", "3: input names site 1 twice"),
+        ("resource max2: q1 q3\ninput: q3", "4: input site 2 already holds"),
+        ("output: q9", "3: output site 8 outside 0..3"),
+        ("output: q4 q4", "3: output names site 3 twice"),
+    ],
+)
+def test_protocol_site_sets_are_checked_with_line_numbers(lines, message):
+    with pytest.raises(ParseError) as err:
+        parse_protocol(PP_PARTIES + lines + "\n", 2, "p.pp")
+    assert str(err.value).startswith(f"p.pp:{message}")
+
+
+def test_protocol_output_may_reuse_resource_and_input_sites():
+    text = PP_PARTIES + "input: q1\nresource max2: q2 q3\noutput: q1 q3\n"
+    script = parse_protocol(text, 2, "p.pp")
+    assert script.output_sites == (0, 2)

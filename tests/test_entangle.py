@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,3 +342,27 @@ def test_entanglement_entropy_at_twenty_qubits(monkeypatch):
         assert time.perf_counter() - start < 1.0, cut
         k = 1 if isinstance(cut, int) else len(cut)
         assert 0.0 < value <= k * math.log(2) + 1e-12
+
+
+def test_max_basis_keeps_no_digit_table_cached():
+    """At d=2, n=16 the state is 1 MiB; a cached digit table would be 8 MiB more."""
+    from pappa import gates
+
+    gates.digit_table.cache_clear()
+    tracemalloc.start()
+    try:
+        vector = max_basis(RINGS[2], (1, 0) * 8).vector
+        assert vector.nbytes == 2**20
+        del vector
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**21
+
+
+def test_zero_state_has_no_entropy_or_density_matrix():
+    zero = QState(2, 2, np.zeros(4, dtype=complex))
+    with pytest.raises(ValueError, match="zero state"):
+        entanglement_entropy(zero, 0)
+    with pytest.raises(ValueError, match="zero state"):
+        DensityMatrix.from_state(zero)

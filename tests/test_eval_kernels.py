@@ -127,8 +127,8 @@ BOXES = {d: {"A": _unitary(d, 1, d), "B": _unitary(d, 2, d + 1)} for d in (2, 3,
 
 
 @st.composite
-def diagrams(draw):
-    """A diagram at d in {2, 3, 5} of every generator kind, boxes included."""
+def diagrams(draw, boxes=True):
+    """A diagram at d in {2, 3, 5} of every generator kind; boxes too unless ``boxes`` is false."""
     d = draw(st.sampled_from([2, 3, 5]))
     pick = lambda lo, hi: draw(st.integers(lo, hi))  # noqa: E731
     widest = 6 if d == 5 else 8
@@ -138,6 +138,8 @@ def diagrams(draw):
         kinds = (["cap"] if w < widest else []) + (["cup", "charge", "braid", "box"] if w else [])
         kinds += ["sym", "straddle"] if w >= 4 else []
         kinds += ["wide"] if w >= 6 else []
+        if not boxes:
+            kinds = [k for k in kinds if k not in ("box", "straddle", "wide")]
         kind = draw(st.sampled_from(kinds))
         if kind == "cap":
             gen = Cap(pick(0, w))

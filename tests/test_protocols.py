@@ -341,6 +341,32 @@ def test_validate_rejects_overlapping_parties():
         ).validate()
 
 
+@pytest.mark.parametrize(
+    "resources, input_sites, output_sites, where",
+    [
+        ([(0, 0)], (), (), ("resource", 0)),
+        ([(0, 1), (1, 2)], (), (), ("resource", 1)),
+        ([(0, 3)], (), (), ("resource", 0)),
+        ([(0, 1)], (1,), (), ("input", 0)),
+        ([], (-1,), (), ("input", 0)),
+        ([], (), (2, 2), ("output", 0)),
+    ],
+)
+def test_validate_checks_site_sets(resources, input_sites, output_sites, where):
+    script = ProtocolScript(
+        d=2,
+        n_sites=3,
+        parties={"a": (0, 1, 2)},
+        resources=[Resource(sites) for sites in resources],
+        steps=[],
+        input_sites=input_sites,
+        output_sites=output_sites,
+    )
+    with pytest.raises(LocalityError) as err:
+        script.validate()
+    assert err.value.where == where
+
+
 def test_phase_space_full_forms_match_simplified():
     """The dressed long forms equal the simplified ones up to relabeling.
 
