@@ -11,7 +11,10 @@ Reports are plain ``key=value`` lines with a final ``PASS`` or ``FAIL``;
 identical flags, seed and files yield a byte-identical report.  Exit
 codes: 0 success, 1 verification failure, 2 parse/usage error, reported
 as one ``error: ...`` line on stderr.  ``verify --d`` defaults to 2 and
-``--jobs`` is accepted and ignored.  The environment variable
+``--jobs`` is accepted and ignored.  ``verify --n`` (default 3, at least
+1) is read by the ``sft`` suite only, so it is refused unless ``sft`` runs
+(alone or through ``all``), and ``sft`` is refused when its largest SFT
+matrix, d**(2 max(n, 3)) entries, exceeds ``MAX_ENTRIES``.  The environment variable
 ``PAPPA_TOL`` overrides the default tolerance.
 """
 
@@ -124,6 +127,13 @@ def _cmd_protocol(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    if args.n is not None and "sft" not in names:
+        raise ValueError(f"--n is read by the sft suite only, not by {args.suite}")
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if "sft" in names:
+        # suite_sft builds the SFT matrix on max(n, 3) qudits: d**(2n) entries
+        _check_dims(args.d, 2 * max(3 if args.n is None else args.n, 3))
     tol = _default_tol() if args.tol is None else args.tol
     results = [verify.run_suite(nm, args.d, tol, n=args.n) for nm in names]
     ok = True

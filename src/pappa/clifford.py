@@ -13,7 +13,6 @@ variant visible pins the phase conventions against regressions.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,9 @@ from .gates import (
 from .phases import PhaseRing
 
 _HASH_GRID = 1e-6
+# matrix entries multiplied in one batch of the BFS: about ten arrays of this
+# many entries are alive at once, so a batch stays well under the L2 cache
+_BATCH_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,34 @@ class GroupReport:
     generator_count: int
 
 
+def _canonical_batch(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, int]:
+    """``PhaselessUnitary.of`` on each matrix of a (k, D, D) stack, bit for bit.
+
+    Also returns the index of the first matrix with no entry above ``tol``
+    (k when there is none); that matrix and the ones after it are not
+    canonical.
+    """
+    rows = np.arange(len(m))
+    flat = m.transpose(0, 2, 1).reshape(len(m), m.shape[1] * m.shape[2])  # column-major
+    live = np.abs(flat) > tol
+    idx = live.argmax(axis=1)
+    dead = np.flatnonzero(~live[rows, idx])
+    pivot = flat[rows, idx]
+    # np.hypot is the scalar abs() that `of` calls; the array np.abs can differ in the last bit
+    mag = np.hypot(pivot.real, pivot.imag)
+    mag[dead] = 1.0
+    return m * (pivot.conj() / mag)[:, None, None], int(dead[0]) if len(dead) else len(m)
+
+
+def _keys_batch(m: np.ndarray) -> list[bytes]:
+    """``PhaselessUnitary.key`` of each matrix of a (k, D, D) stack."""
+    flat = m.reshape(len(m), m.shape[1] * m.shape[2])
+    re = np.round(flat.real / _HASH_GRID).astype(np.int64)
+    im = np.round(flat.imag / _HASH_GRID).astype(np.int64)
+    rows = np.concatenate([re, im], axis=1)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
 def generate_group(
     ring: PhaseRing,
     n: int,
@@ -161,38 +191,52 @@ def generate_group(
     """Breadth-first closure of the generators modulo global phase.
 
     Reports the group order (or that the cap was hit) and membership
-    flags for each probe matrix.  Orders are never asserted from memory;
-    tests compare two runs with permuted generator order.
+    flags for each probe matrix.  The closure expands one BFS level per
+    batched product: every ``gen @ cur`` of the level is formed at once,
+    put in ``PhaselessUnitary.of`` form and keyed as by
+    ``PhaselessUnitary.key``, and the first unseen occurrence of each key
+    joins the next level in (cur, gen) order.  Discovery order, the stop
+    at exactly ``cap`` elements and the probe flags are those of a FIFO
+    BFS that multiplies one product at a time.  Orders are never asserted
+    from memory; tests compare against such a sequential BFS and against
+    counted symplectic groups.
     """
     if ring.d**n > 81:
         raise ValueError("group generation is desk-scale only (d**n <= 81)")
-    gens = list(generators.values())
-    probes = probes or {}
     dim = ring.d**n
+    gens = np.asarray(list(generators.values()), dtype=complex).reshape(-1, dim, dim)
     start = PhaselessUnitary.of(np.eye(dim, dtype=complex))
     seen = {start.key()}
-    frontier = deque([start.matrix])
-    found = {name: False for name in probes}
-    probe_canon = {name: PhaselessUnitary.of(m) for name, m in probes.items()}
+    probe_canon = {name: PhaselessUnitary.of(m).matrix for name, m in (probes or {}).items()}
+    found = dict.fromkeys(probe_canon, False)
     count = 1
     cap_hit = False
-    while frontier:
-        cur = frontier.popleft()
-        for gen in gens:
-            nxt = PhaselessUnitary.of(gen @ cur)
-            key = nxt.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            count += 1
+    # frontier elements per batch, so one batch holds about _BATCH_ENTRIES entries
+    chunk = max(1, _BATCH_ENTRIES // (max(len(gens), 1) * dim * dim))
+    frontier = start.matrix[None]
+    while len(frontier) and not cap_hit:
+        level = []
+        for lo in range(0, len(frontier), chunk):
+            batch = (gens[None] @ frontier[lo : lo + chunk, None]).reshape(-1, dim, dim)
+            batch, zero_at = _canonical_batch(batch)
+            keys = _keys_batch(batch[:zero_at])
+            # the first index of each key: zip reversed, so the earliest write wins
+            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            fresh = sorted(i for key, i in first.items() if key not in seen)
+            fresh = fresh[: max(cap - count, 1)]  # the element that reaches cap is kept
+            seen.update(keys[i] for i in fresh)
+            count += len(fresh)
+            cap_hit = bool(fresh) and count >= cap
+            if not cap_hit and zero_at < len(batch):
+                raise ValueError("zero matrix cannot be canonicalized")
+            new = batch[fresh]
             for name, canon in probe_canon.items():
-                if not found[name] and canon.close_to(nxt.matrix):
-                    found[name] = True
-            if count >= cap:
-                cap_hit = True
-                frontier.clear()
+                if not found[name]:
+                    found[name] = bool((np.abs(new - canon).max(axis=(1, 2)) < 1e-8).any())
+            level.append(new)
+            if cap_hit:
                 break
-            frontier.append(nxt.matrix)
+        frontier = np.concatenate(level)
     return GroupReport(
         order=count,
         cap_hit=cap_hit,

@@ -271,10 +271,15 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
     for lineno, line in _clean_lines(text):
         m = re.match(r"^party\s+(\w+)\s*:\s*(.+)$", line)
         if m:
+            name = m.group(1)
+            if name in parties:
+                raise ParseError(path, lineno, f"party {name} declared twice")
             sites = tuple(_q(tok, path, lineno) for tok in m.group(2).split())
-            parties[m.group(1)] = sites
             for s in sites:
-                owner[s] = m.group(1)
+                if s in owner:
+                    raise ParseError(path, lineno, f"site q{s + 1} already owned by {owner[s]}")
+                owner[s] = name
+            parties[name] = sites
             continue
         m = re.match(r"^resource\s+max(\d+)\s*:\s*(.+)$", line)
         if m:

@@ -315,7 +315,7 @@ def run_suite(name: str, d: int, tol: float, n: int | None = None) -> SuiteResul
     if name not in SUITES:
         raise KeyError(name)
     if name == "sft":
-        return suite_sft(d, n_max=n or 3, tol=tol)
+        return suite_sft(d, n_max=3 if n is None else n, tol=tol)
     if name == "entropy":
         return suite_entropy(d, tol=max(tol, 1e-8))
     return SUITES[name](d, tol=tol)

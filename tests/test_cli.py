@@ -384,6 +384,19 @@ def test_verify_d_defaults_to_2():
     assert code == 0 and out.startswith("d=2\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify sft --n 0", "--n must be at least 1, got 0"),
+        ("verify all --n -2", "--n must be at least 1, got -2"),
+        ("verify relations --n 7", "--n is read by the sft suite only, not by relations"),
+        ("verify clifford --d 3 --n 2", "--n is read by the sft suite only, not by clifford"),
+    ],
+)
+def test_verify_n_refusals(capsys, argv, message):
+    assert _refused(argv.split(), capsys) == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # block bound: d**(2 min(w, 2)) entries, w the qudit count or peak width
 # ---------------------------------------------------------------------------
@@ -419,6 +432,24 @@ def test_protocol_block_overflow_exit_code_2(capsys, small_bound, teleport_pp):
     assert _refused(["protocol", "run", teleport_pp, "--d", "4"], capsys).startswith(
         "error: block overflow"
     )
+
+
+@pytest.mark.parametrize("suite", ["sft", "all"])
+def test_verify_sft_size_overflow_exit_code_2(capsys, small_bound, suite):
+    # the SFT on 4 qubits has 2**8 entries, over the bound of 64
+    err = _refused(["verify", suite, "--d", "2", "--n", "4"], capsys)
+    assert err == "error: dimension overflow: d**n = 2**8 exceeds 64 entries\n"
+
+
+def test_verify_size_bound_counts_the_three_qudit_sft(capsys, small_bound):
+    # suite_sft always builds the 3-qudit SFT: 2**6 = 64 entries fit, 3**6 do not
+    code, out = run_cli(["verify", "sft", "--d", "2", "--n", "2"])
+    assert code == 0 and out.endswith("PASS\n")
+    assert _refused(["verify", "sft", "--d", "3"], capsys) == (
+        "error: dimension overflow: d**n = 3**6 exceeds 64 entries\n"
+    )
+    code, out = run_cli(["verify", "relations", "--d", "3"])
+    assert code == 0 and out.endswith("PASS\n")
 
 
 def test_one_qudit_interior_within_block_bound(tmp_path, small_bound):

@@ -1,10 +1,13 @@
 """Clifford identities, group generation by BFS, and membership testing."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
-from pappa import gates
+from pappa import clifford, gates
 from pappa.clifford import (
+    GroupReport,
     PhaselessUnitary,
     _pauli_word_match,
     generate_group,
@@ -151,6 +154,159 @@ def test_cz_in_two_qudit_closure_d2():
     )
     assert rep.membership["cz"]
     assert rep.membership["cnot"]
+
+
+def generate_group_loop(ring, n, generators, cap=200_000, probes=None, trail=None):
+    """The FIFO BFS ``generate_group`` batched by level, one product at a time: its oracle.
+
+    A ``trail`` list receives every element in discovery order, the identity first.
+    """
+    if ring.d**n > 81:
+        raise ValueError("group generation is desk-scale only (d**n <= 81)")
+    gens = list(generators.values())
+    probes = probes or {}
+    dim = ring.d**n
+    start = PhaselessUnitary.of(np.eye(dim, dtype=complex))
+    seen = {start.key()}
+    frontier = deque([start.matrix])
+    found = {name: False for name in probes}
+    probe_canon = {name: PhaselessUnitary.of(m) for name, m in probes.items()}
+    count = 1
+    cap_hit = False
+    if trail is not None:
+        trail.append(start.matrix)
+    while frontier:
+        cur = frontier.popleft()
+        for gen in gens:
+            nxt = PhaselessUnitary.of(gen @ cur)
+            key = nxt.key()
+            if key in seen:
+                continue
+            seen.add(key)
+            count += 1
+            if trail is not None:
+                trail.append(nxt.matrix)
+            for name, canon in probe_canon.items():
+                if not found[name] and canon.close_to(nxt.matrix):
+                    found[name] = True
+            if count >= cap:
+                cap_hit = True
+                frontier.clear()
+                break
+            frontier.append(nxt.matrix)
+    return GroupReport(
+        order=count, cap_hit=cap_hit, membership=found, generator_count=len(gens)
+    )
+
+
+def _probes(ring, n):
+    """Members (SFT, F, and C_Z on two qudits) and non-members (pi/8 at d=2, a random unitary)."""
+    dim = ring.d**n
+    out = {
+        "sft": sft_matrix(ring, n),
+        "fourier": Local((0,), fourier_gate(ring)).to_matrix(ring.d, n),
+        "random": gates._random_unitary(dim, np.random.default_rng(dim)),
+    }
+    if n == 2:
+        out["cz"] = cz_gate(ring, 2)
+    if ring.d == 2:
+        out["pi8"] = Local((0,), np.diag([1.0, np.exp(1j * np.pi / 4)])).to_matrix(2, n)
+    return out
+
+
+def _assert_matches_loop_at(ring, n, gens, probes, cap, trail):
+    """Compare at ``cap``, probing also the elements found just before and after the cut.
+
+    The report shows the discovery order only through the probes; the
+    elements straddling the cut pin it where ``cap`` truncates a level.
+    """
+    near = range(max(cap - 3, 1), min(cap + 3, len(trail)))
+    cut = {**probes, **{f"#{i}": trail[i] for i in near}}
+    want = generate_group_loop(ring, n, gens, cap=cap, probes=cut)
+    assert generate_group(ring, n, gens, cap=cap, probes=cut) == want, cap
+    assert [want.membership[f"#{i}"] for i in near] == [i < want.order for i in near]
+    return want
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("permute", [False, True])
+def test_generate_group_matches_loop_oracle(d, permute):
+    ring = make_phase_ring(d)
+    gens = _single_qudit_generators(ring, 1)
+    if permute:
+        names = list(gens)
+        np.random.default_rng(d).shuffle(names)
+        gens = {name: gens[name] for name in names}
+    probes = _probes(ring, 1)
+    trail = []
+    full = generate_group_loop(ring, 1, gens, probes=probes, trail=trail)
+    assert generate_group(ring, 1, gens, probes=probes) == full
+    assert not full.cap_hit and full.order == len(trail)
+    assert full.membership["sft"] and full.membership["fourier"] and not full.membership["random"]
+    for cap in (1, 2, 7, 100, full.order - 1, full.order):
+        want = _assert_matches_loop_at(ring, 1, gens, probes, cap, trail)
+        assert want.cap_hit is (cap <= full.order)
+        assert want.order == min(max(cap, 2), full.order)
+
+
+@pytest.mark.parametrize("batch_entries", [None, 11 * 16 * 7])
+def test_generate_group_matches_loop_oracle_two_qubits(monkeypatch, batch_entries):
+    """The second case splits each level into batches of 7 frontier elements."""
+    if batch_entries:
+        monkeypatch.setattr(clifford, "_BATCH_ENTRIES", batch_entries)
+    ring = RINGS[2]
+    gens = _single_qudit_generators(ring, 2)
+    gens["sft"] = sft_matrix(ring, 2)
+    trail = []
+    generate_group_loop(ring, 2, gens, cap=2003, trail=trail)
+    want = _assert_matches_loop_at(ring, 2, gens, _probes(ring, 2), 2000, trail)
+    assert want.cap_hit and want.order == 2000
+
+
+def test_generate_group_edge_cases_match_loop_oracle():
+    """No generators, the identity alone, and a zero generator met before or after the cap."""
+    ring = RINGS[2]
+    x = pauli_gate(ring, "X")
+    for gens in ({}, {"one": np.eye(2)}, {"x": x}):
+        for cap in (0, 1, 2, 3):
+            assert generate_group(ring, 1, gens, cap=cap) == generate_group_loop(
+                ring, 1, gens, cap=cap
+            )
+    gens = {"x": x, "zero": np.zeros((2, 2))}
+    assert generate_group(ring, 1, gens, cap=2) == generate_group_loop(ring, 1, gens, cap=2)
+    for grow in (generate_group, generate_group_loop):
+        with pytest.raises(ValueError, match="zero matrix"):
+            grow(ring, 1, gens, cap=3)
+
+
+def _sl2_order(d):
+    """|SL(2, Z_d)|, counted over all 2x2 matrices mod d."""
+    a, b, c, e = np.meshgrid(*[np.arange(d)] * 4, indexing="ij")
+    return int(((a * e - b * c) % d == 1).sum())
+
+
+def _sp4_z2_order():
+    """|Sp(4, Z_2)|, counted over all 2**16 binary 4x4 matrices."""
+    m = (np.arange(2**16)[:, None] >> np.arange(16) & 1).reshape(-1, 4, 4)
+    j = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2, dtype=int))
+    form = m.transpose(0, 2, 1) @ j @ m % 2
+    return int((form == j).all(axis=(1, 2)).sum())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_single_qudit_clifford_order_is_d2_times_sl2(d):
+    rep = generate_group(make_phase_ring(d), 1, _single_qudit_generators(make_phase_ring(d), 1))
+    assert not rep.cap_hit
+    assert rep.order == d * d * _sl2_order(d)
+
+
+def test_two_qubit_clifford_order_is_16_times_sp4():
+    ring = RINGS[2]
+    gens = _single_qudit_generators(ring, 2)
+    gens["sft"] = sft_matrix(ring, 2)
+    rep = generate_group(ring, 2, gens, cap=30_000)
+    assert not rep.cap_hit
+    assert rep.order == 16 * _sp4_z2_order()
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -309,6 +309,9 @@ PP_PARTIES = "party alice: q1 q2\nparty bob: q3 q4\n"
         ("resource max2: q1 q3\ninput: q3", "4: input site 2 already holds"),
         ("output: q9", "3: output site 8 outside 0..3"),
         ("output: q4 q4", "3: output names site 3 twice"),
+        ("party alice: q5", "3: party alice declared twice"),
+        ("party carol: q5 q2", "3: site q2 already owned by alice"),
+        ("party carol: q5 q5", "3: site q5 already owned by carol"),
     ],
 )
 def test_protocol_site_sets_are_checked_with_line_numbers(lines, message):
