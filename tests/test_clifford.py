@@ -295,7 +295,8 @@ def _sp4_z2_order():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_single_qudit_clifford_order_is_d2_times_sl2(d):
-    rep = generate_group(make_phase_ring(d), 1, _single_qudit_generators(make_phase_ring(d), 1))
+    ring = make_phase_ring(d)
+    rep = generate_group(ring, 1, _single_qudit_generators(ring, 1))
     assert not rep.cap_hit
     assert rep.order == d * d * _sl2_order(d)
 
