@@ -15,7 +15,12 @@ O(1) states on a sampled run.
 Protocol files: ``party A: q1 q3``, ``resource max2: q2 q4``,
 ``input: q1``, ``gate F^-1 @q1``, ``ctrl X c=q1 t=q2``,
 ``meter q2 -> m1``, ``send A->B m1``, ``cond m1 apply Z^-m1 @q4``,
-``output: q3 q4``.  Sites are written ``q<N>`` with N 1-based.
+``output: q3 q4``.  Sites are written ``q<N>`` with N 1-based.  Each party,
+the ``input`` and the ``output`` are declared once; a second
+declaration is refused.
+
+A ``.pc`` or ``.pp`` statement is picked by its first word, and each word
+has one pattern.
 """
 
 from __future__ import annotations
@@ -152,15 +157,16 @@ def _parse_gate_token(token: str, path: str, lineno: int) -> tuple[str, int]:
     return m.group(1), int(m.group(2) or 1)
 
 
-def _parse_cond(line: str, site_re: str, path: str, lineno: int):
-    """Match ``cond REG apply GATE^[-][c*]REG @SITE``, SITE matching ``site_re``.
+def _cond_pattern(site_re: str) -> re.Pattern:
+    """``cond REG apply GATE @SITE``, SITE matching ``site_re``."""
+    return re.compile(rf"^cond\s+(\w+)\s+apply\s+(\S+)\s*@({site_re})$")
 
-    Returns (register, gate name, coefficient, site token), or None when
-    the line is no ``cond`` statement.
+
+def _parse_cond(m: re.Match, path: str, lineno: int):
+    """Read a ``_cond_pattern`` match whose GATE must be ``GATE^[-][c*]REG``.
+
+    Returns (register, gate name, coefficient, site token).
     """
-    m = re.match(rf"^cond\s+(\w+)\s+apply\s+(\S+)\s*@({site_re})$", line)
-    if not m:
-        return None
     reg, gate_tok = m.group(1), m.group(2)
     gm = _COND_GATE.match(gate_tok)
     if not gm or gm.group(4) != reg:
@@ -171,12 +177,35 @@ def _parse_cond(line: str, site_re: str, path: str, lineno: int):
     return reg, gm.group(1), coeff, m.group(3)
 
 
+_KEYWORD = re.compile(r"\w*")
+
+
+def _statement(patterns: dict, line: str, path: str, lineno: int) -> tuple[str, re.Match]:
+    """The line's first word and its pattern's match; any other line is refused."""
+    word = _KEYWORD.match(line).group()
+    pattern = patterns.get(word)
+    m = pattern.match(line) if pattern else None
+    if m is None:
+        raise ParseError(path, lineno, f"unrecognized statement {line!r}")
+    return word, m
+
+
+_CIRCUIT_HEADER = re.compile(r"^circuit\s+d=(\d+)\s+n=(\d+)$")
+_CIRCUIT_STATEMENTS = {
+    "sft": re.compile(r"^sft$"),
+    "gate": re.compile(r"^gate\s+(\S+)@(\d+)$"),
+    "ctrl": re.compile(r"^ctrl\s+(\S+)\s+c=(\d+)\s+t=(\d+)$"),
+    "measure": re.compile(r"^measure@(\d+)\s*->\s*(\w+)$"),
+    "cond": _cond_pattern(r"\d+"),
+}
+
+
 def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
     lines = list(_clean_lines(text))
     if not lines:
         raise ParseError(path, 1, "empty circuit file")
     lineno, header = lines[0]
-    m = re.match(r"^circuit\s+d=(\d+)\s+n=(\d+)$", header)
+    m = _CIRCUIT_HEADER.match(header)
     if not m:
         raise ParseError(path, lineno, f"bad header {header!r}")
     circ = Circuit(int(m.group(1)), int(m.group(2)))
@@ -193,37 +222,28 @@ def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
         return s - 1
 
     for lineno, line in lines[1:]:
-        if line == "sft":
+        word, m = _statement(_CIRCUIT_STATEMENTS, line, path, lineno)
+        if word == "sft":
             circ.ops.append(protocols.SftStep(party))
-            continue
-        m = re.match(r"^gate\s+(\S+)@(\d+)$", line)
-        if m:
+        elif word == "gate":
             name, power = _parse_gate_token(m.group(1), path, lineno)
             circ.ops.append(protocols.GateStep(party, name, site(m.group(2), lineno), power))
-            continue
-        m = re.match(r"^ctrl\s+(\S+)\s+c=(\d+)\s+t=(\d+)$", line)
-        if m:
+        elif word == "ctrl":
             name, power = _parse_gate_token(m.group(1), path, lineno)
             c, t = site(m.group(2), lineno), site(m.group(3), lineno)
             if c == t:
                 raise ParseError(path, lineno, "control and target must differ")
             circ.ops.append(protocols.CtrlStep(party, name, c, t, power))
-            continue
-        m = re.match(r"^measure@(\d+)\s*->\s*(\w+)$", line)
-        if m:
+        elif word == "measure":
             circ.ops.append(protocols.MeasureStep(party, site(m.group(1), lineno), m.group(2)))
             measured.add(m.group(2))
-            continue
-        cond = _parse_cond(line, r"\d+", path, lineno)
-        if cond:
-            reg, name, coeff, tok = cond
+        else:
+            reg, name, coeff, tok = _parse_cond(m, path, lineno)
             if reg not in measured:
                 raise ParseError(
                     path, lineno, f"cond uses register {reg!r} before any measure sets it"
                 )
             circ.ops.append(protocols.CondStep(party, name, site(tok, lineno), reg, coeff))
-            continue
-        raise ParseError(path, lineno, f"unrecognized statement {line!r}")
     return circ
 
 
@@ -243,8 +263,22 @@ def run_circuit(
 # ---------------------------------------------------------------------------
 
 
+_SITE = re.compile(r"^q(\d+)$")
+_PROTOCOL_STATEMENTS = {
+    "party": re.compile(r"^party\s+(\w+)\s*:\s*(.+)$"),
+    "resource": re.compile(r"^resource\s+max(\d+)\s*:\s*(.+)$"),
+    "input": re.compile(r"^input\s*:\s*(.+)$"),
+    "output": re.compile(r"^output\s*:\s*(.+)$"),
+    "gate": re.compile(r"^gate\s+(\S+)\s*@(q\d+)$"),
+    "ctrl": re.compile(r"^ctrl\s+(\S+)\s+c=(q\d+)\s+t=(q\d+)$"),
+    "meter": re.compile(r"^meter\s+(q\d+)\s*->\s*(\w+)$"),
+    "send": re.compile(r"^send\s+(\w+)\s*->\s*(\w+)\s+(\w+)$"),
+    "cond": _cond_pattern(r"q\d+"),
+}
+
+
 def _q(tok: str, path: str, lineno: int) -> int:
-    m = re.match(r"^q(\d+)$", tok)
+    m = _SITE.match(tok)
     if not m:
         raise ParseError(path, lineno, f"bad site token {tok!r} (want qN)")
     return int(m.group(1)) - 1
@@ -254,8 +288,7 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
     parties: dict[str, tuple[int, ...]] = {}
     resources: list[protocols.Resource] = []
     steps: list[protocols.Step] = []
-    input_sites: tuple[int, ...] = ()
-    output_sites: tuple[int, ...] = ()
+    declared = {"input": (), "output": ()}
     owner: dict[int, str] = {}
     lines: dict[tuple[str, int], int] = {}  # ProtocolScript.validate's error keys -> line numbers
 
@@ -269,8 +302,8 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
         steps.append(step)
 
     for lineno, line in _clean_lines(text):
-        m = re.match(r"^party\s+(\w+)\s*:\s*(.+)$", line)
-        if m:
+        word, m = _statement(_PROTOCOL_STATEMENTS, line, path, lineno)
+        if word == "party":
             name = m.group(1)
             if name in parties:
                 raise ParseError(path, lineno, f"party {name} declared twice")
@@ -280,56 +313,37 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
                     raise ParseError(path, lineno, f"site q{s + 1} already owned by {owner[s]}")
                 owner[s] = name
             parties[name] = sites
-            continue
-        m = re.match(r"^resource\s+max(\d+)\s*:\s*(.+)$", line)
-        if m:
+        elif word == "resource":
             sites = tuple(_q(tok, path, lineno) for tok in m.group(2).split())
             if len(sites) != int(m.group(1)):
                 raise ParseError(path, lineno, "resource arity does not match sites")
             lines[("resource", len(resources))] = lineno
             resources.append(protocols.Resource(sites))
-            continue
-        m = re.match(r"^input\s*:\s*(.+)$", line)
-        if m:
-            input_sites = tuple(_q(tok, path, lineno) for tok in m.group(1).split())
-            lines[("input", 0)] = lineno
-            continue
-        m = re.match(r"^output\s*:\s*(.+)$", line)
-        if m:
-            output_sites = tuple(_q(tok, path, lineno) for tok in m.group(1).split())
-            lines[("output", 0)] = lineno
-            continue
-        m = re.match(r"^gate\s+(\S+)\s*@(q\d+)$", line)
-        if m:
+        elif word in declared:  # input, output
+            if (word, 0) in lines:
+                raise ParseError(path, lineno, f"{word} declared twice")
+            declared[word] = tuple(_q(tok, path, lineno) for tok in m.group(1).split())
+            lines[(word, 0)] = lineno
+        elif word == "gate":
             name, power = _parse_gate_token(m.group(1), path, lineno)
             site = _q(m.group(2), path, lineno)
             add(protocols.GateStep(party_of(site, lineno), name, site, power))
-            continue
-        m = re.match(r"^ctrl\s+(\S+)\s+c=(q\d+)\s+t=(q\d+)$", line)
-        if m:
+        elif word == "ctrl":
             name, power = _parse_gate_token(m.group(1), path, lineno)
             c = _q(m.group(2), path, lineno)
             t = _q(m.group(3), path, lineno)
             if c == t:
                 raise ParseError(path, lineno, "control and target must differ")
             add(protocols.CtrlStep(party_of(c, lineno), name, c, t, power))
-            continue
-        m = re.match(r"^meter\s+(q\d+)\s*->\s*(\w+)$", line)
-        if m:
+        elif word == "meter":
             site = _q(m.group(1), path, lineno)
             add(protocols.MeasureStep(party_of(site, lineno), site, m.group(2)))
-            continue
-        m = re.match(r"^send\s+(\w+)\s*->\s*(\w+)\s+(\w+)$", line)
-        if m:
+        elif word == "send":
             add(protocols.SendStep(m.group(1), m.group(2), m.group(3)))
-            continue
-        cond = _parse_cond(line, r"q\d+", path, lineno)
-        if cond:
-            reg, name, coeff, tok = cond
+        else:
+            reg, name, coeff, tok = _parse_cond(m, path, lineno)
             site = _q(tok, path, lineno)
             add(protocols.CondStep(party_of(site, lineno), name, site, reg, coeff))
-            continue
-        raise ParseError(path, lineno, f"unrecognized statement {line!r}")
     n_sites = max(owner) + 1 if owner else 0
     if set(owner) != set(range(n_sites)):
         raise ParseError(path, 1, "party sites must cover q1..qN without gaps")
@@ -339,8 +353,8 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
         parties=parties,
         resources=resources,
         steps=steps,
-        input_sites=input_sites,
-        output_sites=output_sites,
+        input_sites=declared["input"],
+        output_sites=declared["output"],
     )
     try:
         script.validate()

@@ -223,31 +223,52 @@ def _initial_state(
     order = [s for sites, _ in blocks for s in sites]
     vec = blocks[0][1]
     for _, block_vec in blocks[1:]:
-        vec = np.kron(vec, block_vec)
+        vec = np.multiply.outer(vec, block_vec).reshape(-1)  # np.kron's bits, less overhead
     t = vec.reshape([d] * total)
     axes = [order.index(site) for site in range(total)]
     return QState(d, total, np.transpose(t, axes).reshape(-1))
 
 
+@functools.lru_cache(maxsize=None)
+def _block(ring: PhaseRing, name: str, power: int, ctrl: bool = False) -> np.ndarray:
+    """The walker's block for gate ``name``, built once per process (read-only).
+
+    ``gates.gate_power(ring, name, power)``, or with ``ctrl`` the d**2 x d**2
+    block of ``gates.ctrl_local`` with exponent ``power``.  Callers reduce a
+    single-qudit power mod 4d first, which keeps its bits and bounds the
+    cache; a controlled exponent is keyed as written, because
+    ``np.linalg.matrix_power`` of a reduced exponent can differ in the last bit.
+    """
+    if ctrl:
+        block = gates.ctrl_local(gates.gate_power(ring, name, 1), 0, 1, power).block
+    else:
+        block = gates.gate_power(ring, name, power)
+    block.flags.writeable = False
+    return block
+
+
+def _gate_local(ring: PhaseRing, name: str, site: int, power: int) -> gates.Local:
+    return gates.Local((site,), _block(ring, name, power % (4 * ring.d)))
+
+
 def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
     """What the walk applies at ``step``: (scale or None, Locals).
 
-    A cond step without its register ``value`` gives a function of that
-    value which builds the gate once per value; measure and send steps give
+    A cond step needs its register ``value``; measure and send steps give
     None.  The SFT's omega**0.5 stays a scale, as in ``gates.apply_sft``.
     """
     if isinstance(step, GateStep):
-        return None, [gates.Local((step.site,), gates.gate_power(ring, step.name, step.power))]
+        return None, [_gate_local(ring, step.name, step.site, step.power)]
     if isinstance(step, CtrlStep):
-        base = gates.gate_power(ring, step.name, 1)
-        return None, [gates.ctrl_local(base, step.control, step.target, step.exponent)]
+        if step.control == step.target:
+            raise ValueError("control and target must differ")
+        block = _block(ring, step.name, step.exponent, ctrl=True)
+        return None, [gates.Local((step.control, step.target), block)]
     if isinstance(step, CondStep):
-        if value is None:
-            return functools.cache(functools.partial(_locals, ring, n, step))
         power = step.coeff * value
         if not power:
             return None, []
-        return None, [gates.Local((step.site,), gates.gate_power(ring, step.name, power))]
+        return None, [_gate_local(ring, step.name, step.site, power)]
     if isinstance(step, SftStep):
         return ring.omega_sqrt, gates.sft_locals(ring, n)
     return None
@@ -256,21 +277,23 @@ def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
 def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, seed, fork):
     """Walk the outcome tree of ``script`` depth first; return its leaves.
 
-    Each step is resolved to its local operations once, before the walk
-    (a cond step once per register value it meets).  ``fork(state, site)``
-    lists the children taken at a measurement as (outcome, p) pairs in
-    outcome order, ``p`` being the child's own probability.  A child's
-    state is collapsed from its parent only when the walk reaches it, and
-    a fork is dropped with its parent state when its last child is taken.
-    So only the parents of forks with children left and the state being
-    advanced are alive: at most m+1 states for m measurements, and O(1)
-    when every fork has one child, as in ``run``.
+    Each gate block is built once per process by :func:`_block` and is
+    read-only.  Each gate, ctrl and SFT step is wrapped in its ``Local``s
+    once per walk, before it; a cond step once per visit, from its
+    register's value.  ``fork(state, site)`` lists the children taken at
+    a measurement as (outcome, p) pairs in outcome order, ``p`` being the
+    child's own probability.  A child's state is collapsed from its parent
+    only when the walk reaches it, and a fork is dropped with its parent
+    state when its last child is taken.  So only the parents of forks with
+    children left and the state being advanced are alive: at most m+1
+    states for m measurements, and O(1) when every fork has one child, as
+    in ``run``.
     """
     if ring.d != script.d:
         raise ValueError(f"ring degree {ring.d} and script degree {script.d} differ")
     script.validate()
     d, n, steps = ring.d, script.n_sites, script.steps
-    ops = [_locals(ring, n, step) for step in steps]
+    ops = [None if isinstance(step, CondStep) else _locals(ring, n, step) for step in steps]
     leaves: list[Transcript] = []
     pending: list[tuple] = []  # (children, parent, measure step, resume at, outcomes, cdits, prob)
     state = _initial_state(ring, script, input_state)
@@ -288,7 +311,7 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
                     cdits += 1
                 continue
             if isinstance(step, CondStep):
-                op = op(outcomes[step.register])
+                op = _locals(ring, n, step, outcomes[step.register])
             scale, locs = op
             v = state.vector if scale is None else state.vector * scale
             for local in locs:

@@ -148,7 +148,9 @@ def suite_relations(d: int, tol: float = 1e-9) -> SuiteResult:
 
 
 def suite_sft(d: int, n_max: int = 3, tol: float = 1e-9) -> SuiteResult:
-    """Braid-product vs closed-form SFT, rotation order, Max/GHZ forms."""
+    """Braid-product vs closed-form SFT, rotation order, Max/GHZ forms, for n = 1..n_max."""
+    if n_max < 1:
+        raise ValueError(f"n must be at least 1, got {n_max}")
     ring = make_phase_ring(d)
     res = SuiteResult("sft", tol=tol)
     sfts = {n: gates.sft_matrix(ring, n) for n in {*range(1, n_max + 1), 2, 3}}

@@ -289,6 +289,8 @@ def corpus(tmp_path, loop_pd, teleport_pp):
         "surplus": "diagram d=2 in=2 out=2\nb+@0:7:9\n",
         "state": "circuit d=2 n=25\n",
         "block": "circuit d=1048576 n=1\ngate F@1\n",
+        "input2": "party a: q1 q2\ninput: q1\ninput: q2\n",
+        "output2": "party a: q1 q2\noutput: q1\noutput: q2\n",
     }.items():
         (tmp_path / name).write_text(text)
         files[name] = str(tmp_path / name)
@@ -323,6 +325,8 @@ REFUSALS = [
     "circuit run {block}",
     "verify nonsense",
     "protocol run {pp}",
+    "protocol run {input2} --d 3",
+    "protocol run {output2} --d 3",
     "diagram eval {pd} --emit state",
     "circuit run {pc} --emit matrix",
     "verify sft --d x",
@@ -360,6 +364,11 @@ def test_refusal_messages(corpus, capsys):
     assert _refused(["protocol", "run", corpus["pp"]], capsys) == (
         "error: the following arguments are required: --d\n"
     )
+    for name in ("input", "output"):
+        path = corpus[f"{name}2"]
+        assert _refused(["protocol", "run", path, "--d", "3"], capsys) == (
+            f"error: {path}:3: {name} declared twice\n"
+        )
 
 
 def test_help_exits_0(capsys):

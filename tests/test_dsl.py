@@ -312,6 +312,8 @@ PP_PARTIES = "party alice: q1 q2\nparty bob: q3 q4\n"
         ("party alice: q5", "3: party alice declared twice"),
         ("party carol: q5 q2", "3: site q2 already owned by alice"),
         ("party carol: q5 q5", "3: site q5 already owned by carol"),
+        ("input: q1\ninput: q2", "4: input declared twice"),
+        ("output: q3\noutput: q4", "4: output declared twice"),
     ],
 )
 def test_protocol_site_sets_are_checked_with_line_numbers(lines, message):

@@ -320,24 +320,34 @@ def _counting(monkeypatch, owner, name):
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_walker_builds_each_gate_once(monkeypatch, d):
     """Teleportation visits each cond step on all d**2 branches, but builds its
-    gate once per nonzero register value; the ctrl and F once per walk."""
+    gate once per nonzero register value, and the ctrl and F once; a second
+    walk builds nothing."""
     ring = RINGS[d]
     script = protocols.teleportation_script(ring)
     psi = gates._random_state(ring, 1, np.random.default_rng(d))
+    protocols._block.cache_clear()
     built = _counting(monkeypatch, gates, "gate_power")
     powers = _counting(monkeypatch, np.linalg, "matrix_power")
     branches = protocols.run_branches(ring, script, psi)
     assert len(branches) == d * d
     assert len(built) == 2 + 2 * (d - 1)
     assert len(powers) == d
+    protocols.run_branches(ring, script, psi)
+    protocols.run(ring, script, psi, seed=d)
+    assert len(built) == 2 + 2 * (d - 1)
+    assert len(powers) == d
 
 
 def test_walker_ctrl_powers_per_step_not_per_visit(monkeypatch):
     """build_max at n=4 runs its later merges once per earlier outcome; the
-    ctrl blocks are still built once per ctrl step."""
+    ctrl blocks are built once per distinct (gate, exponent), not per step."""
     ring = RINGS[3]
     script = protocols.build_max_script(ring, 4)
-    ctrl_steps = sum(isinstance(s, protocols.CtrlStep) for s in script.steps)
+    ctrl_blocks = {(s.name, s.exponent) for s in script.steps if isinstance(s, protocols.CtrlStep)}
+    assert len(ctrl_blocks) == 2
+    protocols._block.cache_clear()
     powers = _counting(monkeypatch, np.linalg, "matrix_power")
     assert len(protocols.run_branches(ring, script)) == 27
-    assert len(powers) == 3 * ctrl_steps
+    assert len(powers) == 3 * len(ctrl_blocks)
+    protocols.run_branches(ring, script)
+    assert len(powers) == 3 * len(ctrl_blocks)

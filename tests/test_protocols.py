@@ -568,3 +568,101 @@ def test_sft_step_needs_a_party_owning_every_site():
     split = ProtocolScript(3, 2, {"a": (0,), "b": (1,)}, [], [SftStep("a")], input_sites=(0, 1))
     with pytest.raises(LocalityError):
         run(ring, split, psi)
+
+
+# ---------------------------------------------------------------------------
+# the walker's process-wide block cache
+# ---------------------------------------------------------------------------
+
+
+def _transcript_key(tr):
+    v = tr.final_state.vector
+    return (tr.seed, list(tr.outcomes.items()), v.dtype, v.shape, tr.edits, tr.cdits, tr.probability)
+
+
+def _same_transcripts(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert _transcript_key(x) == _transcript_key(y)
+        assert np.array_equal(x.final_state.vector, y.final_state.vector)
+
+
+def _cache_cases():
+    for d in range(2, 8):
+        yield f"teleport-d{d}", RINGS[d], teleportation_script(RINGS[d]), rand_state(d, 1, d)
+    for d in (2, 3, 5):
+        ring = RINGS[d]
+        yield f"build_max-d{d}", ring, build_max_script(ring, 3 if d == 5 else 4), None
+        yield f"bvk-d{d}", ring, bvk_merge_script(ring, (2, 1)), None
+        for variant in (1, 2):
+            for simplified in (True, False):
+                script = phase_space_measurement(ring, variant, simplified)
+                yield f"phase_space-v{variant}-{simplified}-d{d}", ring, script, rand_state(d, 2, d)
+
+
+CACHE_CASES = list(_cache_cases())
+
+
+@pytest.mark.parametrize("ring,script,psi", [c[1:] for c in CACHE_CASES], ids=[c[0] for c in CACHE_CASES])
+def test_cold_and_warm_block_cache_give_equal_walks(ring, script, psi):
+    protocols._block.cache_clear()
+    cold = [run(ring, script, psi, seed=7)], run_branches(ring, script, psi)
+    assert protocols._block.cache_info().currsize > 0
+    warm = [run(ring, script, psi, seed=7)], run_branches(ring, script, psi)
+    for a, b in zip(cold, warm):
+        _same_transcripts(a, b)
+
+
+def test_cached_blocks_are_read_only():
+    ring = RINGS[3]
+    steps = [GateStep("a", "F", 0, -1), CtrlStep("a", "X", 0, 1, 2), CondStep("a", "Y", 1, "m", 2)]
+    for step in steps:
+        _, (local,) = protocols._locals(ring, 2, step, 1)
+        with pytest.raises(ValueError):
+            local.block[0, 0] = 1.0
+    # the public builders still hand out fresh, writable arrays
+    fresh = gates.gate_power(ring, "F", -1)
+    fresh[0, 0] = 1.0
+    assert not np.array_equal(fresh, protocols._locals(ring, 2, steps[0])[1][0].block)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_gate_power_mod_4d_is_bit_exact(d):
+    ring = RINGS[d]
+    for name in "XYZFG":
+        for p in range(-8 * d, 8 * d + 1):
+            a, b = gates.gate_power(ring, name, p), gates.gate_power(ring, name, p % (4 * d))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, p)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_walker_blocks_are_the_public_builders_bit_for_bit(d):
+    """Each cached block has the bits the public builder gives for that step."""
+    ring = RINGS[d]
+    for name in "XYZFG":
+        for p in range(-8 * d, 8 * d + 1):
+            _, (local,) = protocols._locals(ring, 1, GateStep("a", name, 0, p))
+            assert local.block.tobytes() == gates.gate_power(ring, name, p).tobytes(), (name, p)
+        base = gates.gate_power(ring, name, 1)
+        for e in range(-2 * d, 2 * d + 1):
+            _, (local,) = protocols._locals(ring, 2, CtrlStep("a", name, 1, 0, e))
+            assert local.sites == (1, 0)
+            want = gates.ctrl_local(base, 1, 0, e).block
+            assert local.block.tobytes() == want.tobytes(), (name, e)
+    with pytest.raises(ValueError, match="control and target must differ"):
+        protocols._locals(ring, 2, CtrlStep("a", "X", 1, 1))
+
+
+def test_cond_sweep_keeps_at_most_5_times_4d_blocks_per_ring():
+    """Register values times wide coefficients reach every residue mod 4d, and no more."""
+    d = 3
+    ring = RINGS[d]
+    steps = [GateStep("a", "F", 0), MeasureStep("a", 0, "m")]
+    for coeff in range(-12 * d, 12 * d + 1):
+        steps += [CondStep("a", name, 1, "m", coeff) for name in "XYZFG"]
+    script = ProtocolScript(d, 2, {"a": (0, 1)}, [], steps)
+    protocols._block.cache_clear()
+    branches = run_branches(ring, script)
+    assert [tr.outcomes["m"] for tr in branches] == list(range(d))
+    # the gate step's F**1 shares its entry with the cond steps' F**1
+    assert protocols._block.cache_info().currsize == 5 * 4 * d

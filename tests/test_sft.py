@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pappa import gates
+from pappa import gates, verify
 from pappa.diagrams import Cap, Charge, Diagram, compose, sft_rotate
 from pappa.evaluator import evaluate, sft_via_braids
 from pappa.gates import (
@@ -217,3 +217,20 @@ def test_sft_circuit_at_sixteen_qubits(monkeypatch):
     assert abs(state.norm() - 1) < 1e-12
     for site in range(n):
         assert abs(entangle.entanglement_entropy(state, site) - np.log(2)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sft_suite_refuses_n_below_1(n):
+    """n < 1 would skip every braid-product check and still pass."""
+    with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+        verify.run_suite("sft", 2, 1e-9, n=n)
+    with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+        verify.suite_sft(2, n_max=n)
+
+
+def test_sft_suite_n1_runs_its_checks():
+    res = verify.run_suite("sft", 2, 1e-9, n=1)
+    assert res.passed
+    assert [name for name, _ in res.lines if name.endswith("_n1")][:4] == [
+        "cross_oracle_n1", "unitary_n1", "full_rotation_n1", "charge_sectors_n1"
+    ]
