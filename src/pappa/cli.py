@@ -88,9 +88,11 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
-    circ = dsl.parse_circuit(Path(args.file).read_text(encoding="utf-8"), args.file)
-    _check_dims(circ.d, circ.n)
-    _check_block(circ.d, circ.n)
+    text = Path(args.file).read_text(encoding="utf-8")
+    d, n = dsl.circuit_header(text, args.file)
+    _check_dims(d, n)
+    _check_block(d, n)
+    circ = dsl.parse_circuit(text, args.file)
     ring = make_phase_ring(circ.d)
     state, regs = dsl.run_circuit(ring, circ, seed=args.seed)
     print(f"d={circ.d}")

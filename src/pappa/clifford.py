@@ -46,22 +46,13 @@ class PhaselessUnitary:
 
     @classmethod
     def of(cls, m: np.ndarray, tol: float = 1e-9) -> "PhaselessUnitary":
-        flat = m.reshape(-1, order="F")
-        idx = np.argmax(np.abs(flat) > tol)
-        pivot = flat[idx]
-        if abs(pivot) <= tol:
+        canon, zero_at = _canonical_batch(np.asarray(m)[None], tol)
+        if zero_at == 0:
             raise ValueError("zero matrix cannot be canonicalized")
-        out = m * (pivot.conjugate() / abs(pivot))
-        return cls(out)
+        return cls(canon[0])
 
     def key(self) -> bytes:
-        re = np.round(self.matrix.real / _HASH_GRID).astype(np.int64)
-        im = np.round(self.matrix.imag / _HASH_GRID).astype(np.int64)
-        return re.tobytes() + im.tobytes()
-
-    def close_to(self, m: np.ndarray, tol: float = 1e-8) -> bool:
-        other = PhaselessUnitary.of(m)
-        return bool(np.abs(self.matrix - other.matrix).max() < tol)
+        return _keys_batch(self.matrix[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +145,8 @@ class GroupReport:
 
 
 def _canonical_batch(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, int]:
-    """``PhaselessUnitary.of`` on each matrix of a (k, D, D) stack, bit for bit.
+    """The canonical form of each matrix of a (k, D, D) stack; ``PhaselessUnitary.of``
+    is the case k = 1.
 
     Also returns the index of the first matrix with no entry above ``tol``
     (k when there is none); that matrix and the ones after it are not
@@ -166,14 +158,14 @@ def _canonical_batch(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, int]
     idx = live.argmax(axis=1)
     dead = np.flatnonzero(~live[rows, idx])
     pivot = flat[rows, idx]
-    # np.hypot is the scalar abs() that `of` calls; the array np.abs can differ in the last bit
+    # np.hypot has the bits of a scalar's abs(); the array np.abs can differ in the last bit
     mag = np.hypot(pivot.real, pivot.imag)
     mag[dead] = 1.0
     return m * (pivot.conj() / mag)[:, None, None], int(dead[0]) if len(dead) else len(m)
 
 
 def _keys_batch(m: np.ndarray) -> list[bytes]:
-    """``PhaselessUnitary.key`` of each matrix of a (k, D, D) stack."""
+    """The hash key of each matrix of a (k, D, D) stack; ``PhaselessUnitary.key`` is k = 1."""
     flat = m.reshape(len(m), m.shape[1] * m.shape[2])
     re = np.round(flat.real / _HASH_GRID).astype(np.int64)
     im = np.round(flat.imag / _HASH_GRID).astype(np.int64)

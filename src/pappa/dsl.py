@@ -8,9 +8,9 @@ are 0-based.  ``#`` starts a comment.
 Circuit files: ``circuit d=<int> n=<int>`` then statements ``gate X@2``,
 ``gate F^-1@1``, ``ctrl X c=1 t=2``, ``sft``, ``measure@1 -> m1`` and
 ``cond m1 apply Z^-m1 @3``.  Sites are 1-based.  A circuit is a protocol
-of one party that owns every qudit: its statements parse to protocol
-steps, and ``run_circuit`` runs them through ``protocols.run``, which holds
-O(1) states on a sampled run.
+of one party that owns every qudit: ``parse_circuit`` returns a
+``Circuit``, a ``protocols.ProtocolScript``, and ``run_circuit`` runs it
+through ``protocols.run``, which holds O(1) states on a sampled run.
 
 Protocol files: ``party A: q1 q3``, ``resource max2: q2 q4``,
 ``input: q1``, ``gate F^-1 @q1``, ``ctrl X c=q1 t=q2``,
@@ -20,13 +20,16 @@ the ``input`` and the ``output`` are declared once; a second
 declaration is refused.
 
 A ``.pc`` or ``.pp`` statement is picked by its first word, and each word
-has one pattern.
+has one pattern.  Both formats build ``gate``, ``ctrl``, ``cond`` and
+``measure``/``meter`` steps with one function.  A parser checks only the
+text; the rules of a script are checked once, when the parser builds the
+immutable ``ProtocolScript``, and a refusal names the offending line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple
 
 from . import protocols
 from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, DiagScalar, Diagram, Sym
@@ -137,13 +140,11 @@ def format_diagram(diagram: Diagram) -> str:
 CIRCUIT_PARTY = "circuit"
 
 
-@dataclass
-class Circuit:
-    """A parsed .pc file: ``ops`` are protocol steps of the one party ``CIRCUIT_PARTY``."""
+class Circuit(protocols.ProtocolScript):
+    """A parsed .pc file: the script of one party, ``CIRCUIT_PARTY``, owning every qudit."""
 
-    d: int
-    n: int
-    ops: list[protocols.Step] = field(default_factory=list)
+    n = property(lambda self: self.n_sites)
+    ops = property(lambda self: self.steps)
 
 
 _GATE_TOKEN = re.compile(r"^([XYZFG])(?:\^(-?\d+))?$")
@@ -190,6 +191,39 @@ def _statement(patterns: dict, line: str, path: str, lineno: int) -> tuple[str, 
     return word, m
 
 
+def _step(word: str, m: re.Match, site, owner: dict[int, str], path: str, lineno: int):
+    """The step of a ``gate``, ``ctrl``, ``cond`` or ``measure``/``meter`` match, whose
+    groups are the same in .pc and .pp; ``site`` reads the format's site tokens."""
+
+    def party_of(s: int) -> str:
+        if s not in owner:
+            raise ParseError(path, lineno, f"site q{s + 1} not owned by any party")
+        return owner[s]
+
+    if word == "gate":
+        name, power = _parse_gate_token(m.group(1), path, lineno)
+        s = site(m.group(2), lineno)
+        return protocols.GateStep(party_of(s), name, s, power)
+    if word == "ctrl":
+        name, power = _parse_gate_token(m.group(1), path, lineno)
+        c, t = site(m.group(2), lineno), site(m.group(3), lineno)
+        return protocols.CtrlStep(party_of(c), name, c, t, power)
+    if word == "cond":
+        reg, name, coeff, tok = _parse_cond(m, path, lineno)
+        s = site(tok, lineno)
+        return protocols.CondStep(party_of(s), name, s, reg, coeff)
+    s = site(m.group(1), lineno)
+    return protocols.MeasureStep(party_of(s), s, m.group(2))
+
+
+def _built(cls, path: str, lines: dict[tuple[str, int], int], **fields):
+    """The script ``cls(**fields)``; its ``LocalityError`` is reported at line ``lines[where]``."""
+    try:
+        return cls(**fields)
+    except protocols.LocalityError as exc:
+        raise ParseError(path, lines[exc.where], str(exc)) from exc
+
+
 _CIRCUIT_HEADER = re.compile(r"^circuit\s+d=(\d+)\s+n=(\d+)$")
 _CIRCUIT_STATEMENTS = {
     "sft": re.compile(r"^sft$"),
@@ -200,61 +234,43 @@ _CIRCUIT_STATEMENTS = {
 }
 
 
-def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
-    lines = list(_clean_lines(text))
-    if not lines:
-        raise ParseError(path, 1, "empty circuit file")
-    lineno, header = lines[0]
+def circuit_header(text: str, path: str = "<circuit>") -> tuple[int, int]:
+    """The (d, n) of a .pc header, which a caller can bound before the O(n) script is built."""
+    lineno, header = next(_clean_lines(text), (1, ""))
     m = _CIRCUIT_HEADER.match(header)
     if not m:
-        raise ParseError(path, lineno, f"bad header {header!r}")
-    circ = Circuit(int(m.group(1)), int(m.group(2)))
-    measured: set[str] = set()
-    party = CIRCUIT_PARTY
+        raise ParseError(path, lineno, f"bad header {header!r}" if header else "empty circuit file")
+    return int(m.group(1)), int(m.group(2))
+
+
+def parse_circuit(text: str, path: str = "<circuit>") -> Circuit:
+    d, n = circuit_header(text, path)
+    owner = dict.fromkeys(range(n), CIRCUIT_PARTY)
+    steps: list[protocols.Step] = []
+    lines: dict[tuple[str, int], int] = {}  # LocalityError.where -> line number
 
     def site(tok: str, lineno: int) -> int:
-        try:
-            s = int(tok)
-        except ValueError:
-            raise ParseError(path, lineno, f"bad site {tok!r}") from None
-        if not 1 <= s <= circ.n:
-            raise ParseError(path, lineno, f"site {s} outside 1..{circ.n}")
+        s = int(tok)
+        if not 1 <= s <= n:
+            raise ParseError(path, lineno, f"site {s} outside 1..{n}")
         return s - 1
 
-    for lineno, line in lines[1:]:
+    for lineno, line in list(_clean_lines(text))[1:]:
         word, m = _statement(_CIRCUIT_STATEMENTS, line, path, lineno)
+        lines[("step", len(steps))] = lineno
         if word == "sft":
-            circ.ops.append(protocols.SftStep(party))
-        elif word == "gate":
-            name, power = _parse_gate_token(m.group(1), path, lineno)
-            circ.ops.append(protocols.GateStep(party, name, site(m.group(2), lineno), power))
-        elif word == "ctrl":
-            name, power = _parse_gate_token(m.group(1), path, lineno)
-            c, t = site(m.group(2), lineno), site(m.group(3), lineno)
-            if c == t:
-                raise ParseError(path, lineno, "control and target must differ")
-            circ.ops.append(protocols.CtrlStep(party, name, c, t, power))
-        elif word == "measure":
-            circ.ops.append(protocols.MeasureStep(party, site(m.group(1), lineno), m.group(2)))
-            measured.add(m.group(2))
+            steps.append(protocols.SftStep(CIRCUIT_PARTY))
         else:
-            reg, name, coeff, tok = _parse_cond(m, path, lineno)
-            if reg not in measured:
-                raise ParseError(
-                    path, lineno, f"cond uses register {reg!r} before any measure sets it"
-                )
-            circ.ops.append(protocols.CondStep(party, name, site(tok, lineno), reg, coeff))
-    return circ
+            steps.append(_step(word, m, site, owner, path, lineno))
+    parties = {CIRCUIT_PARTY: tuple(owner)}
+    return _built(Circuit, path, lines, d=d, n_sites=n, parties=parties, resources=(), steps=steps)
 
 
 def run_circuit(
     ring: PhaseRing, circ: Circuit, seed: int | None = 0
 ) -> tuple[QState, dict[str, int]]:
     """Run a parsed circuit from |0...0> as a one-party protocol; returns (state, outcomes)."""
-    script = protocols.ProtocolScript(
-        circ.d, circ.n, {CIRCUIT_PARTY: tuple(range(circ.n))}, [], circ.ops
-    )
-    tr = protocols.run(ring, script, seed=seed)
+    tr = protocols.run(ring, circ, seed=seed)
     return tr.final_state, tr.outcomes
 
 
@@ -277,29 +293,19 @@ _PROTOCOL_STATEMENTS = {
 }
 
 
-def _q(tok: str, path: str, lineno: int) -> int:
-    m = _SITE.match(tok)
-    if not m:
-        raise ParseError(path, lineno, f"bad site token {tok!r} (want qN)")
-    return int(m.group(1)) - 1
-
-
 def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.ProtocolScript:
     parties: dict[str, tuple[int, ...]] = {}
     resources: list[protocols.Resource] = []
     steps: list[protocols.Step] = []
     declared = {"input": (), "output": ()}
     owner: dict[int, str] = {}
-    lines: dict[tuple[str, int], int] = {}  # ProtocolScript.validate's error keys -> line numbers
+    lines: dict[tuple[str, int], int] = {}  # LocalityError.where -> line number
 
-    def party_of(site: int, lineno: int) -> str:
-        if site not in owner:
-            raise ParseError(path, lineno, f"site q{site + 1} not owned by any party")
-        return owner[site]
-
-    def add(step: protocols.Step) -> None:
-        lines[("step", len(steps))] = lineno
-        steps.append(step)
+    def site(tok: str, lineno: int) -> int:
+        m = _SITE.match(tok)
+        if not m:
+            raise ParseError(path, lineno, f"bad site token {tok!r} (want qN)")
+        return int(m.group(1)) - 1
 
     for lineno, line in _clean_lines(text):
         word, m = _statement(_PROTOCOL_STATEMENTS, line, path, lineno)
@@ -307,14 +313,14 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
             name = m.group(1)
             if name in parties:
                 raise ParseError(path, lineno, f"party {name} declared twice")
-            sites = tuple(_q(tok, path, lineno) for tok in m.group(2).split())
-            for s in sites:
+            lines[("party", len(parties))] = lineno
+            parties[name] = tuple(site(tok, lineno) for tok in m.group(2).split())
+            for s in parties[name]:
                 if s in owner:
                     raise ParseError(path, lineno, f"site q{s + 1} already owned by {owner[s]}")
                 owner[s] = name
-            parties[name] = sites
         elif word == "resource":
-            sites = tuple(_q(tok, path, lineno) for tok in m.group(2).split())
+            sites = tuple(site(tok, lineno) for tok in m.group(2).split())
             if len(sites) != int(m.group(1)):
                 raise ParseError(path, lineno, "resource arity does not match sites")
             lines[("resource", len(resources))] = lineno
@@ -322,42 +328,21 @@ def parse_protocol(text: str, d: int, path: str = "<protocol>") -> protocols.Pro
         elif word in declared:  # input, output
             if (word, 0) in lines:
                 raise ParseError(path, lineno, f"{word} declared twice")
-            declared[word] = tuple(_q(tok, path, lineno) for tok in m.group(1).split())
+            declared[word] = tuple(site(tok, lineno) for tok in m.group(1).split())
             lines[(word, 0)] = lineno
-        elif word == "gate":
-            name, power = _parse_gate_token(m.group(1), path, lineno)
-            site = _q(m.group(2), path, lineno)
-            add(protocols.GateStep(party_of(site, lineno), name, site, power))
-        elif word == "ctrl":
-            name, power = _parse_gate_token(m.group(1), path, lineno)
-            c = _q(m.group(2), path, lineno)
-            t = _q(m.group(3), path, lineno)
-            if c == t:
-                raise ParseError(path, lineno, "control and target must differ")
-            add(protocols.CtrlStep(party_of(c, lineno), name, c, t, power))
-        elif word == "meter":
-            site = _q(m.group(1), path, lineno)
-            add(protocols.MeasureStep(party_of(site, lineno), site, m.group(2)))
-        elif word == "send":
-            add(protocols.SendStep(m.group(1), m.group(2), m.group(3)))
         else:
-            reg, name, coeff, tok = _parse_cond(m, path, lineno)
-            site = _q(tok, path, lineno)
-            add(protocols.CondStep(party_of(site, lineno), name, site, reg, coeff))
-    n_sites = max(owner) + 1 if owner else 0
-    if set(owner) != set(range(n_sites)):
-        raise ParseError(path, 1, "party sites must cover q1..qN without gaps")
-    script = protocols.ProtocolScript(
+            lines[("step", len(steps))] = lineno
+            if word == "send":
+                steps.append(protocols.SendStep(*m.groups()))
+            else:
+                steps.append(_step(word, m, site, owner, path, lineno))
+    return _built(
+        protocols.ProtocolScript, path, lines,
         d=d,
-        n_sites=n_sites,
+        n_sites=max(owner) + 1 if owner else 0,
         parties=parties,
         resources=resources,
         steps=steps,
         input_sites=declared["input"],
         output_sites=declared["output"],
     )
-    try:
-        script.validate()
-    except protocols.LocalityError as exc:
-        raise ParseError(path, lines[exc.where], str(exc)) from exc
-    return script

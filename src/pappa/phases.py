@@ -16,6 +16,7 @@ floating-point evaluation, so long products of phases do not drift.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-9
@@ -53,15 +54,21 @@ class PhaseRing:
 
 
 def make_phase_ring(d: int) -> PhaseRing:
-    """Build the scalar system for qudit degree ``d`` (d >= 2).
+    """The scalar system for qudit degree ``d`` (d >= 2), built once per degree.
 
     The square root of q is pinned to zeta = exp(i*pi/d) for even d and
     zeta = q**((d+1)/2) for odd d; both choices satisfy zeta**2 == q and
     zeta**(d*d) == 1, and recording the choice keeps every downstream
-    phase deterministic.
+    phase deterministic.  A second call returns the same object, so the
+    caches keyed by ring find it by identity.
     """
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"qudit degree must be an integer >= 2, got {d!r}")
+    return _phase_ring(int(d))
+
+
+@functools.cache
+def _phase_ring(d: int) -> PhaseRing:
     zeta_exp = 1 if d % 2 == 0 else d + 1
     eps = cmath.exp(1j * cmath.pi / d)
     q = eps**2

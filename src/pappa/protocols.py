@@ -4,15 +4,18 @@ generalized multipartite merge, with edit/cdit accounting.
 A script owns a global register of qudit sites partitioned among named
 parties.  Every quantum step must stay inside one party's sites, and a
 classically controlled correction may only key on a register its party
-has measured itself or received over a classical channel.  One pre-shared
-entangled resource costs one edit; one cross-party classical message
-costs one cdit.
+has measured itself or received over a classical channel.  The rules are
+checked once, by ``ProtocolScript.validate`` when a script is built, and a
+built script is immutable.  One pre-shared entangled resource costs one
+edit; one cross-party classical message costs one cdit.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,10 +25,10 @@ from .phases import DEFAULT_TOL, PhaseRing
 
 
 class LocalityError(ValueError):
-    """A step acts outside its party's sites or registers, or a site set is out of place.
+    """A script breaks a rule; raised when a ``ProtocolScript`` is built.
 
-    ``where`` names the offender as ("step", i), ("resource", i), ("input", 0)
-    or ("output", 0); ``ProtocolScript.validate`` sets it.
+    ``validate`` sets ``where`` to the offender: ("party", i), ("resource", i),
+    ("input", 0), ("output", 0) or ("step", i), i counting in declaration order.
     """
 
     where: tuple[str, int] | None = None
@@ -101,30 +104,50 @@ class Resource:
         return len(self.sites)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolScript:
+    """Parties owning register sites, pre-shared resources, and the steps.
+
+    Checked once, when built: ``parties`` is stored read-only, the sequences
+    as tuples, and ``validate`` runs; the executors do not check it again.
+    """
+
     d: int
     n_sites: int
-    parties: dict[str, tuple[int, ...]]
-    resources: list[Resource]
-    steps: list[Step]
+    parties: Mapping[str, tuple[int, ...]]
+    resources: tuple[Resource, ...]
+    steps: tuple[Step, ...]
     input_sites: tuple[int, ...] = ()
     # sites that remain unmeasured protocol carriers at the end
     output_sites: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        parties = MappingProxyType({p: tuple(s) for p, s in self.parties.items()})
+        object.__setattr__(self, "parties", parties)
+        for name in ("resources", "steps", "input_sites", "output_sites"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        self.validate()
+
     def validate(self) -> None:
-        owned = {}
-        for name, sites in self.parties.items():
-            for s in sites:
-                if s in owned:
-                    raise ValueError(f"site {s} owned by {owned[s]} and {name}")
-                owned[s] = name
-        if set(owned) != set(range(self.n_sites)):
-            raise ValueError("party sites must partition the register")
+        """Check every rule of a script; raises ``LocalityError`` with ``where`` set.
+
+        Parties partition the register; resource, input and output sites are
+        distinct and in range, and resources and the input do not overlap.
+        """
+        owner: dict[int, str] = {}
         shared: set[int] = set()  # resource and input sites, which must not overlap
         known: dict[str, set[str]] = {p: set() for p in self.parties}
         where = None
         try:
+            for i, (name, sites) in enumerate(self.parties.items()):
+                where = ("party", i)
+                for s in sites:
+                    if s in owner:
+                        raise LocalityError(f"site {s} owned by {owner[s]} and {name}")
+                    owner[s] = name
+            # a gap is reported at the last party
+            if len(owner) != self.n_sites or not all(0 <= s < self.n_sites for s in owner):
+                raise LocalityError("party sites must partition the register")
             for i, res in enumerate(self.resources):
                 where = ("resource", i)
                 self._check_site_set("resource", res.sites, shared)
@@ -134,7 +157,7 @@ class ProtocolScript:
             self._check_site_set("output", self.output_sites, set())
             for i, step in enumerate(self.steps):
                 where = ("step", i)
-                self._check_step(step, known)
+                self._check_step(step, owner, known)
         except LocalityError as exc:
             exc.where = where
             raise
@@ -150,36 +173,29 @@ class ProtocolScript:
                 raise LocalityError(f"{label} site {s} already holds a resource or the input")
         taken.update(sites)
 
-    def _check_step(self, step: Step, known: dict[str, set[str]]) -> None:
-        if isinstance(step, GateStep):
-            self._check_sites(step.party, (step.site,))
-        elif isinstance(step, CtrlStep):
-            self._check_sites(step.party, (step.control, step.target))
-        elif isinstance(step, MeasureStep):
-            self._check_sites(step.party, (step.site,))
-            known[step.party].add(step.register)
-        elif isinstance(step, SendStep):
-            self._check_sites(step.src, ())
-            self._check_sites(step.dst, ())
+    def _check_step(self, step: Step, owner: dict[int, str], known: dict[str, set[str]]) -> None:
+        """``known`` maps each party to the registers it has measured or received."""
+        for party in (step.src, step.dst) if isinstance(step, SendStep) else (step.party,):
+            if party not in known:
+                raise LocalityError(f"unknown party {party}")
+        if isinstance(step, SendStep):
             if step.register not in known[step.src]:
                 raise LocalityError(f"{step.src} cannot send unknown register {step.register}")
             known[step.dst].add(step.register)
-        elif isinstance(step, CondStep):
-            self._check_sites(step.party, (step.site,))
-            if step.register not in known[step.party]:
-                raise LocalityError(
-                    f"{step.party} conditions on unreceived register {step.register}"
-                )
-        elif isinstance(step, SftStep):
-            self._check_sites(step.party, range(self.n_sites))
-
-    def _check_sites(self, party: str, sites) -> None:
-        if party not in self.parties:
-            raise LocalityError(f"unknown party {party}")
-        mine = set(self.parties[party])
+            return
+        if isinstance(step, CtrlStep):
+            if step.control == step.target:
+                raise LocalityError("control and target must differ")
+            sites = (step.control, step.target)
+        else:
+            sites = range(self.n_sites) if isinstance(step, SftStep) else (step.site,)
         for s in sites:
-            if s not in mine:
-                raise LocalityError(f"site {s} is not local to party {party}")
+            if owner.get(s) != step.party:
+                raise LocalityError(f"site {s} is not local to party {step.party}")
+        if isinstance(step, MeasureStep):
+            known[step.party].add(step.register)
+        elif isinstance(step, CondStep) and step.register not in known[step.party]:
+            raise LocalityError(f"{step.party} conditions on unreceived register {step.register}")
 
 
 @dataclass
@@ -260,8 +276,6 @@ def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
     if isinstance(step, GateStep):
         return None, [_gate_local(ring, step.name, step.site, step.power)]
     if isinstance(step, CtrlStep):
-        if step.control == step.target:
-            raise ValueError("control and target must differ")
         block = _block(ring, step.name, step.exponent, ctrl=True)
         return None, [gates.Local((step.control, step.target), block)]
     if isinstance(step, CondStep):
@@ -291,7 +305,6 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
     """
     if ring.d != script.d:
         raise ValueError(f"ring degree {ring.d} and script degree {script.d} differ")
-    script.validate()
     d, n, steps = ring.d, script.n_sites, script.steps
     ops = [None if isinstance(step, CondStep) else _locals(ring, n, step) for step in steps]
     leaves: list[Transcript] = []
@@ -353,10 +366,10 @@ def run_branches(
 ) -> list[Transcript]:
     """Execute every measurement branch; probabilities sum to one.
 
-    One depth-first walk of the outcome tree: the script is validated and
-    the initial state built once, the steps before each measurement run
-    once per surviving prefix, and each measurement forks into outcomes
-    0..d-1 from one ``site_probabilities`` call.  An outcome of
+    One depth-first walk of the outcome tree: the initial state is built
+    once, the steps before each measurement run once per surviving prefix,
+    and each measurement forks into outcomes 0..d-1 from one
+    ``site_probabilities`` call.  An outcome of
     probability exactly 0 is dropped unexpanded, and a leaf is kept when
     its probability exceeds 1e-15.  Transcripts come back in the order of
     ``gates.all_digit_tuples`` over the outcomes.  The cost is one pass

@@ -2,7 +2,9 @@
 
 import io
 import os
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +136,14 @@ def test_dimension_overflow_exit_code_2(tmp_path):
     assert code == 2
 
 
+def test_circuit_header_is_bounded_before_the_script_is_built(tmp_path, capsys):
+    big = tmp_path / "big.pc"
+    big.write_text("circuit d=2 n=1000000\ngate Q@1\n")
+    code, _ = run_cli(["circuit", "run", str(big)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: dimension overflow: d**n = 2**1000000 ")
+
+
 def test_unbound_box_exit_code_2(tmp_path, capsys):
     pd = tmp_path / "box.pd"
     pd.write_text("diagram d=2 in=2 out=2\nbox U@0:2:0\n")
@@ -177,7 +187,7 @@ def test_cond_on_unmeasured_register_exit_code_2(tmp_path, capsys):
     code, _ = run_cli(["circuit", "run", str(pc)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == f"error: {pc}:2: cond uses register 'm1' before any measure sets it\n"
+    assert err == f"error: {pc}:2: circuit conditions on unreceived register m1\n"
 
 
 def test_diagram_d_override_ignores_comments(tmp_path, monkeypatch):
@@ -466,3 +476,30 @@ def test_one_qudit_interior_within_block_bound(tmp_path, small_bound):
     pd.write_text("diagram d=8 in=2 out=2\nchg@0:1\nb+@0\n")
     code, out = run_cli(["diagram", "eval", str(pd)])
     assert code == 0 and out.endswith("PASS\n")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_RUNS = {".pd": ["diagram", "eval"], ".pc": ["circuit", "run"], ".pp": ["protocol", "run"]}
+
+
+def _readme_examples():
+    """The files of README.md's "File formats" block, each starting ``# NAME ...``."""
+    block = re.search(r"File formats.*?```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return dict(
+        (re.match(r"# (\S+)", text).group(1), text)
+        for text in block.group(1).strip().split("\n\n")
+    )
+
+
+def test_readme_file_format_examples_run(tmp_path, capsys):
+    examples = _readme_examples()
+    assert sorted(examples) == ["bell.pc", "loop.pd", "teleport.pp"]
+    for name, text in examples.items():
+        path = tmp_path / name
+        path.write_text(text)
+        argv = README_RUNS[path.suffix] + [str(path)]
+        if path.suffix == ".pp":
+            argv += ["--d", "2"]
+        code, out = run_cli(argv)
+        assert code == 0, (name, capsys.readouterr().err)
+        assert out.endswith("PASS\n"), name

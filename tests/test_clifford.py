@@ -80,6 +80,66 @@ def test_canonicalization_kills_global_phase():
     assert np.abs(again.matrix - PhaselessUnitary.of(u).matrix).max() < 1e-12
 
 
+def of_oracle(m, tol=1e-9):
+    """The scalar canonical form: ``PhaselessUnitary.of``'s bits, one matrix at a time."""
+    flat = m.reshape(-1, order="F")
+    idx = np.argmax(np.abs(flat) > tol)
+    pivot = flat[idx]
+    if abs(pivot) <= tol:
+        raise ValueError("zero matrix cannot be canonicalized")
+    return m * (pivot.conjugate() / abs(pivot))
+
+
+def key_oracle(m):
+    """The scalar hash key: ``PhaselessUnitary.key``'s bytes, one matrix at a time."""
+    re = np.round(m.real / clifford._HASH_GRID).astype(np.int64)
+    im = np.round(m.imag / clifford._HASH_GRID).astype(np.int64)
+    return re.tobytes() + im.tobytes()
+
+
+def _canonical_corpus():
+    """Named gates at every power, the two-qudit SFT, their phase turns, and
+    random, sparse, real and Fortran-ordered matrices."""
+    rng = np.random.default_rng(11)
+    for d in range(2, 6):
+        ring = make_phase_ring(d)
+        for name in "XYZFG":
+            for p in range(-4 * d, 4 * d + 1):
+                yield gates.gate_power(ring, name, p)
+        s = sft_matrix(ring, 2)
+        for turn in (1, -1, 1j, -1j, np.exp(1j * rng.uniform(-np.pi, np.pi))):
+            yield turn * s
+    for dim in (1, 2, 3, 4, 9, 16):
+        for _ in range(80):
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            yield m
+            yield np.asfortranarray(m)
+            sparse = m * (rng.random((dim, dim)) < 0.2)
+            sparse[rng.random((dim, dim)) < 0.3] = 1e-10  # below tol: never a pivot
+            if (np.abs(sparse) > 1e-9).any():  # the zero case has its own check
+                yield sparse
+                yield sparse.real.copy()
+    yield -np.eye(3) + 0j
+    yield np.array([[complex(-1.0, -0.0), 0], [0, 1]])
+
+
+def test_canonical_form_and_key_match_the_scalar_oracle_bit_for_bit():
+    count = 0
+    for m in _canonical_corpus():
+        want = of_oracle(m)
+        got = PhaselessUnitary.of(m)
+        assert got.matrix.dtype == want.dtype and got.matrix.shape == want.shape
+        assert got.matrix.tobytes() == want.tobytes(), m
+        assert got.key() == key_oracle(want)
+        count += 1
+    assert count > 2000
+    for zero in (np.zeros((2, 2)), np.full((3, 3), 1e-10 + 0j)):
+        with pytest.raises(ValueError, match="zero matrix"):
+            of_oracle(zero)
+        with pytest.raises(ValueError, match="zero matrix"):
+            PhaselessUnitary.of(zero)
+
+
 def _single_qudit_generators(ring, n):
     gens = {}
     for site in range(n):
@@ -159,6 +219,8 @@ def test_cz_in_two_qudit_closure_d2():
 def generate_group_loop(ring, n, generators, cap=200_000, probes=None, trail=None):
     """The FIFO BFS ``generate_group`` batched by level, one product at a time: its oracle.
 
+    It canonicalizes and keys with the scalar oracles, not with ``PhaselessUnitary``.
+
     A ``trail`` list receives every element in discovery order, the identity first.
     """
     if ring.d**n > 81:
@@ -166,34 +228,34 @@ def generate_group_loop(ring, n, generators, cap=200_000, probes=None, trail=Non
     gens = list(generators.values())
     probes = probes or {}
     dim = ring.d**n
-    start = PhaselessUnitary.of(np.eye(dim, dtype=complex))
-    seen = {start.key()}
-    frontier = deque([start.matrix])
+    start = of_oracle(np.eye(dim, dtype=complex))
+    seen = {key_oracle(start)}
+    frontier = deque([start])
     found = {name: False for name in probes}
-    probe_canon = {name: PhaselessUnitary.of(m) for name, m in probes.items()}
+    probe_canon = {name: of_oracle(m) for name, m in probes.items()}
     count = 1
     cap_hit = False
     if trail is not None:
-        trail.append(start.matrix)
+        trail.append(start)
     while frontier:
         cur = frontier.popleft()
         for gen in gens:
-            nxt = PhaselessUnitary.of(gen @ cur)
-            key = nxt.key()
+            nxt = of_oracle(gen @ cur)
+            key = key_oracle(nxt)
             if key in seen:
                 continue
             seen.add(key)
             count += 1
             if trail is not None:
-                trail.append(nxt.matrix)
+                trail.append(nxt)
             for name, canon in probe_canon.items():
-                if not found[name] and canon.close_to(nxt.matrix):
+                if not found[name] and np.abs(canon - of_oracle(nxt)).max() < 1e-8:
                     found[name] = True
             if count >= cap:
                 cap_hit = True
                 frontier.clear()
                 break
-            frontier.append(nxt.matrix)
+            frontier.append(nxt)
     return GroupReport(
         order=count, cap_hit=cap_hit, membership=found, generator_count=len(gens)
     )

@@ -1,11 +1,12 @@
 """Parsers for the .pd / .pc / .pp text formats."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 
-from pappa import dsl, gates, protocols
+from pappa import cli, dsl, gates, protocols
 from hypothesis import given, settings
 
 from pappa.diagrams import (
@@ -276,7 +277,7 @@ def test_parse_and_run_protocol():
     ring = make_phase_ring(2)
     script = parse_protocol(TELEPORT_PP, 2, "tele.pp")
     assert script.parties == {"alice": (0, 1), "bob": (2,)}
-    assert script.resources == [protocols.Resource((1, 2))]
+    assert script.resources == (protocols.Resource((1, 2)),)
     rng = np.random.default_rng(1)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi = QState(2, 1, v / np.linalg.norm(v))
@@ -326,3 +327,74 @@ def test_protocol_output_may_reuse_resource_and_input_sites():
     text = PP_PARTIES + "input: q1\nresource max2: q2 q3\noutput: q1 q3\n"
     script = parse_protocol(text, 2, "p.pp")
     assert script.output_sites == (0, 2)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Count ``ProtocolScript.validate`` calls."""
+    calls = []
+    validate = protocols.ProtocolScript.validate
+
+    def counting(script):
+        calls.append(script)
+        return validate(script)
+
+    monkeypatch.setattr(protocols.ProtocolScript, "validate", counting)
+    return calls
+
+
+def test_a_parsed_protocol_is_validated_once(validations):
+    ring = make_phase_ring(2)
+    script = parse_protocol(TELEPORT_PP, 2, "tele.pp")
+    protocols.run(ring, script, QState.zero(2, 1), seed=1)
+    protocols.run_branches(ring, script, QState.zero(2, 1))
+    assert len(validations) == 1
+
+
+def test_protocol_run_validates_once(validations, tmp_path, capsys):
+    pp = tmp_path / "tele.pp"
+    pp.write_text(TELEPORT_PP)
+    assert cli.main(["protocol", "run", str(pp), "--d", "2"]) == 0
+    assert len(validations) == 1
+
+
+def test_a_parsed_circuit_is_validated_once(validations):
+    circ = parse_circuit(TELEPORT_PC, "tele.pc")
+    run_circuit(make_phase_ring(2), circ, seed=3)
+    assert len(validations) == 1
+
+
+def test_a_built_script_is_validated_once(validations):
+    ring = make_phase_ring(3)
+    script = protocols.teleportation_script(ring)
+    protocols.run_branches(ring, script, QState.zero(3, 1))
+    assert len(validations) == 1
+
+
+def _pc_as_pp(text):
+    """A .pc text without ``sft`` as a .pp text: one party ``circuit`` owning q1..qN."""
+    header, *body = text.splitlines()
+    n = int(header.split("n=")[1])
+    out = [f"party {dsl.CIRCUIT_PARTY}: " + " ".join(f"q{s}" for s in range(1, n + 1))]
+    for line in body:
+        line = re.sub(r"^measure@(\d+)", r"meter q\1", line)
+        line = re.sub(r"([@=])(\d+)", r"\1q\2", line)
+        out.append(re.sub(r"^gate (\S+)@", r"gate \1 @", line))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+def test_a_circuit_is_a_one_party_protocol(d, n):
+    """Each .pc text parses to the steps of its .pp translation, and both run to the same bits."""
+    ring = make_phase_ring(d)
+    for seed in range(12):
+        pc = _random_pc(random.Random(f"pp/{d}/{seed}"), d, n)
+        pc = "".join(line for line in pc.splitlines(keepends=True) if line != "sft\n")
+        circ = parse_circuit(pc, "r.pc")
+        script = parse_protocol(_pc_as_pp(pc), d, "r.pp")
+        assert circ.steps == script.steps and circ.n_sites == script.n_sites
+        assert len(circ.steps) == len(pc.splitlines()) - 1
+        a, b = protocols.run(ring, circ, seed=seed), protocols.run(ring, script, seed=seed)
+        assert list(a.outcomes.items()) == list(b.outcomes.items())
+        assert (a.edits, a.cdits, a.probability) == (b.edits, b.cdits, b.probability)
+        assert a.final_state.vector.tobytes() == b.final_state.vector.tobytes()

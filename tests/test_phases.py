@@ -2,6 +2,7 @@
 
 import cmath
 
+import numpy as np
 import pytest
 
 from pappa.phases import gauss_identity_residual, make_phase_ring, phase_pow
@@ -70,6 +71,18 @@ def test_rejects_bad_degree():
         make_phase_ring(1)
     with pytest.raises(ValueError):
         make_phase_ring(0)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_one_ring_per_degree(d):
+    assert make_phase_ring(d) is make_phase_ring(d)
+    assert make_phase_ring(d).d == d
+
+
+@pytest.mark.parametrize("bad", [[2], 2.0, np.int64(3), True, 1])
+def test_non_integer_degrees_raise_value_error_before_the_cache(bad):
+    with pytest.raises(ValueError, match="qudit degree must be an integer >= 2"):
+        make_phase_ring(bad)
 
 
 def test_omega_sqrt_principal_branch():

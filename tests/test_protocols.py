@@ -1,5 +1,6 @@
 """Protocols: teleportation, resource distillation, multipartite merging."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -182,17 +183,15 @@ def test_bvk_rejects_bad_sizes():
 
 
 def test_locality_enforced_on_gates():
-    ring = RINGS[2]
-    script = ProtocolScript(
-        d=2,
-        n_sites=2,
-        parties={"a": (0,), "b": (1,)},
-        resources=[],
-        steps=[CtrlStep("a", "X", control=0, target=1)],
-        input_sites=(0, 1),
-    )
     with pytest.raises(LocalityError):
-        run(ring, script, rand_state(2, 2, 0), seed=0)
+        ProtocolScript(
+            d=2,
+            n_sites=2,
+            parties={"a": (0,), "b": (1,)},
+            resources=[],
+            steps=[CtrlStep("a", "X", control=0, target=1)],
+            input_sites=(0, 1),
+        )
 
 
 def test_locality_enforced_on_conditions():
@@ -201,34 +200,47 @@ def test_locality_enforced_on_conditions():
         MeasureStep("a", 0, "m"),
         CondStep("b", "X", site=1, register="m"),  # never sent to b
     ]
-    script = ProtocolScript(
-        d=2,
-        n_sites=2,
-        parties={"a": (0,), "b": (1,)},
-        resources=[],
-        steps=steps,
-        input_sites=(0, 1),
-    )
+
+    def script():
+        return ProtocolScript(
+            d=2,
+            n_sites=2,
+            parties={"a": (0,), "b": (1,)},
+            resources=[],
+            steps=steps,
+            input_sites=(0, 1),
+        )
+
     with pytest.raises(LocalityError):
-        run(ring, script, rand_state(2, 2, 1), seed=0)
-    # inserting the send step makes it legal
+        script()
+    # inserting the send step makes it legal; a built script keeps its own steps
     steps.insert(1, SendStep("a", "b", "m"))
-    tr = run(ring, script, rand_state(2, 2, 1), seed=0)
+    legal = script()
+    steps.pop(1)
+    assert len(legal.steps) == 3
+    tr = run(ring, legal, rand_state(2, 2, 1), seed=0)
     assert tr.cdits == 1
 
 
+def test_a_built_script_is_immutable():
+    script = teleportation_script(RINGS[2])
+    assert isinstance(script.steps, tuple) and isinstance(script.resources, tuple)
+    with pytest.raises(TypeError):
+        script.parties["bob"] = (0, 1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        script.steps = ()
+
+
 def test_send_requires_known_register():
-    ring = RINGS[2]
-    script = ProtocolScript(
-        d=2,
-        n_sites=2,
-        parties={"a": (0,), "b": (1,)},
-        resources=[],
-        steps=[SendStep("a", "b", "nope")],
-        input_sites=(0, 1),
-    )
     with pytest.raises(LocalityError):
-        run(ring, script, rand_state(2, 2, 2), seed=0)
+        ProtocolScript(
+            d=2,
+            n_sites=2,
+            parties={"a": (0,), "b": (1,)},
+            resources=[],
+            steps=[SendStep("a", "b", "nope")],
+            input_sites=(0, 1),
+        )
 
 
 def test_same_party_send_is_free():
@@ -353,17 +365,16 @@ def test_validate_rejects_overlapping_parties():
     ],
 )
 def test_validate_checks_site_sets(resources, input_sites, output_sites, where):
-    script = ProtocolScript(
-        d=2,
-        n_sites=3,
-        parties={"a": (0, 1, 2)},
-        resources=[Resource(sites) for sites in resources],
-        steps=[],
-        input_sites=input_sites,
-        output_sites=output_sites,
-    )
     with pytest.raises(LocalityError) as err:
-        script.validate()
+        ProtocolScript(
+            d=2,
+            n_sites=3,
+            parties={"a": (0, 1, 2)},
+            resources=[Resource(sites) for sites in resources],
+            steps=[],
+            input_sites=input_sites,
+            output_sites=output_sites,
+        )
     assert err.value.where == where
 
 
@@ -565,9 +576,8 @@ def test_sft_step_needs_a_party_owning_every_site():
     whole = ProtocolScript(3, 2, {"a": (0, 1)}, [], [SftStep("a")], input_sites=(0, 1))
     out = run(ring, whole, psi).final_state
     assert np.array_equal(out.vector, gates.apply_sft(ring, psi).vector)
-    split = ProtocolScript(3, 2, {"a": (0,), "b": (1,)}, [], [SftStep("a")], input_sites=(0, 1))
     with pytest.raises(LocalityError):
-        run(ring, split, psi)
+        ProtocolScript(3, 2, {"a": (0,), "b": (1,)}, [], [SftStep("a")], input_sites=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +660,7 @@ def test_walker_blocks_are_the_public_builders_bit_for_bit(d):
             want = gates.ctrl_local(base, 1, 0, e).block
             assert local.block.tobytes() == want.tobytes(), (name, e)
     with pytest.raises(ValueError, match="control and target must differ"):
-        protocols._locals(ring, 2, CtrlStep("a", "X", 1, 1))
+        ProtocolScript(d, 2, {"a": (0, 1)}, [], [CtrlStep("a", "X", 1, 1)])
 
 
 def test_cond_sweep_keeps_at_most_5_times_4d_blocks_per_ring():
