@@ -46,7 +46,8 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _check_dims(d: int, n: int) -> None:
-    if d**max(n, 1) > MAX_ENTRIES:
+    # d >= 2 passes the bound within bit_length factors, so the power stays small
+    if d ** min(max(n, 1), MAX_ENTRIES.bit_length()) > MAX_ENTRIES:
         raise ValueError(f"dimension overflow: d**n = {d}**{n} exceeds {MAX_ENTRIES} entries")
 
 

@@ -99,17 +99,12 @@ def verify_sft_factorizations(ring: PhaseRing) -> IdentityReport:
     zero = np.zeros(d * d)
     zero[0] = 1.0
     bell = np.linalg.inv(c1x) @ kron_all([f, np.eye(d)]) @ zero
-    rep = IdentityReport(
-        residual=max(
-            float(np.abs(s - fact1).max()),
-            float(np.abs(s - fact2).max()),
-            float(np.abs(s @ zero - bell).max()),
-        )
-    )
-    rep.extras["factorization1"] = float(np.abs(s - fact1).max())
-    rep.extras["factorization2"] = float(np.abs(s - fact2).max())
-    rep.extras["bell_corollary"] = float(np.abs(s @ zero - bell).max())
-    return rep
+    extras = {
+        "factorization1": float(np.abs(s - fact1).max()),
+        "factorization2": float(np.abs(s - fact2).max()),
+        "bell_corollary": float(np.abs(s @ zero - bell).max()),
+    }
+    return IdentityReport(residual=max(extras.values()), extras=extras)
 
 
 def verify_braid_gaussian_dressing(ring: PhaseRing) -> IdentityReport:

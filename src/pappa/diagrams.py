@@ -80,7 +80,7 @@ def _gen_width_delta(gen: Generator) -> int:
     return 0
 
 
-def _gen_span(gen: Generator, width: int) -> tuple[int, int]:
+def _gen_span(gen: Generator) -> tuple[int, int]:
     """Inclusive strand range a generator touches, in its input frame."""
     if isinstance(gen, Charge):
         return gen.strand, gen.strand
@@ -176,14 +176,8 @@ class Diagram:
         w = self.in_points
         for layer in self.layers:
             for gen in layer:
-                if isinstance(gen, Cap):
-                    ok = 0 <= gen.strand <= w
-                elif isinstance(gen, Sym):
-                    ok = 0 <= gen.strand - 1 and gen.strand + 2 < w
-                else:
-                    lo, hi = _gen_span(gen, w)
-                    ok = 0 <= lo and hi < w
-                if not ok:
+                lo, hi = _gen_span(gen)
+                if not (0 <= lo and hi < w):
                     raise ValueError(f"{gen!r} out of range at width {w}")
                 w += _gen_width_delta(gen)
         if w != self.out_points:
@@ -400,7 +394,7 @@ def sft_rotate(diagram: Diagram) -> Diagram:
 
 
 def _touches(gen: Generator, lo: int, hi: int) -> bool:
-    a, b = _gen_span(gen, 0)
+    a, b = _gen_span(gen)
     return not (b < lo or a > hi)
 
 

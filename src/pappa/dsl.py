@@ -113,7 +113,8 @@ def format_diagram(diagram: Diagram) -> str:
     """Render a diagram back into the .pd text form.
 
     Raises ValueError for what the form cannot hold: a diagram scalar other
-    than 1, or a daggered box.
+    than 1, or a daggered box.  Nothing in ``pappa`` calls it; it is kept
+    for the parse/format round-trip property the tests check.
     """
     if diagram.scalar != DiagScalar():
         raise ValueError(f".pd cannot hold the diagram scalar {diagram.scalar}")

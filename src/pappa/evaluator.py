@@ -219,8 +219,8 @@ def sft_via_braids(ring: PhaseRing, n: int) -> np.ndarray:
 
 def _z_tail(ring: PhaseRing, x: np.ndarray, n: int, site: int, k: int) -> np.ndarray:
     """Z**k on every qudit after ``site``: one multiply by a q-table phase vector."""
-    rest = n - site - 1
-    if rest <= 0 or k % ring.d == 0:
+    rest, k = n - site - 1, k % ring.d  # reduced first: k may pass int64
+    if rest <= 0 or k == 0:
         return x
     phases = gates._q_table(ring)[k * gates.digit_sums(ring.d, rest) % ring.d]
     return (x.reshape(-1, phases.size, x.shape[-1]) * phases[:, None]).reshape(x.shape)
@@ -229,7 +229,7 @@ def _z_tail(ring: PhaseRing, x: np.ndarray, n: int, site: int, k: int) -> np.nda
 def _charge(ring: PhaseRing, n: int, strand: int, k: int, x: np.ndarray) -> np.ndarray:
     """A charge's Jordan-Wigner word applied to ``x``: its X**k or Y**-k head, then its Z tail."""
     j = strand // 2
-    head = gates.pauli_x_power(ring, k) if strand % 2 else gates.pauli_y_power(ring, -k)
+    head = gates.gate_block(ring, "X", k) if strand % 2 else gates.gate_block(ring, "Y", -k)
     return _z_tail(ring, gates.apply_local(x, ring.d, n, gates.Local((j,), head)), n, j, k)
 
 
@@ -360,7 +360,7 @@ def local_conjugation_op(
         raise ValueError("owner mask length must equal qudit count")
     sites = [i for i, b in enumerate(mask) if b]
     d = ring.d
-    z = gates.pauli_z_power(ring, charge)
+    z = gates.gate_power(ring, "Z", charge)
     m = gates.Local(tuple(sites), t).to_matrix(d, n)
     for site in range(sites[0] + 1, n):
         if not mask[site]:

@@ -5,6 +5,13 @@ Single-qudit conventions (basis |0..d-1>, index arithmetic mod d):
     X|k> = |k+1>        Y|k> = zeta**(1-2k) |k-1>       Z|k> = q**k |k>
     F|k> = d**-0.5 * sum_l q**(k*l) |l>                 G|k> = zeta**(k*k) |k>
 
+Every phase is one lookup into a ring's cached, read-only table of
+eps**e, e = 0..2d-1 (:func:`_eps_table`): the named gates of
+:func:`gate_power`, one table row each, and the closed forms
+``sft_matrix``, ``sym_gate_matrix`` and ``cz_gate``.  :func:`gate_block`
+caches read-only gate blocks once per process, shared by the protocol
+walker and ``evaluator.evaluate``.
+
 Multi-qudit basis: |k_1,...,k_n> maps to index sum(k_j * d**(n-j)), i.e.
 qudit 1 is the first (most significant) tensor factor.  The cached,
 read-only :func:`digit_table` holds the digits of every index and
@@ -40,29 +47,6 @@ from .phases import PhaseRing
 # ---------------------------------------------------------------------------
 
 
-def pauli_x_power(ring: PhaseRing, k: int = 1) -> np.ndarray:
-    """X**k as a d x d matrix: |m> -> |m+k>."""
-    d = ring.d
-    m = np.zeros((d, d), dtype=complex)
-    for col in range(d):
-        m[(col + k) % d, col] = 1.0
-    return m
-
-
-def pauli_y_power(ring: PhaseRing, k: int = 1) -> np.ndarray:
-    """Y**k as a d x d matrix: |m> -> zeta**(k*k - 2*k*m) |m-k>."""
-    d = ring.d
-    m = np.zeros((d, d), dtype=complex)
-    for col in range(d):
-        m[(col - k) % d, col] = ring.zeta_pow(k * k - 2 * k * col)
-    return m
-
-
-def pauli_z_power(ring: PhaseRing, k: int = 1) -> np.ndarray:
-    """Z**k as a d x d matrix: diag(q**(k*m))."""
-    return np.diag([ring.q_pow(k * col) for col in range(ring.d)])
-
-
 def pauli_gate(ring: PhaseRing, which: str) -> np.ndarray:
     """One of the qudit Pauli matrices X, Y, Z."""
     if which not in ("X", "Y", "Z"):
@@ -72,54 +56,70 @@ def pauli_gate(ring: PhaseRing, which: str) -> np.ndarray:
 
 def fourier_gate(ring: PhaseRing) -> np.ndarray:
     """The Fourier matrix F[l, k] = q**(k*l) / sqrt(d)."""
-    d = ring.d
-    m = np.empty((d, d), dtype=complex)
-    for k in range(d):
-        for ell in range(d):
-            m[ell, k] = ring.q_pow(k * ell)
-    return m / d**0.5
-
-
-def fourier_power(ring: PhaseRing, k: int = 1) -> np.ndarray:
-    """F**k using F**2 = parity and F**4 = 1."""
-    d = ring.d
-    k = k % 4
-    if k == 0:
-        return np.eye(d, dtype=complex)
-    if k == 1:
-        return fourier_gate(ring)
-    parity = np.zeros((d, d), dtype=complex)
-    for col in range(d):
-        parity[(-col) % d, col] = 1.0
-    if k == 2:
-        return parity
-    return fourier_gate(ring).conj().T
+    return gate_power(ring, "F", 1)
 
 
 def gaussian_gate(ring: PhaseRing) -> np.ndarray:
     """The Gaussian G = diag(zeta**(k*k))."""
-    return gaussian_power(ring, 1)
+    return gate_power(ring, "G", 1)
 
 
-def gaussian_power(ring: PhaseRing, k: int = 1) -> np.ndarray:
-    """G**k = diag(zeta**(k*m*m))."""
-    return np.diag([ring.zeta_pow(k * col * col) for col in range(ring.d)])
+@functools.lru_cache(maxsize=None)
+def _eps_table(ring: PhaseRing) -> np.ndarray:
+    """eps**e for e = 0..2d-1 (read-only): q**e sits at 2e, zeta**e at zeta_exp * e, mod 2d."""
+    table = np.array([ring.eps_pow(e) for e in range(2 * ring.d)])
+    table.flags.writeable = False
+    return table
 
 
-_GATE_BUILDERS = {
-    "X": pauli_x_power,
-    "Y": pauli_y_power,
-    "Z": pauli_z_power,
-    "F": fourier_power,
-    "G": gaussian_power,
-}
+@functools.lru_cache(maxsize=None)
+def _q_table(ring: PhaseRing) -> np.ndarray:
+    """q**e for e = 0..d-1: the even entries of :func:`_eps_table` (read-only)."""
+    return _eps_table(ring)[::2]
 
 
 def gate_power(ring: PhaseRing, name: str, power: int = 1) -> np.ndarray:
-    """Named single-qudit gate raised to an integer power (exact phases)."""
-    if name not in _GATE_BUILDERS:
+    """Named single-qudit gate raised to an integer power (exact phases).
+
+    Every gate but an odd power of F is monomial: its table row gives the
+    row of column m and the exponent e of its phase eps**e.  An odd power
+    of F is q**(k*l) / sqrt(d) or its adjoint.  Each gate's order divides
+    4d, so the power is reduced mod 4d first, which keeps the bits.  The
+    array is fresh and writable.
+    """
+    if name not in ("X", "Y", "Z", "F", "G"):
         raise ValueError(f"unknown gate {name!r}")
-    return _GATE_BUILDERS[name](ring, power)
+    d, z, eps = ring.d, ring.zeta_exp, _eps_table(ring)
+    k, m = power % (4 * d), np.arange(d)
+    if name == "F" and k % 2:
+        f = eps[2 * np.outer(m, m) % (2 * d)] / d**0.5
+        return f if k % 4 == 1 else f.conj().T
+    rows, expo = {
+        "X": (m + k, 0),
+        "Y": (m - k, z * (k * k - 2 * k * m)),
+        "Z": (m, 2 * k * m),
+        "G": (m, z * k * m * m),
+        "F": (m if k % 4 == 0 else -m, 0),
+    }[name]
+    out = np.zeros((d, d), dtype=complex)
+    out[rows % d, m] = eps[expo % (2 * d)]
+    return out
+
+
+def gate_block(ring: PhaseRing, name: str, power: int = 1) -> np.ndarray:
+    """:func:`gate_power`, built once per process and shared read-only.
+
+    The power is reduced mod 4d here, which keeps the bits and bounds the
+    cache at 5 * 4d blocks per ring.
+    """
+    return _gate_block(ring, name, power % (4 * ring.d))
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_block(ring: PhaseRing, name: str, power: int) -> np.ndarray:
+    block = gate_power(ring, name, power)
+    block.flags.writeable = False
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +160,6 @@ def digit_sums(d: int, n: int) -> np.ndarray:
         sums = np.add.outer(sums, np.arange(d)).reshape(-1)
     sums.flags.writeable = False
     return sums
-
-
-@functools.lru_cache(maxsize=None)
-def _q_table(ring: PhaseRing) -> np.ndarray:
-    """q**e for e = 0..d-1, built once per ring (read-only)."""
-    table = np.array([ring.q_pow(e) for e in range(ring.d)])
-    table.flags.writeable = False
-    return table
 
 
 def kron_all(mats) -> np.ndarray:
@@ -307,7 +299,8 @@ def controlled_gate(
 def cz_gate(ring: PhaseRing, n: int = 2, site_a: int = 0, site_b: int = 1) -> np.ndarray:
     """C_Z = diag(q**(k_a * k_b)); identical for both control flavors."""
     d = ring.d
-    block = np.diag([ring.q_pow(ka * kb) for ka in range(d) for kb in range(d)])
+    ka, kb = digit_table(d, 2).T
+    block = np.diag(_eps_table(ring)[2 * ka * kb % (2 * d)])
     return Local((site_a, site_b), block).to_matrix(d, n)
 
 
@@ -368,10 +361,9 @@ def measure(state: QState, site: int, rng: np.random.Generator) -> tuple[int, QS
 def sym_gate_matrix(ring: PhaseRing, m: int) -> np.ndarray:
     """Two-qudit b_m: |k,l> -> q**(m*k*l) |l,k>; b_0 is SWAP."""
     d = ring.d
+    k, l = digit_table(d, 2).T
     out = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            out[l * d + k, k * d + l] = ring.q_pow(m * k * l)
+    out[l * d + k, k * d + l] = _eps_table(ring)[2 * (m % d) * k * l % (2 * d)]
     return out
 
 
@@ -397,16 +389,15 @@ def sft_matrix(ring: PhaseRing, n: int) -> np.ndarray:
 
     <l|SFT|k> = d**((1-n)/2) * zeta**(|l|**2) * prod_{j1<j2} q**(-l_j1 k_j2)
     on the charge-conserving sector |l| == |k| (mod d), zero elsewhere.
-    The integer exponents are reduced before one lookup per phase.
+    The integer exponents are reduced before one ``_eps_table`` lookup per phase.
     """
     d = ring.d
     digits = digit_table(d, n)
     total = digit_sums(d, n)
     before = np.cumsum(digits, axis=1) - digits  # l_1 + ... + l_{j-1}
     expo = -(before @ digits.T)  # [l, k]: -sum_{j1<j2} l_j1 k_j2
-    zeta_table = np.array([ring.zeta_pow(e) for e in range(2 * d)])
-    scale = float(d) ** ((1 - n) / 2)
-    out = scale * zeta_table[total**2 % (2 * d)][:, None] * _q_table(ring)[expo % d]
+    eps, scale = _eps_table(ring), float(d) ** ((1 - n) / 2)
+    out = scale * eps[ring.zeta_exp * total**2 % (2 * d)][:, None] * eps[2 * expo % (2 * d)]
     out[(total[:, None] - total[None, :]) % d != 0] = 0.0
     return out
 
@@ -472,14 +463,14 @@ def circuit_tricks_check(ring: PhaseRing, rng: np.random.Generator | None = None
     a = _random_unitary(d, rng)
     for sgn in (1, -1):
         c1a = controlled_gate(ring, 2, 0, 1, a)
-        g = Local((0,), gaussian_power(ring, sgn)).to_matrix(d, 2)
+        g = Local((0,), gate_power(ring, "G", sgn)).to_matrix(d, 2)
         rep.residuals[f"trick1_g{sgn:+d}"] = float(np.abs(g @ c1a - c1a @ g).max())
 
     # Trick 2: a Gaussian before a meter changes nothing observable.
     psi = _random_state(ring, 2, rng)
     for sgn in (1, -1):
         plain = _branch_ensemble(psi, None, 0)
-        g = Local((0,), gaussian_power(ring, sgn)).to_matrix(d, 2)
+        g = Local((0,), gate_power(ring, "G", sgn)).to_matrix(d, 2)
         gauss = _branch_ensemble(psi, g, 0)
         worst = 0.0
         for (_, p0, s0), (_, p1, s1) in zip(plain, gauss):
@@ -494,7 +485,7 @@ def circuit_tricks_check(ring: PhaseRing, rng: np.random.Generator | None = None
     t = _random_order_d_unitary(ring, rng)
     psi = _random_state(ring, 3, rng)
     worst = 0.0
-    lhs_pre = apply_controlled(psi, pauli_x_power(ring, 1), 0, 1, exponent=-1)
+    lhs_pre = apply_controlled(psi, gate_power(ring, "X", 1), 0, 1, exponent=-1)
     for m1 in range(d):
         l1, p1 = project_site(lhs_pre, 0, m1)
         r1, q1 = project_site(psi, 0, m1)
@@ -517,8 +508,8 @@ def circuit_tricks_check(ring: PhaseRing, rng: np.random.Generator | None = None
     # zeta**(-m*m) per branch.
     worst = 0.0
     for m in range(d):
-        lhs = pauli_y_power(ring, -m) @ pauli_x_power(ring, -m)
-        rhs = ring.zeta_pow(-m * m) * pauli_z_power(ring, m)
+        lhs = gate_power(ring, "Y", -m) @ gate_power(ring, "X", -m)
+        rhs = ring.zeta_pow(-m * m) * gate_power(ring, "Z", m)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     rep.residuals["trick4"] = worst
     return rep

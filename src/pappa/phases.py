@@ -89,15 +89,9 @@ def phase_pow(ring: PhaseRing, base: str, e: int) -> complex:
     Exponents of q are reduced mod d, of zeta and eps mod 2d, before
     evaluation; omega powers use exact angle multiplication.
     """
-    if base == "q":
-        return ring.q_pow(e)
-    if base == "zeta":
-        return ring.zeta_pow(e)
-    if base == "eps":
-        return ring.eps_pow(e)
-    if base == "omega":
-        return ring.omega_pow(e)
-    raise ValueError(f"unknown phase base {base!r}")
+    if base not in ("q", "zeta", "eps", "omega"):
+        raise ValueError(f"unknown phase base {base!r}")
+    return getattr(ring, f"{base}_pow")(e)
 
 
 def gauss_identity_residual(ring: PhaseRing, ell: int) -> float:

@@ -8,6 +8,10 @@ has measured itself or received over a classical channel.  The rules are
 checked once, by ``ProtocolScript.validate`` when a script is built, and a
 built script is immutable.  One pre-shared entangled resource costs one
 edit; one cross-party classical message costs one cdit.
+
+The walker takes its one-qudit gate blocks from ``gates.gate_block``, the
+process-wide cache it shares with ``evaluator.evaluate``, and keeps only
+its controlled blocks here (:func:`_ctrl_block`).
 """
 
 from __future__ import annotations
@@ -246,25 +250,15 @@ def _initial_state(
 
 
 @functools.lru_cache(maxsize=None)
-def _block(ring: PhaseRing, name: str, power: int, ctrl: bool = False) -> np.ndarray:
-    """The walker's block for gate ``name``, built once per process (read-only).
+def _ctrl_block(ring: PhaseRing, name: str, exponent: int) -> np.ndarray:
+    """A ctrl step's ``gates.ctrl_local`` block, built once per process (read-only).
 
-    ``gates.gate_power(ring, name, power)``, or with ``ctrl`` the d**2 x d**2
-    block of ``gates.ctrl_local`` with exponent ``power``.  Callers reduce a
-    single-qudit power mod 4d first, which keeps its bits and bounds the
-    cache; a controlled exponent is keyed as written, because
-    ``np.linalg.matrix_power`` of a reduced exponent can differ in the last bit.
+    The exponent is keyed as written, because ``np.linalg.matrix_power`` of
+    a reduced exponent can differ in the last bit.
     """
-    if ctrl:
-        block = gates.ctrl_local(gates.gate_power(ring, name, 1), 0, 1, power).block
-    else:
-        block = gates.gate_power(ring, name, power)
+    block = gates.ctrl_local(gates.gate_power(ring, name, 1), 0, 1, exponent).block
     block.flags.writeable = False
     return block
-
-
-def _gate_local(ring: PhaseRing, name: str, site: int, power: int) -> gates.Local:
-    return gates.Local((site,), _block(ring, name, power % (4 * ring.d)))
 
 
 def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
@@ -274,15 +268,15 @@ def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
     None.  The SFT's omega**0.5 stays a scale, as in ``gates.apply_sft``.
     """
     if isinstance(step, GateStep):
-        return None, [_gate_local(ring, step.name, step.site, step.power)]
+        return None, [gates.Local((step.site,), gates.gate_block(ring, step.name, step.power))]
     if isinstance(step, CtrlStep):
-        block = _block(ring, step.name, step.exponent, ctrl=True)
+        block = _ctrl_block(ring, step.name, step.exponent)
         return None, [gates.Local((step.control, step.target), block)]
     if isinstance(step, CondStep):
         power = step.coeff * value
         if not power:
             return None, []
-        return None, [_gate_local(ring, step.name, step.site, power)]
+        return None, [gates.Local((step.site,), gates.gate_block(ring, step.name, power))]
     if isinstance(step, SftStep):
         return ring.omega_sqrt, gates.sft_locals(ring, n)
     return None
@@ -291,12 +285,13 @@ def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
 def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, seed, fork):
     """Walk the outcome tree of ``script`` depth first; return its leaves.
 
-    Each gate block is built once per process by :func:`_block` and is
-    read-only.  Each gate, ctrl and SFT step is wrapped in its ``Local``s
-    once per walk, before it; a cond step once per visit, from its
-    register's value.  ``fork(state, site)`` lists the children taken at
-    a measurement as (outcome, p) pairs in outcome order, ``p`` being the
-    child's own probability.  A child's state is collapsed from its parent
+    Each gate block is built once per process, read-only, by
+    ``gates.gate_block`` or, for a ctrl step, :func:`_ctrl_block`.  Each
+    gate, ctrl and SFT step is wrapped in its ``Local``s once per walk,
+    before it; a cond step once per visit, from its register's value.
+    ``fork(state, site)`` lists the children taken at a measurement as
+    (outcome, p) pairs in outcome order, ``p`` being the child's own
+    probability.  A child's state is collapsed from its parent
     only when the walk reaches it, and a fork is dropped with its parent
     state when its last child is taken.  So only the parents of forks with
     children left and the state being advanced are alive: at most m+1

@@ -12,6 +12,8 @@ charge or tier code with them.
 import numpy as np
 
 from pappa import gates
+
+import gate_loops
 from pappa.diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Sym
 from pappa.evaluator import QOperator, _braid_matrix
 
@@ -34,11 +36,11 @@ def charge_word(ring, n, strand, k):
     if not 0 <= strand < 2 * n:
         raise ValueError(f"strand {strand} out of range for n={n}")
     j, right = strand // 2, strand % 2 == 1
-    head = gates.pauli_x_power(ring, k) if right else gates.pauli_y_power(ring, -k)
+    head = gate_loops.pauli_x_power(ring, k) if right else gate_loops.pauli_y_power(ring, -k)
     mats = (
         [np.eye(ring.d, dtype=complex)] * j
         + [head]
-        + [gates.pauli_z_power(ring, k)] * (n - j - 1)
+        + [gate_loops.pauli_z_power(ring, k)] * (n - j - 1)
     )
     return gates.kron_all(mats)
 
@@ -124,7 +126,7 @@ def box_matrix(ring, n, box, boxes):
     if box.first % 2:
         return straddling_box(ring, n, box, m)
     j = box.first // 2
-    charge_tail = [gates.pauli_z_power(ring, box.charge)] * (n - j - w)
+    charge_tail = [gate_loops.pauli_z_power(ring, box.charge)] * (n - j - w)
     return gates.kron_all([np.eye(ring.d, dtype=complex)] * j + [m] + charge_tail)
 
 

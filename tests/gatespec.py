@@ -61,7 +61,7 @@ def apply_gate_spec(ring, state: QState, spec: GateSpec) -> QState:
         return gates.apply_controlled(state, base, control, target, spec.power)
     if spec.kind == "cz":
         a, b = spec.sites
-        return gates.apply_controlled(state, gates.pauli_z_power(ring, 1), a, b, spec.power)
+        return gates.apply_controlled(state, gates.gate_power(ring, "Z", 1), a, b, spec.power)
     if spec.kind == "sft":
         return gates.apply_sft(ring, state)
     raise ValueError(f"unknown gate kind {spec.kind!r}")

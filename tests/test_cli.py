@@ -4,6 +4,7 @@ import io
 import os
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,19 @@ def test_circuit_header_is_bounded_before_the_script_is_built(tmp_path, capsys):
     code, _ = run_cli(["circuit", "run", str(big)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: dimension overflow: d**n = 2**1000000 ")
+
+
+def test_huge_circuit_header_is_refused_in_constant_memory(tmp_path, capsys):
+    big = tmp_path / "huge.pc"
+    big.write_text("circuit d=2 n=1000000000\n")
+    tracemalloc.start()
+    try:
+        err = _refused(["circuit", "run", str(big)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err == f"error: dimension overflow: d**n = 2**1000000000 exceeds {2**20} entries\n"
+    assert peak < 2**20, peak
 
 
 def test_unbound_box_exit_code_2(tmp_path, capsys):

@@ -209,6 +209,36 @@ def test_out_of_range_generator_rejected():
         Diagram(2, 2, 2, ((BraidPos(1),),))
 
 
+def _range_ok_with_special_cases(gen, w):
+    """The range check ``Diagram`` made before it used ``_gen_span`` alone."""
+    if isinstance(gen, Cap):
+        return 0 <= gen.strand <= w
+    if isinstance(gen, Sym):
+        return 0 <= gen.strand - 1 and gen.strand + 2 < w
+    if isinstance(gen, Charge):
+        lo, hi = gen.strand, gen.strand
+    elif isinstance(gen, (Cup, BraidPos, BraidNeg)):
+        lo, hi = gen.strand, gen.strand + 1
+    else:
+        lo, hi = gen.first, gen.first + gen.strands - 1
+    return 0 <= lo and hi < w
+
+
+def test_range_check_accepts_what_the_special_cases_did():
+    for w in range(10):
+        for s in range(-4, w + 5):
+            gens = [Charge(s, 1), Cap(s), Cup(s), BraidPos(s), BraidNeg(s), Sym(s, 1)]
+            gens += [Box("U", s, strands) for strands in (1, 2, 4)]
+            for gen in gens:
+                delta = {Cap: 2, Cup: -2}.get(type(gen), 0)
+                try:
+                    Diagram(2, w, w + delta, ((gen,),))
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == _range_ok_with_special_cases(gen, w), (gen, w)
+
+
 def _same_tier_run(dia, rng):
     """``dia`` followed by 2-4 charges of one tier on distinct strands (a twisted product)."""
     size = min(dia.out_points, int(rng.integers(2, 5)))

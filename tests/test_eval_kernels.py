@@ -61,7 +61,7 @@ def test_z_tail_is_the_kron_string(d):
     x = batch(d, n, rng)
     for site in range(n):
         for k in (-d - 1, -1, 0, 1, 2, d, 2 * d + 1):
-            z = [np.eye(d)] * (site + 1) + [gates.pauli_z_power(ring, k)] * (n - site - 1)
+            z = [np.eye(d)] * (site + 1) + [gates.gate_power(ring, "Z", k)] * (n - site - 1)
             assert mx(evaluator._z_tail(ring, x, n, site, k) - gates.kron_all(z) @ x) < TOL
 
 

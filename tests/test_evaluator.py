@@ -15,7 +15,7 @@ from pappa.evaluator import (
     parafermion_relations_check,
     resolution_of_identity_check,
 )
-from pappa.gates import kron_all, pauli_x_power, pauli_y_power, pauli_z_power
+from pappa.gates import gate_power, kron_all
 from pappa.phases import make_phase_ring
 
 RINGS = {d: make_phase_ring(d) for d in (2, 3, 5)}
@@ -34,7 +34,7 @@ def test_charge_right_strand_is_x_with_z_string():
         ring = RINGS[d]
         got = charge_word(ring, 3, 1, 1)
         want = kron_all(
-            [pauli_x_power(ring, 1), pauli_z_power(ring, 1), pauli_z_power(ring, 1)]
+            [gate_power(ring, "X", 1), gate_power(ring, "Z", 1), gate_power(ring, "Z", 1)]
         )
         assert mx(got - want) < 1e-12
 
@@ -44,13 +44,13 @@ def test_charge_left_strand_is_y_inverse_with_z_string():
         ring = RINGS[d]
         got = charge_word(ring, 3, 0, 1)
         want = kron_all(
-            [pauli_y_power(ring, -1), pauli_z_power(ring, 1), pauli_z_power(ring, 1)]
+            [gate_power(ring, "Y", -1), gate_power(ring, "Z", 1), gate_power(ring, "Z", 1)]
         )
         assert mx(got - want) < 1e-12
         # charge -1 on the left strand reads Y (x) Z^-1 (x) Z^-1
         got = charge_word(ring, 3, 0, -1)
         want = kron_all(
-            [pauli_y_power(ring, 1), pauli_z_power(ring, -1), pauli_z_power(ring, -1)]
+            [gate_power(ring, "Y", 1), gate_power(ring, "Z", -1), gate_power(ring, "Z", -1)]
         )
         assert mx(got - want) < 1e-12
 
@@ -200,7 +200,7 @@ def test_measurement_dictionary_one():
             bra = np.zeros((1, d))
             bra[0, l] = 1.0
             want = d**0.25 * kron_all(
-                [bra] + [pauli_z_power(ring, -l)] * (n - 1)
+                [bra] + [gate_power(ring, "Z", -l)] * (n - 1)
             )
             assert mx(got - want) < 1e-12
 
@@ -243,9 +243,9 @@ def test_local_conjugation_charged_tail():
     for d in (2, 3):
         ring = RINGS[d]
         for k in range(d):
-            t = pauli_x_power(ring, k)  # charge k transformation
+            t = gate_power(ring, "X", k)  # charge k transformation
             got = local_conjugation_op(ring, 2, (1, 0), t, charge=k).matrix
-            want = kron_all([t, pauli_z_power(ring, k)])
+            want = kron_all([t, gate_power(ring, "Z", k)])
             assert mx(got - want) < 1e-12
             # and the C_Z conjugation identity produces the same embedding
             cz = gates.cz_gate(ring, 2)
@@ -276,7 +276,7 @@ def test_jordan_wigner_form_box_tails():
     t = gates._random_unitary(3, rng)
     dia = Diagram.identity(3, 6).then(Box("T", 2, 2, charge=2))
     got = ev(ring, dia, {"T": t})
-    want = kron_all([np.eye(3), t, pauli_z_power(ring, 2)])
+    want = kron_all([np.eye(3), t, gate_power(ring, "Z", 2)])
     assert mx(got - want) < 1e-12
 
 

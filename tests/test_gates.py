@@ -11,14 +11,10 @@ from pappa.gates import (
     controlled_gate,
     cz_gate,
     fourier_gate,
-    fourier_power,
+    gate_power,
     gaussian_gate,
-    gaussian_power,
     measure,
     pauli_gate,
-    pauli_x_power,
-    pauli_y_power,
-    pauli_z_power,
     project_site,
     sym_gate,
     sym_gate_matrix,
@@ -72,16 +68,10 @@ def test_fourier_and_gaussian_conjugation(d):
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_gate_powers_consistent(d):
     ring = RINGS[d]
-    for name, builder in [
-        ("X", pauli_x_power),
-        ("Y", pauli_y_power),
-        ("Z", pauli_z_power),
-        ("G", gaussian_power),
-        ("F", fourier_power),
-    ]:
-        base = builder(ring, 1)
+    for name in "XYZGF":
+        base = gate_power(ring, name, 1)
         for k in range(-2, 2 * d + 1):
-            direct = builder(ring, k)
+            direct = gate_power(ring, name, k)
             chained = np.linalg.matrix_power(base, k % (4 * d)) if k >= 0 else np.linalg.inv(
                 np.linalg.matrix_power(base, (-k) % (4 * d))
             )
@@ -228,8 +218,8 @@ def test_circuit_tricks(d):
 def test_trick4_identity_d2():
     ring = RINGS[2]
     for m in range(2):
-        lhs = pauli_y_power(ring, -m) @ pauli_x_power(ring, -m)
-        rhs = ring.zeta_pow(-m * m) * pauli_z_power(ring, m)
+        lhs = gate_power(ring, "Y", -m) @ gate_power(ring, "X", -m)
+        rhs = ring.zeta_pow(-m * m) * gate_power(ring, "Z", m)
         assert mx(lhs - rhs) < 1e-12
 
 

@@ -236,7 +236,7 @@ def local_conjugation_swaps(ring, n, mask, t, charge=0):
     for pos in swaps:
         swap = gates.sym_gate_matrix(ring, 0)
         route = gates.kron_all([eye] * pos + [swap] + [eye] * (n - pos - 2)) @ route
-    tail = [gates.pauli_z_power(ring, charge)] * (n - first - w)
+    tail = [gates.gate_power(ring, "Z", charge)] * (n - first - w)
     core = gates.kron_all([eye] * first + [t] + tail)
     return route.conj().T @ core @ route
 
@@ -325,7 +325,8 @@ def test_walker_builds_each_gate_once(monkeypatch, d):
     ring = RINGS[d]
     script = protocols.teleportation_script(ring)
     psi = gates._random_state(ring, 1, np.random.default_rng(d))
-    protocols._block.cache_clear()
+    gates._gate_block.cache_clear()
+    protocols._ctrl_block.cache_clear()
     built = _counting(monkeypatch, gates, "gate_power")
     powers = _counting(monkeypatch, np.linalg, "matrix_power")
     branches = protocols.run_branches(ring, script, psi)
@@ -345,7 +346,7 @@ def test_walker_ctrl_powers_per_step_not_per_visit(monkeypatch):
     script = protocols.build_max_script(ring, 4)
     ctrl_blocks = {(s.name, s.exponent) for s in script.steps if isinstance(s, protocols.CtrlStep)}
     assert len(ctrl_blocks) == 2
-    protocols._block.cache_clear()
+    protocols._ctrl_block.cache_clear()
     powers = _counting(monkeypatch, np.linalg, "matrix_power")
     assert len(protocols.run_branches(ring, script)) == 27
     assert len(powers) == 3 * len(ctrl_blocks)

@@ -615,9 +615,10 @@ CACHE_CASES = list(_cache_cases())
 
 @pytest.mark.parametrize("ring,script,psi", [c[1:] for c in CACHE_CASES], ids=[c[0] for c in CACHE_CASES])
 def test_cold_and_warm_block_cache_give_equal_walks(ring, script, psi):
-    protocols._block.cache_clear()
+    gates._gate_block.cache_clear()
+    protocols._ctrl_block.cache_clear()
     cold = [run(ring, script, psi, seed=7)], run_branches(ring, script, psi)
-    assert protocols._block.cache_info().currsize > 0
+    assert gates._gate_block.cache_info().currsize + protocols._ctrl_block.cache_info().currsize > 0
     warm = [run(ring, script, psi, seed=7)], run_branches(ring, script, psi)
     for a, b in zip(cold, warm):
         _same_transcripts(a, b)
@@ -671,8 +672,8 @@ def test_cond_sweep_keeps_at_most_5_times_4d_blocks_per_ring():
     for coeff in range(-12 * d, 12 * d + 1):
         steps += [CondStep("a", name, 1, "m", coeff) for name in "XYZFG"]
     script = ProtocolScript(d, 2, {"a": (0, 1)}, [], steps)
-    protocols._block.cache_clear()
+    gates._gate_block.cache_clear()
     branches = run_branches(ring, script)
     assert [tr.outcomes["m"] for tr in branches] == list(range(d))
     # the gate step's F**1 shares its entry with the cond steps' F**1
-    assert protocols._block.cache_info().currsize == 5 * 4 * d
+    assert gates._gate_block.cache_info().currsize == 5 * 4 * d
