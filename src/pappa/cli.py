@@ -13,9 +13,11 @@ codes: 0 success, 1 verification failure, 2 parse/usage error, reported
 as one ``error: ...`` line on stderr.  ``verify --d`` defaults to 2 and
 ``--jobs`` is accepted and ignored.  ``verify --n`` (default 3, at least
 1) is read by the ``sft`` suite only, so it is refused unless ``sft`` runs
-(alone or through ``all``), and ``sft`` is refused when its largest SFT
-matrix, d**(2 max(n, 3)) entries, exceeds ``MAX_ENTRIES``.  The environment variable
-``PAPPA_TOL`` overrides the default tolerance.
+(alone or through ``all``).  A ``verify`` run is refused before any suite
+starts when a suite's widest dense array (``verify.DENSE_WIDTH``; for
+``sft``, its SFT matrix of d**(2 max(n, 3)) entries) exceeds
+``MAX_ENTRIES``.  The environment variable ``PAPPA_TOL`` overrides the
+default tolerance.
 """
 
 from __future__ import annotations
@@ -134,9 +136,10 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--n is read by the sft suite only, not by {args.suite}")
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    if "sft" in names:
-        # suite_sft builds the SFT matrix on max(n, 3) qudits: d**(2n) entries
-        _check_dims(args.d, 2 * max(3 if args.n is None else args.n, 3))
+    widest = max(verify.DENSE_WIDTH[nm] for nm in names)
+    if args.n is not None:
+        widest = max(widest, 2 * args.n)  # the sft suite's SFT matrix on n qudits
+    _check_dims(args.d, widest)
     tol = _default_tol() if args.tol is None else args.tol
     results = [verify.run_suite(nm, args.d, tol, n=args.n) for nm in names]
     ok = True

@@ -178,9 +178,7 @@ def braid_block(ring: PhaseRing, parity: int, sign: int) -> np.ndarray:
     elsewhere.  It is the charge-sum definition at n = 1 resp. n = 2,
     computed once per (ring, parity, sign) and read-only.
     """
-    block = _braid_charge_sum(ring, 1 + parity, parity, sign)
-    block.flags.writeable = False
-    return block
+    return gates.frozen(_braid_charge_sum(ring, 1 + parity, parity, sign))
 
 
 def braid_local(ring: PhaseRing, strand: int, sign: int) -> gates.Local:
@@ -287,7 +285,7 @@ def _apply_generator(ring: PhaseRing, n: int, gen, x: np.ndarray, boxes) -> tupl
         local = braid_local(ring, gen.strand, +1 if isinstance(gen, BraidPos) else -1)
     elif isinstance(gen, Sym):
         j = gates._sym_pair(n, gen.strand)
-        local = gates.Local((j, j + 1), gates.sym_gate_matrix(ring, gen.m))
+        local = gates.Local((j, j + 1), gates.sym_block(ring, gen.m))
     else:
         raise TypeError(f"unknown generator {gen!r}")
     return gates.apply_local(x, ring.d, n, local), n

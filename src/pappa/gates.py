@@ -10,7 +10,7 @@ eps**e, e = 0..2d-1 (:func:`_eps_table`): the named gates of
 :func:`gate_power`, one table row each, and the closed forms
 ``sft_matrix``, ``sym_gate_matrix`` and ``cz_gate``.  :func:`gate_block`
 caches read-only gate blocks once per process, shared by the protocol
-walker and ``evaluator.evaluate``.
+walker and ``evaluator.evaluate``; :func:`sym_block` does the same for b_m.
 
 Multi-qudit basis: |k_1,...,k_n> maps to index sum(k_j * d**(n-j)), i.e.
 qudit 1 is the first (most significant) tensor factor.  The cached,
@@ -20,10 +20,18 @@ the Max states, Pauli-word matching) are array expressions on them.
 
 Every local operation is a :class:`Local`, a d**w x d**w block on w listed
 qudits in any order: a gate, a block-diagonal controlled gate, or a braid's
-``evaluator.braid_block``; the SFT is omega**0.5 times 2n-1 braids.  The one
-kernel that applies a block to a state, :func:`apply_local`, is a transpose,
-one ``np.dot`` and the transpose back: O(d**(n+w)) work and two states of
-memory, not the d**(2n) of the matrix, so an ``sft`` at d=2, n=20 runs.
+``evaluator.braid_block``; the SFT is omega**0.5 times 2n-1 braids.
+:func:`apply_local`, the one way a block reaches a state, picks its kernel
+from the block's structure (:func:`block_structure`).  A diagonal block (Z,
+G, ctrl-Z, the even braids) is one broadcast multiply.  A monomial block
+(X, Y, even powers of F, ctrl-X, ctrl-Y, b_m) moves each entry once and
+scales it by its phase.  A dense block (odd powers of F, ctrl-F, the odd
+braids, boxes) is a transpose, one ``np.dot`` and the transpose back.  Each
+is O(d**(n+w)) work and at most two states of memory, not the d**(2n) of
+the matrix, so an ``sft`` at d=2, n=20 runs.  The blocks cached for the
+process (:func:`gate_block`, :func:`sym_block`, the walker's ctrl blocks,
+``evaluator.braid_block``) are :func:`frozen`, so each one's kernel tables
+are worked out once.
 
 The dense d**n x d**n forms that remain are that kernel on the identity:
 ``Local.to_matrix``, through which ``sym_gate``, ``controlled_gate`` and
@@ -36,7 +44,9 @@ They exist for test oracles and for the checks of ``verify`` and
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,9 +127,7 @@ def gate_block(ring: PhaseRing, name: str, power: int = 1) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _gate_block(ring: PhaseRing, name: str, power: int) -> np.ndarray:
-    block = gate_power(ring, name, power)
-    block.flags.writeable = False
-    return block
+    return frozen(gate_power(ring, name, power))
 
 
 # ---------------------------------------------------------------------------
@@ -219,26 +227,163 @@ class Local:
         return apply_local(np.eye(d**n, dtype=complex), d, n, self)
 
 
+class _Plan(NamedTuple):
+    """How to index x for a block on ``sites``; see :func:`_local_axes`."""
+
+    full: tuple[int, ...]  # x with one axis per qudit, then the batch
+    axes: tuple[int, ...]  # that order with the sites first
+    dw: int  # d**w
+    front: tuple[int, ...]  # the shape of ``full`` in ``axes`` order
+    inverse: tuple[int, ...]  # the order that undoes ``axes``
+    view: tuple[int, ...]  # x with each site its own axis and the qudits between them merged
+    order: tuple[int, ...]  # the block digits in increasing site order
+    lay: tuple[int, ...]  # ``view`` with the site axes first (monomial gather)
+
+
 @functools.lru_cache(maxsize=None)
-def _local_axes(d: int, n: int, sites: tuple[int, ...], batch: tuple[int, ...]):
-    """x's full shape, the order with ``sites`` first, d**w, that order's shape, its inverse."""
+def _local_axes(d: int, n: int, sites: tuple[int, ...], batch: tuple[int, ...]) -> _Plan:
+    """Check ``sites`` against the register and plan every kernel's indexing."""
     if any(not 0 <= s < n for s in sites):
         raise ValueError(f"sites {sites} outside register of {n}")
     if len(set(sites)) != len(sites):
         raise ValueError(f"sites {sites} repeat a qudit")
     full = (d,) * n + batch
     axes = sites + tuple(a for a in range(len(full)) if a not in sites)
-    return full, axes, d**len(sites), tuple(full[a] for a in axes), tuple(np.argsort(axes).tolist())
+    view, prev = [], -1
+    for s in sorted(sites):
+        view += [d ** (s - prev - 1), d]
+        prev = s
+    view.append(d ** (n - 1 - prev) * math.prod(batch))
+    w = len(sites)
+    lay = tuple(range(2 * w + 1)) if w < 2 else (*range(1, 2 * w, 2), *range(0, 2 * w + 1, 2))
+    return _Plan(
+        full,
+        axes,
+        d**w,
+        tuple(full[a] for a in axes),
+        tuple(np.argsort(axes).tolist()),
+        tuple(view),
+        tuple(sorted(range(w), key=sites.__getitem__)),
+        lay,
+    )
+
+
+# Blocks cached read-only for the life of the process, by id.  Holding them
+# keeps their ids from being reused, so their kernels can be memoised by id.
+_FROZEN: dict[int, np.ndarray] = {}
+_KERNELS: dict[tuple[int, tuple[int, ...]], tuple] = {}
+# a monomial block scales one strided slice per output digit string once the
+# slices hold this many entries; below, one gather costs less (measured on
+# one core for d = 2, 3, 7 and w = 1, 2)
+_SLICE_LOOP = 2048
+
+
+def frozen(block: np.ndarray) -> np.ndarray:
+    """Make ``block`` read-only for good, so :func:`apply_local` memoises its kernel."""
+    block.flags.writeable = False
+    _FROZEN[id(block)] = block
+    return block
+
+
+def block_structure(block: np.ndarray) -> str:
+    """``"diagonal"`` (no off-diagonal nonzero), ``"monomial"`` (one nonzero in
+    every row and every column) or ``"dense"``: the kernel ``apply_local`` uses."""
+    nz = block != 0
+    count = np.count_nonzero(nz)
+    if count == np.count_nonzero(nz.diagonal()):
+        return "diagonal"
+    # d**w nonzeros with one in every row and every column
+    if count == block.shape[0] and nz.any(axis=0).all() and nz.any(axis=1).all():
+        return "monomial"
+    return "dense"
+
+
+def _kernel(block: np.ndarray, d: int, order: tuple[int, ...]) -> tuple:
+    """(structure, tables) of ``block`` with its digits taken in ``order``.
+
+    A pure function of the block's values, memoised for :func:`frozen` blocks.
+    A diagonal block's table is its diagonal shaped to broadcast over the
+    plan's ``view``.  A monomial block's, in increasing site order, are the
+    gather index into ``view``, its phases shaped to the gather, and for the
+    slice loop the slices of ``view``, the source of each output digit string
+    and its phase (both phase tables None when every phase is 1).
+    """
+    key = (id(block), order)
+    hit = _KERNELS.get(key)
+    if hit is None:
+        hit = _tables(block, d, order)
+        if _FROZEN.get(id(block)) is block:
+            _KERNELS[key] = hit
+    return hit
+
+
+def _tables(block: np.ndarray, d: int, order: tuple[int, ...]) -> tuple:
+    kind, w = block_structure(block), len(order)
+    if kind == "dense":
+        return kind, None
+    axis = (None, slice(None)) * w + (None,)
+    if kind == "diagonal":
+        return kind, block.diagonal().reshape((d,) * w).transpose(order)[axis]
+    # renumber rows and columns by their digits in increasing site order
+    dw = block.shape[0]
+    block = block.reshape((d,) * 2 * w).transpose(order + tuple(w + k for k in order)).reshape(dw, dw)
+    src = (block != 0).argmax(axis=1)
+    phase = block[np.arange(dw), src]
+    digits = digit_table(d, w)[src].T.reshape((w,) + (d,) * w)
+    index = sum(((slice(None), k) for k in digits), ()) + (slice(None),)
+    sources, phases = src.tolist(), phase.tolist()
+    if all(p == 1 for p in phases):
+        return kind, (index, None, _view_slots(d, w), sources, None)
+    gathered = phase.reshape((d,) * w + (1,) * (w + 1)) if w > 1 else phase[axis]
+    return kind, (index, gathered, _view_slots(d, w), sources, phases)
+
+
+@functools.lru_cache(maxsize=None)
+def _view_slots(d: int, w: int) -> list[tuple]:
+    """The index of each digit string's slice of a plan's ``view``, in basis order."""
+    return [sum(((slice(None), k) for k in ks), ()) + (slice(None),) for ks in digit_table(d, w).tolist()]
 
 
 def apply_local(x: np.ndarray, d: int, n: int, local: Local) -> np.ndarray:
-    """Apply ``local`` to ``x`` (d**n entries, then an optional batch axis) with one ``np.dot``."""
-    full, axes, dw, front, inverse = _local_axes(d, n, tuple(local.sites), x.shape[1:])
+    """Apply ``local`` to ``x`` (d**n entries, then an optional batch axis).
+
+    The kernel follows the block's structure (:func:`block_structure`).  A
+    diagonal block is one broadcast multiply of a view of ``x``.  A monomial
+    block moves each entry once and scales it by its phase: one strided
+    multiply per output digit string when those slices are large, else one
+    gather.  A dense block transposes its sites to the front, makes one
+    ``np.dot`` and transposes back.  None copies more than two states.
+    """
+    full, axes, dw, front, inverse, view, order, lay = _local_axes(
+        d, n, tuple(local.sites), x.shape[1:]
+    )
     if local.block.shape != (dw, dw):
         raise ValueError(f"block of shape {local.block.shape} is not {dw} x {dw}")
+    kind, tables = _kernel(local.block, d, order)
+    if kind == "diagonal":
+        return (x.reshape(view) * tables).reshape(x.shape)
+    if kind == "monomial":
+        return _permute(x.reshape(view), dw, lay, tables, local.block.dtype).reshape(x.shape)
     # the transposed copy has no name, so it is freed before the copy back
     y = np.dot(local.block, x.reshape(full).transpose(axes).reshape(dw, -1))
     return y.reshape(front).transpose(inverse).reshape(x.shape)
+
+
+def _permute(v: np.ndarray, dw: int, lay: tuple[int, ...], tables: tuple, dtype) -> np.ndarray:
+    """A d**w x d**w monomial block on a plan's ``view`` ``v``."""
+    index, gathered, slots, sources, phases = tables
+    out = np.empty(v.shape, v.dtype if v.dtype == dtype else np.result_type(v.dtype, dtype))
+    if v.size >= dw * _SLICE_LOOP:
+        for t, src in enumerate(sources):
+            if phases is None:
+                np.copyto(out[slots[t]], v[slots[src]])
+            else:
+                np.multiply(v[slots[src]], phases[t], out=out[slots[t]])
+    elif gathered is None:
+        np.copyto(out.transpose(lay), v[index])
+    else:
+        np.multiply(v[index], gathered, out=out.transpose(lay))
+    return out
 
 
 def apply_site_gate(state: QState, m: np.ndarray, site: int) -> QState:
@@ -335,8 +480,11 @@ def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
     d, n = state.d, state.n
     t = state.vector.reshape([d] * n)
     out = np.zeros_like(t)
-    kept = (slice(None),) * site + (outcome,)
-    out[kept] = t[kept] / np.sqrt(p) if p > 0 else t[kept]
+    kept = (slice(None),) * site + (outcome, ...)  # a view even when n is 1
+    if p > 0:
+        np.divide(t[kept], np.sqrt(p), out=out[kept])
+    else:
+        out[kept] = t[kept]
     return QState(d, n, out.reshape(-1))
 
 
@@ -365,6 +513,19 @@ def sym_gate_matrix(ring: PhaseRing, m: int) -> np.ndarray:
     out = np.zeros((d * d, d * d), dtype=complex)
     out[l * d + k, k * d + l] = _eps_table(ring)[2 * (m % d) * k * l % (2 * d)]
     return out
+
+
+def sym_block(ring: PhaseRing, m: int) -> np.ndarray:
+    """:func:`sym_gate_matrix`, built once per process and shared read-only.
+
+    m is reduced mod d here, as ``sym_gate_matrix`` does, which keeps the bits.
+    """
+    return _sym_block(ring, m % ring.d)
+
+
+@functools.lru_cache(maxsize=None)
+def _sym_block(ring: PhaseRing, m: int) -> np.ndarray:
+    return frozen(sym_gate_matrix(ring, m))
 
 
 def sym_gate(ring: PhaseRing, n: int, strand: int, m: int) -> np.ndarray:

@@ -256,9 +256,7 @@ def _ctrl_block(ring: PhaseRing, name: str, exponent: int) -> np.ndarray:
     The exponent is keyed as written, because ``np.linalg.matrix_power`` of
     a reduced exponent can differ in the last bit.
     """
-    block = gates.ctrl_local(gates.gate_power(ring, name, 1), 0, 1, exponent).block
-    block.flags.writeable = False
-    return block
+    return gates.frozen(gates.ctrl_local(gates.gate_power(ring, name, 1), 0, 1, exponent).block)
 
 
 def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):

@@ -312,6 +312,13 @@ SUITES = {
     "protocols": suite_protocols,
 }
 
+# The widest dense array each suite builds holds d**DENSE_WIDTH[suite]
+# entries: relations a 3-qudit by 2-qudit evaluate accumulator, sft and
+# entropy the 3-qudit SFT matrix (sft: 2 * max(n, 3) for its n), clifford
+# the single-qudit group of about d**5 elements of d x d entries, tricks its
+# 2-qudit matrices, protocols the d**2 five-qudit leaves of build_max.
+DENSE_WIDTH = {"relations": 5, "sft": 6, "entropy": 6, "clifford": 7, "tricks": 4, "protocols": 7}
+
 
 def run_suite(name: str, d: int, tol: float, n: int | None = None) -> SuiteResult:
     if name not in SUITES:

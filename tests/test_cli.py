@@ -4,6 +4,7 @@ import io
 import os
 import re
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -481,7 +482,35 @@ def test_verify_size_bound_counts_the_three_qudit_sft(capsys, small_bound):
     assert _refused(["verify", "sft", "--d", "3"], capsys) == (
         "error: dimension overflow: d**n = 3**6 exceeds 64 entries\n"
     )
-    code, out = run_cli(["verify", "relations", "--d", "3"])
+    # relations is bounded by its own widest array, 2**5 entries, not the SFT's
+    code, out = run_cli(["verify", "relations", "--d", "2"])
+    assert code == 0 and out.endswith("PASS\n")
+
+
+@pytest.mark.parametrize(
+    "suite, d, width",
+    [
+        ("tricks", 100000, 4),
+        ("relations", 3000, 5),
+        ("relations", 17, 5),
+        ("entropy", 11, 6),
+        ("clifford", 8, 7),
+        ("protocols", 8, 7),
+        ("all", 8, 7),
+    ],
+)
+def test_verify_refuses_a_degree_past_the_suite_bound(capsys, suite, d, width):
+    """Each suite is bounded by its widest dense array, before any suite runs."""
+    started = time.perf_counter()
+    assert _refused(["verify", suite, "--d", str(d)], capsys) == (
+        f"error: dimension overflow: d**n = {d}**{width} exceeds 1048576 entries\n"
+    )
+    assert time.perf_counter() - started < 1.0
+
+
+def test_verify_all_runs_at_d_7():
+    # 7**7 entries fit the bound: the widest arrays of clifford and protocols
+    code, out = run_cli(["verify", "all", "--d", "7"])
     assert code == 0 and out.endswith("PASS\n")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pappa import entangle, evaluator, gates
-from pappa.diagrams import Charge, Diagram
+from pappa.diagrams import Charge, Diagram, Sym
 from pappa.phases import make_phase_ring
 
 import gate_loops
@@ -120,3 +120,21 @@ def test_evaluate_builds_each_charge_head_once(monkeypatch):
     second = evaluator.evaluate(ring, diagram).matrix
     assert built == []
     assert same_bits(first, second)
+
+
+def test_evaluate_builds_each_sym_block_once(monkeypatch):
+    """sym lines read the cached b_m (m mod d): a second evaluate builds none."""
+    d = 3
+    ring = make_phase_ring(d)
+    diagram = Diagram(d, 4, 4, tuple((Sym(1, m),) for m in (1, 2 + d, -1, 2, 0)))
+    gates._sym_block.cache_clear()
+    built = []
+    real = gates.sym_gate_matrix
+    monkeypatch.setattr(gates, "sym_gate_matrix", lambda ring, m: built.append(m) or real(ring, m))
+    first = evaluator.evaluate(ring, diagram).matrix
+    assert sorted(built) == [0, 1, 2]
+    built.clear()
+    second = evaluator.evaluate(ring, diagram).matrix
+    assert built == []
+    assert same_bits(first, second)
+    assert same_bits(gates.sym_block(ring, -1), gate_loops.sym_gate_matrix(ring, -1))

@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pappa import gates, protocols
+from pappa import evaluator, gates, protocols
 from pappa.evaluator import local_conjugation_op
 from pappa.gates import Local, QState, apply_local, controlled_gate
 from pappa.phases import make_phase_ring
@@ -175,6 +177,114 @@ def test_apply_local_allocates_at_most_two_states(sites):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * x.nbytes + 64 * 1024, peak / x.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the kernel follows the block's structure
+# ---------------------------------------------------------------------------
+
+
+def gate_class(d, name, k):
+    """The structure of gate_power(name, k): Z, G diagonal; X**k, Y**k
+    diagonal at k = 0 mod d; F**k dense at odd k, diagonal at k = 0 mod 4
+    (and every even k at d = 2, where -m = m), else the monomial m -> -m."""
+    if name in "ZG":
+        return "diagonal"
+    if name in "XY":
+        return "diagonal" if k % d == 0 else "monomial"
+    if k % 2:
+        return "dense"
+    return "diagonal" if k % 4 == 0 or d == 2 else "monomial"
+
+
+def ctrl_class(d, name, e):
+    """``matrix_power`` leaves rounding in the off-diagonal entries of every
+    F**c with c > 0, so ctrl-F is dense whenever its exponent is nonzero."""
+    if name == "F":
+        return "diagonal" if e == 0 else "dense"
+    return gate_class(d, name, e)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_every_cached_block_has_its_structure(d):
+    ring = make_phase_ring(d)
+    cached = []
+    for name in "XYZFG":
+        for k in range(-4 * d, 4 * d + 1):
+            block = gates.gate_block(ring, name, k)
+            assert gates.block_structure(block) == gate_class(d, name, k), (name, k)
+            cached.append(block)
+        for e in range(-2 * d, 2 * d + 1):
+            block = protocols._ctrl_block(ring, name, e)
+            assert gates.block_structure(block) == ctrl_class(d, name, e), (name, e)
+            cached.append(block)
+    for sign in (1, -1):
+        even, odd = evaluator.braid_block(ring, 0, sign), evaluator.braid_block(ring, 1, sign)
+        assert gates.block_structure(even) == "diagonal"
+        assert gates.block_structure(odd) == "dense" and np.count_nonzero(odd) == d**3
+        cached += [even, odd]
+    for m in range(-d, d + 1):
+        block = gates.sym_block(ring, m)
+        assert gates.block_structure(block) == "monomial"
+        assert gates.block_structure(gates.sym_gate_matrix(ring, m)) == "monomial"
+        cached.append(block)
+    # every cached block is frozen, so apply_local memoises its kernel
+    assert all(gates._FROZEN.get(id(b)) is b and not b.flags.writeable for b in cached)
+
+
+def _unit(rng, size):
+    return np.exp(2j * np.pi * rng.random(size))
+
+
+@st.composite
+def structured_locals(draw):
+    """A random diagonal or monomial block, or a near miss (a monomial block
+    with extra nonzeros), on random sites, and a unit-norm input."""
+    d = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    w = draw(st.integers(1, 2))
+    n = draw(st.integers(w, max(w, int(np.log(2401) / np.log(d)))))
+    sites = tuple(draw(st.permutations(range(n)))[:w])
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    kind, unit = draw(st.sampled_from(["diagonal", "monomial", "dense"])), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dw = d**w
+    phase = np.ones(dw, dtype=complex) if unit else _unit(rng, dw)
+    src = np.arange(dw) if kind == "diagonal" else rng.permutation(dw)
+    if kind == "diagonal" and not unit:
+        phase[rng.random(dw) < 0.2] = 0
+    block = np.zeros((dw, dw), dtype=complex)
+    block[np.arange(dw), src] = phase
+    if kind == "dense":
+        zeros = np.flatnonzero(block == 0)
+        block.flat[rng.choice(zeros, draw(st.integers(1, dw)), replace=False)] = _unit(rng, 1)
+    elif np.array_equal(src, np.arange(dw)):
+        kind = "diagonal"  # the permutation drawn was the identity
+    x = rng.normal(size=(d**n, *batch)) + 1j * rng.normal(size=(d**n, *batch))
+    return d, n, Local(sites, block), x / np.linalg.norm(x), kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_locals())
+def test_structured_kernels_match_tensordot(case):
+    """Both forms of the monomial kernel (slice loop and gather) and the
+    diagonal kernel, on writable and frozen blocks, are within 1e-15 per
+    entry of ``tensordot``; a near miss takes the dense kernel, bit for bit."""
+    d, n, local, x, kind = case
+    assert gates.block_structure(local.block) == kind
+    want = apply_local_tensordot(x, d, n, local)
+    frozen = Local(local.sites, gates.frozen(local.block.copy()))
+    default = gates._SLICE_LOOP
+    try:
+        for loop in (0, 2**62):
+            gates._SLICE_LOOP = loop
+            got = apply_local(x, d, n, local)
+            assert got.shape == x.shape and got.dtype == want.dtype
+            if kind == "dense":
+                assert np.array_equal(got, want)
+            assert np.abs(got - want).max() <= 1e-15
+            assert _same_bits(apply_local(x, d, n, frozen), got)
+    finally:
+        gates._SLICE_LOOP = default
 
 
 def test_z_tail_phase_table_is_built_once_per_ring():
