@@ -237,7 +237,7 @@ class _Plan(NamedTuple):
     inverse: tuple[int, ...]  # the order that undoes ``axes``
     view: tuple[int, ...]  # x with each site its own axis and the qudits between them merged
     order: tuple[int, ...]  # the block digits in increasing site order
-    lay: tuple[int, ...]  # ``view`` with the site axes first (monomial gather)
+    lay: tuple[int, ...]  # the axes of ``view``, sites first: the monomial gather's layout
 
 
 @functools.lru_cache(maxsize=None)
