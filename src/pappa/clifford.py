@@ -30,8 +30,9 @@ from .phases import PhaseRing
 
 _HASH_GRID = 1e-6
 # matrix entries multiplied in one batch of the BFS: about ten arrays of this
-# many entries are alive at once, so a batch stays well under the L2 cache
-_BATCH_ENTRIES = 2**14
+# many entries are alive at once, each at most 128 KiB, glibc's default mmap
+# threshold; at 2**14 the d=5 batches were mapped and faulted in afresh each time
+_BATCH_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ def is_clifford(ring: PhaseRing, u: np.ndarray, tol: float = 1e-8) -> bool:
     ui = u.conj().T
     for site in range(n):
         for p in ("X", "Z"):
-            word = gates.Local((site,), pauli_gate(ring, p)).to_matrix(ring.d, n)
+            word = gates.Local((site,), gates.gate_block(ring, p)).to_matrix(ring.d, n)
             if not _pauli_word_match(ring, n, u @ word @ ui, tol):
                 return False
     return True

@@ -358,7 +358,7 @@ def local_conjugation_op(
         raise ValueError("owner mask length must equal qudit count")
     sites = [i for i, b in enumerate(mask) if b]
     d = ring.d
-    z = gates.gate_power(ring, "Z", charge)
+    z = gates.gate_block(ring, "Z", charge)
     m = gates.Local(tuple(sites), t).to_matrix(d, n)
     for site in range(sites[0] + 1, n):
         if not mask[site]:

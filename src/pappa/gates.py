@@ -8,9 +8,11 @@ Single-qudit conventions (basis |0..d-1>, index arithmetic mod d):
 Every phase is one lookup into a ring's cached, read-only table of
 eps**e, e = 0..2d-1 (:func:`_eps_table`): the named gates of
 :func:`gate_power`, one table row each, and the closed forms
-``sft_matrix``, ``sym_gate_matrix`` and ``cz_gate``.  :func:`gate_block`
-caches read-only gate blocks once per process, shared by the protocol
-walker and ``evaluator.evaluate``; :func:`sym_block` does the same for b_m.
+``sft_matrix`` and ``sym_gate_matrix``.  Every named block is cached
+read-only once per process: :func:`gate_block` for the gates,
+:func:`ctrl_block` for their controlled powers (the block diagonal of
+gate blocks, so exact too) and :func:`sym_block` for b_m.  The protocol
+walker, ``evaluator.evaluate`` and the dense helpers all read them.
 
 Multi-qudit basis: |k_1,...,k_n> maps to index sum(k_j * d**(n-j)), i.e.
 qudit 1 is the first (most significant) tensor factor.  The cached,
@@ -24,18 +26,19 @@ qudits in any order: a gate, a block-diagonal controlled gate, or a braid's
 :func:`apply_local`, the one way a block reaches a state, picks its kernel
 from the block's structure (:func:`block_structure`).  A diagonal block (Z,
 G, ctrl-Z, the even braids) is one broadcast multiply.  A monomial block
-(X, Y, even powers of F, ctrl-X, ctrl-Y, b_m) moves each entry once and
-scales it by its phase.  A dense block (odd powers of F, ctrl-F, the odd
-braids, boxes) is a transpose, one ``np.dot`` and the transpose back.  Each
-is O(d**(n+w)) work and at most two states of memory, not the d**(2n) of
-the matrix, so an ``sft`` at d=2, n=20 runs.  The blocks cached for the
-process (:func:`gate_block`, :func:`sym_block`, the walker's ctrl blocks,
-``evaluator.braid_block``) are :func:`frozen`, so each one's kernel tables
-are worked out once.
+(X, Y, even powers of F, their ctrl blocks, b_m) moves each entry once and
+scales it by its phase.  A dense block (odd powers of F and their ctrl
+blocks, the odd braids, boxes) is a transpose, one ``np.dot`` and the
+transpose back.  Each is O(d**(n+w)) work and at most two states of
+memory, not the d**(2n) of the matrix, so an ``sft`` at d=2, n=20 runs.
+The cached blocks (:func:`gate_block`, :func:`ctrl_block`,
+:func:`sym_block`, ``evaluator.braid_block``) are :func:`frozen`, so each
+one's kernel tables are worked out once.
 
 The dense d**n x d**n forms that remain are that kernel on the identity:
-``Local.to_matrix``, through which ``sym_gate``, ``controlled_gate`` and
-``cz_gate`` embed their blocks, and ``apply_sft`` on a batch of basis
+``Local.to_matrix``, through which ``sym_gate``, ``cz_gate`` and
+``controlled_gate`` embed their blocks (the first two cached, the last
+``ctrl_local``'s, for any matrix), and ``apply_sft`` on a batch of basis
 states (``evaluator.sft_via_braids``); ``sft_matrix`` is the closed form.
 They exist for test oracles and for the checks of ``verify`` and
 ``clifford.py``, which compare matrices.
@@ -400,15 +403,41 @@ def apply_full_matrix(state: QState, m: np.ndarray) -> QState:
 # ---------------------------------------------------------------------------
 
 
+def _block_diagonal(powers: list[np.ndarray]) -> np.ndarray:
+    """The d**2 x d**2 block diagonal of d blocks of d x d: the control digit picks the block."""
+    d = len(powers)
+    block = np.zeros((d * d, d * d), dtype=complex)
+    for c, power in enumerate(powers):
+        block[c * d : (c + 1) * d, c * d : (c + 1) * d] = power
+    return block
+
+
 def ctrl_local(a: np.ndarray, control: int, target: int, exponent: int = 1) -> Local:
-    """A**(exponent * k) on ``target``, k the value of ``control``, as one block."""
+    """A**(exponent * k) on ``target``, k the value of ``control``, as one block.
+
+    ``a`` is any d x d matrix, raised by ``np.linalg.matrix_power``; a named
+    gate's controlled power is :func:`ctrl_block`, exact.
+    """
     if control == target:
         raise ValueError("control and target must differ")
-    d = a.shape[0]
-    block = np.zeros((d * d, d * d), dtype=complex)
-    for c in range(d):
-        block[c * d : (c + 1) * d, c * d : (c + 1) * d] = np.linalg.matrix_power(a, exponent * c)
-    return Local((control, target), block)
+    powers = [np.linalg.matrix_power(a, exponent * c) for c in range(a.shape[0])]
+    return Local((control, target), _block_diagonal(powers))
+
+
+def ctrl_block(ring: PhaseRing, name: str, exponent: int = 1) -> np.ndarray:
+    """The controlled power ctrl-A**exponent of a named gate, built once per
+    process and shared read-only: the block diagonal of
+    ``gate_block(ring, name, exponent * c)`` for control values c = 0..d-1.
+
+    The exponent is reduced mod 4d here, which keeps the bits and bounds the
+    cache at 5 * 4d blocks per ring.
+    """
+    return _ctrl_block(ring, name, exponent % (4 * ring.d))
+
+
+@functools.lru_cache(maxsize=None)
+def _ctrl_block(ring: PhaseRing, name: str, exponent: int) -> np.ndarray:
+    return frozen(_block_diagonal([gate_block(ring, name, exponent * c) for c in range(ring.d)]))
 
 
 def apply_controlled(
@@ -442,11 +471,8 @@ def controlled_gate(
 
 
 def cz_gate(ring: PhaseRing, n: int = 2, site_a: int = 0, site_b: int = 1) -> np.ndarray:
-    """C_Z = diag(q**(k_a * k_b)); identical for both control flavors."""
-    d = ring.d
-    ka, kb = digit_table(d, 2).T
-    block = np.diag(_eps_table(ring)[2 * ka * kb % (2 * d)])
-    return Local((site_a, site_b), block).to_matrix(d, n)
+    """C_Z = diag(q**(k_a * k_b)), the cached ctrl-Z; identical for both control flavors."""
+    return Local((site_a, site_b), ctrl_block(ring, "Z")).to_matrix(ring.d, n)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +561,7 @@ def sym_gate(ring: PhaseRing, n: int, strand: int, m: int) -> np.ndarray:
     (strand-1)//2 and (strand+1)//2).
     """
     j = _sym_pair(n, strand)
-    return Local((j, j + 1), sym_gate_matrix(ring, m)).to_matrix(ring.d, n)
+    return Local((j, j + 1), sym_block(ring, m)).to_matrix(ring.d, n)
 
 
 def _sym_pair(n: int, strand: int) -> int:
@@ -624,14 +650,14 @@ def circuit_tricks_check(ring: PhaseRing, rng: np.random.Generator | None = None
     a = _random_unitary(d, rng)
     for sgn in (1, -1):
         c1a = controlled_gate(ring, 2, 0, 1, a)
-        g = Local((0,), gate_power(ring, "G", sgn)).to_matrix(d, 2)
+        g = Local((0,), gate_block(ring, "G", sgn)).to_matrix(d, 2)
         rep.residuals[f"trick1_g{sgn:+d}"] = float(np.abs(g @ c1a - c1a @ g).max())
 
     # Trick 2: a Gaussian before a meter changes nothing observable.
     psi = _random_state(ring, 2, rng)
     for sgn in (1, -1):
         plain = _branch_ensemble(psi, None, 0)
-        g = Local((0,), gate_power(ring, "G", sgn)).to_matrix(d, 2)
+        g = Local((0,), gate_block(ring, "G", sgn)).to_matrix(d, 2)
         gauss = _branch_ensemble(psi, g, 0)
         worst = 0.0
         for (_, p0, s0), (_, p1, s1) in zip(plain, gauss):

@@ -9,14 +9,14 @@ checked once, by ``ProtocolScript.validate`` when a script is built, and a
 built script is immutable.  One pre-shared entangled resource costs one
 edit; one cross-party classical message costs one cdit.
 
-The walker takes its one-qudit gate blocks from ``gates.gate_block``, the
-process-wide cache it shares with ``evaluator.evaluate``, and keeps only
-its controlled blocks here (:func:`_ctrl_block`).
+The walker reads every block from the read-only caches of ``gates``: a
+gate's from ``gate_block``, which it shares with ``evaluator.evaluate``, a
+ctrl step's from ``ctrl_block`` (exact, from the same phase table), and the
+SFT's braids from ``sft_locals``.  It builds and caches no block itself.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -249,16 +249,6 @@ def _initial_state(
     return QState(d, total, np.transpose(t, axes).reshape(-1))
 
 
-@functools.lru_cache(maxsize=None)
-def _ctrl_block(ring: PhaseRing, name: str, exponent: int) -> np.ndarray:
-    """A ctrl step's ``gates.ctrl_local`` block, built once per process (read-only).
-
-    The exponent is keyed as written, because ``np.linalg.matrix_power`` of
-    a reduced exponent can differ in the last bit.
-    """
-    return gates.frozen(gates.ctrl_local(gates.gate_power(ring, name, 1), 0, 1, exponent).block)
-
-
 def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
     """What the walk applies at ``step``: (scale or None, Locals).
 
@@ -268,7 +258,7 @@ def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
     if isinstance(step, GateStep):
         return None, [gates.Local((step.site,), gates.gate_block(ring, step.name, step.power))]
     if isinstance(step, CtrlStep):
-        block = _ctrl_block(ring, step.name, step.exponent)
+        block = gates.ctrl_block(ring, step.name, step.exponent)
         return None, [gates.Local((step.control, step.target), block)]
     if isinstance(step, CondStep):
         power = step.coeff * value
@@ -284,7 +274,7 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
     """Walk the outcome tree of ``script`` depth first; return its leaves.
 
     Each gate block is built once per process, read-only, by
-    ``gates.gate_block`` or, for a ctrl step, :func:`_ctrl_block`.  Each
+    ``gates.gate_block`` or, for a ctrl step, ``gates.ctrl_block``.  Each
     gate, ctrl and SFT step is wrapped in its ``Local``s once per walk,
     before it; a cond step once per visit, from its register's value.
     ``fork(state, site)`` lists the children taken at a measurement as
@@ -574,40 +564,21 @@ def phase_space_measurement(
     with G ... G**-1 F G**-1); the Gaussians drop by the commuting and
     metering tricks and the trailing gate only relabels outcomes.
     """
-    if variant == 1:
-        if simplified:
-            steps: list[Step] = [
-                CtrlStep("a", "X", control=0, target=1),
-                GateStep("a", "F", site=0, power=-1),
-            ]
-        else:
-            steps = [
-                GateStep("a", "G", site=0, power=-1),
-                CtrlStep("a", "X", control=0, target=1),
-                GateStep("a", "G", site=0, power=1),
-                GateStep("a", "F", site=0, power=-1),
-                GateStep("a", "G", site=0, power=1),
-                CtrlStep("a", "X", control=0, target=1, exponent=-1),
-            ]
-        steps += [MeasureStep("a", 0, "l1"), MeasureStep("a", 1, "l2")]
-    elif variant == 2:
-        if simplified:
-            steps = [
-                CtrlStep("a", "X", control=1, target=0),
-                GateStep("a", "F", site=1, power=1),
-            ]
-        else:
-            steps = [
-                GateStep("a", "G", site=1, power=1),
-                CtrlStep("a", "X", control=1, target=0),
-                GateStep("a", "G", site=1, power=-1),
-                GateStep("a", "F", site=1, power=1),
-                GateStep("a", "G", site=1, power=-1),
-                CtrlStep("a", "X", control=1, target=0, exponent=-1),
-            ]
-        steps += [MeasureStep("a", 0, "l1"), MeasureStep("a", 1, "l2")]
-    else:
+    if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
+    # variant 2 mirrors variant 1: control and target swap, G and F powers negate
+    a, b, s = (0, 1, 1) if variant == 1 else (1, 0, -1)
+    steps: list[Step] = [
+        GateStep("a", "G", site=a, power=-s),
+        CtrlStep("a", "X", control=a, target=b),
+        GateStep("a", "G", site=a, power=s),
+        GateStep("a", "F", site=a, power=-s),
+        GateStep("a", "G", site=a, power=s),
+        CtrlStep("a", "X", control=a, target=b, exponent=-1),
+    ]
+    if simplified:
+        steps = [steps[1], steps[3]]
+    steps += [MeasureStep("a", 0, "l1"), MeasureStep("a", 1, "l2")]
     return ProtocolScript(
         d=ring.d,
         n_sites=2,

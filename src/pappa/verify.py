@@ -169,7 +169,7 @@ def suite_sft(d: int, n_max: int = 3, tol: float = 1e-9) -> SuiteResult:
         maxv = entangle.max_state(ring, n).vector
         res.add(f"max_state_n{n}", _mx(s[:, 0] - maxv))
         fs = gates.kron_all([gates.fourier_gate(ring)] * n)
-        fs_inv = np.linalg.inv(fs)
+        fs_inv = gates.kron_all([gates.gate_block(ring, "F", -1)] * n)
         ghz = entangle.ghz_state(ring, n).vector
         res.add(f"ghz_duality_n{n}", _mx(fs @ maxv - ghz))
         res.add(f"ghz_duality_inv_n{n}", _mx(fs_inv @ maxv - ghz))

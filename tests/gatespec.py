@@ -7,6 +7,8 @@ and to apply the braid, ``sym`` and SFT kinds to states.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from pappa import gates
 from pappa.evaluator import braid_local
 from pappa.gates import QState
@@ -34,6 +36,16 @@ class GateSpec:
             raise ValueError("controlled gates need distinct control and target")
 
 
+def ctrl_power_block(ring, name: str, exponent: int):
+    """ctrl-A**exponent of a named gate, written out: ``gate_power(ring, name,
+    exponent * c)`` in the c-th diagonal block, c the control value."""
+    d = ring.d
+    block = np.zeros((d * d, d * d), dtype=complex)
+    for c in range(d):
+        block[c * d : (c + 1) * d, c * d : (c + 1) * d] = gates.gate_power(ring, name, exponent * c)
+    return block
+
+
 def _apply(state: QState, local: gates.Local) -> QState:
     return QState(state.d, state.n, gates.apply_local(state.vector, state.d, state.n, local))
 
@@ -56,9 +68,8 @@ def apply_gate_spec(ring, state: QState, spec: GateSpec) -> QState:
         (site,) = spec.sites
         return gates.apply_site_gate(state, gates.gate_power(ring, spec.kind, spec.power), site)
     if spec.kind == "ctrl":
-        control, target = spec.sites
-        base = gates.gate_power(ring, spec.base, 1)
-        return gates.apply_controlled(state, base, control, target, spec.power)
+        block = ctrl_power_block(ring, spec.base, spec.power)
+        return _apply(state, gates.Local(spec.sites, block))
     if spec.kind == "cz":
         a, b = spec.sites
         return gates.apply_controlled(state, gates.gate_power(ring, "Z", 1), a, b, spec.power)

@@ -3,6 +3,7 @@
 import io
 import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -80,6 +81,22 @@ def test_verify_jobs_parallel_matches_serial():
     _, serial = run_cli(["verify", "all", "--d", "2"])
     _, parallel = run_cli(["verify", "all", "--d", "2", "--jobs", "3"])
     assert serial == parallel
+
+
+def test_verify_report_does_not_depend_on_blas_threads():
+    """Threaded LAPACK rounds differently, so no reported residual may rest on a numerical inverse."""
+    root = Path(__file__).resolve().parent.parent
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
+        env.update(OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pappa.cli", "verify", "sft", "--d", "5"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_protocol_run_transcript(teleport_pp):
@@ -238,6 +255,35 @@ def test_protocol_ctrl_on_one_site_exit_code_2(tmp_path, capsys):
     code, _ = run_cli(["protocol", "run", str(pp), "--d", "3"])
     assert code == 2
     assert capsys.readouterr().err == f"error: {pp}:2: control and target must differ\n"
+
+
+# 4d divides 12 * 10**20 at d = 2, 3 and 5, so these are ctrl Z**1 and ctrl F**2
+HUGE_Z, HUGE_F = 12 * 10**20 + 1, 12 * 10**20 + 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_huge_ctrl_exponents_run_as_their_residues(tmp_path, capsys, d):
+    texts = {
+        "pc": (
+            f"circuit d={d} n=2\ngate F@1\ngate F@2\nctrl Z^{{z}} c=1 t=2\n"
+            "ctrl F^{f} c=2 t=1\nmeasure@1 -> m1\n"
+        ),
+        "pp": (
+            "party a: q1 q2\ngate F @q1\ngate F @q2\nctrl Z^{z} c=q1 t=q2\n"
+            "ctrl F^{f} c=q2 t=q1\nmeter q1 -> m1\n"
+        ),
+    }
+    commands = {"pc": ["circuit", "run"], "pp": ["protocol", "run"]}
+    for kind, text in texts.items():
+        reports = []
+        for z, f in ((HUGE_Z, HUGE_F), (1, 2)):
+            path = tmp_path / f"ctrl{z}.{kind}"
+            path.write_text(text.format(z=z, f=f))
+            extra = ["--emit", "state"] if kind == "pc" else ["--d", str(d)]
+            code, out = run_cli([*commands[kind], str(path), "--seed", "3", *extra])
+            assert code == 0 and capsys.readouterr().err == ""
+            reports.append(out)
+        assert reports[0] == reports[1] and reports[0].endswith("PASS\n")
 
 
 def test_send_from_unknown_party_exit_code_2(tmp_path, capsys):

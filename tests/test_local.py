@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pappa import evaluator, gates, protocols
+from pappa import dsl, evaluator, gates, protocols
+from pappa.diagrams import BraidNeg, BraidPos, Charge, Diagram, Sym
 from pappa.evaluator import local_conjugation_op
 from pappa.gates import Local, QState, apply_local, controlled_gate
 from pappa.phases import make_phase_ring
@@ -187,7 +188,8 @@ def test_apply_local_allocates_at_most_two_states(sites):
 def gate_class(d, name, k):
     """The structure of gate_power(name, k): Z, G diagonal; X**k, Y**k
     diagonal at k = 0 mod d; F**k dense at odd k, diagonal at k = 0 mod 4
-    (and every even k at d = 2, where -m = m), else the monomial m -> -m."""
+    (and every even k at d = 2, where -m = m), else the monomial m -> -m.
+    ctrl-A**k has the class of A**k: its block c is A**(k c), the worst at c = 1."""
     if name in "ZG":
         return "diagonal"
     if name in "XY":
@@ -195,14 +197,6 @@ def gate_class(d, name, k):
     if k % 2:
         return "dense"
     return "diagonal" if k % 4 == 0 or d == 2 else "monomial"
-
-
-def ctrl_class(d, name, e):
-    """``matrix_power`` leaves rounding in the off-diagonal entries of every
-    F**c with c > 0, so ctrl-F is dense whenever its exponent is nonzero."""
-    if name == "F":
-        return "diagonal" if e == 0 else "dense"
-    return gate_class(d, name, e)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -215,8 +209,8 @@ def test_every_cached_block_has_its_structure(d):
             assert gates.block_structure(block) == gate_class(d, name, k), (name, k)
             cached.append(block)
         for e in range(-2 * d, 2 * d + 1):
-            block = protocols._ctrl_block(ring, name, e)
-            assert gates.block_structure(block) == ctrl_class(d, name, e), (name, e)
+            block = gates.ctrl_block(ring, name, e)
+            assert gates.block_structure(block) == gate_class(d, name, e), (name, e)
             cached.append(block)
     for sign in (1, -1):
         even, odd = evaluator.braid_block(ring, 0, sign), evaluator.braid_block(ring, 1, sign)
@@ -230,6 +224,19 @@ def test_every_cached_block_has_its_structure(d):
         cached.append(block)
     # every cached block is frozen, so apply_local memoises its kernel
     assert all(gates._FROZEN.get(id(b)) is b and not b.flags.writeable for b in cached)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_ctrl_f_even_powers_are_monomial(d):
+    """ctrl-F**e at even e holds exact zeros off its d**2 entries: F**(e c)
+    is the identity or m -> -m, so the block is monomial, and diagonal when
+    4 divides e or d = 2."""
+    ring = make_phase_ring(d)
+    for e in range(-4 * d, 4 * d + 1, 2):
+        block = gates.ctrl_block(ring, "F", e)
+        assert np.count_nonzero(block) == d * d, e
+        want = "diagonal" if e % 4 == 0 or d == 2 else "monomial"
+        assert gates.block_structure(block) == want, e
 
 
 def _unit(rng, size):
@@ -429,36 +436,76 @@ def _counting(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_walker_builds_each_gate_once(monkeypatch, d):
-    """Teleportation visits each cond step on all d**2 branches, but builds its
-    gate once per nonzero register value, and the ctrl and F once; a second
-    walk builds nothing."""
+    """Teleportation visits each cond step on all d**2 branches, but builds
+    each gate once: the ctrl-X block's X**c, c < d, which its X cond step
+    reads too, F**-1, and Z once per nonzero register value; a second walk
+    builds nothing."""
     ring = RINGS[d]
     script = protocols.teleportation_script(ring)
     psi = gates._random_state(ring, 1, np.random.default_rng(d))
     gates._gate_block.cache_clear()
-    protocols._ctrl_block.cache_clear()
+    gates._ctrl_block.cache_clear()
     built = _counting(monkeypatch, gates, "gate_power")
-    powers = _counting(monkeypatch, np.linalg, "matrix_power")
     branches = protocols.run_branches(ring, script, psi)
     assert len(branches) == d * d
-    assert len(built) == 2 + 2 * (d - 1)
-    assert len(powers) == d
+    assert len(built) == d + 1 + (d - 1)
     protocols.run_branches(ring, script, psi)
     protocols.run(ring, script, psi, seed=d)
-    assert len(built) == 2 + 2 * (d - 1)
-    assert len(powers) == d
+    assert len(built) == d + 1 + (d - 1)
 
 
-def test_walker_ctrl_powers_per_step_not_per_visit(monkeypatch):
+def test_walker_ctrl_powers_per_step_not_per_visit():
     """build_max at n=4 runs its later merges once per earlier outcome; the
     ctrl blocks are built once per distinct (gate, exponent), not per step."""
     ring = RINGS[3]
     script = protocols.build_max_script(ring, 4)
     ctrl_blocks = {(s.name, s.exponent) for s in script.steps if isinstance(s, protocols.CtrlStep)}
     assert len(ctrl_blocks) == 2
-    protocols._ctrl_block.cache_clear()
-    powers = _counting(monkeypatch, np.linalg, "matrix_power")
+    gates._ctrl_block.cache_clear()
     assert len(protocols.run_branches(ring, script)) == 27
-    assert len(powers) == 3 * len(ctrl_blocks)
+    assert gates._ctrl_block.cache_info().misses == len(ctrl_blocks)
     protocols.run_branches(ring, script)
-    assert len(powers) == 3 * len(ctrl_blocks)
+    assert gates._ctrl_block.cache_info().misses == len(ctrl_blocks)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_ctrl_sweep_keeps_at_most_5_times_4d_blocks_per_ring(d):
+    """Exponents reach every residue mod 4d, and the cache holds no more."""
+    ring = make_phase_ring(d)
+    gates._ctrl_block.cache_clear()
+    for name in "XYZFG":
+        for e in range(-12 * d, 12 * d + 1):
+            block = gates.ctrl_block(ring, name, e)
+            assert block is gates.ctrl_block(ring, name, e % (4 * d))
+    assert gates._ctrl_block.cache_info().currsize == 5 * 4 * d
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a named block took a numerical power or inverse")
+
+
+def test_named_blocks_take_no_numerical_power_or_inverse(monkeypatch):
+    """Every protocol builder, a circuit with every ctrl kind and a diagram
+    with braids, ``sym`` and charges run from cold caches with
+    ``np.linalg.matrix_power`` and ``np.linalg.inv`` refusing."""
+    for cache in (gates._gate_block, gates._ctrl_block, gates._sym_block, evaluator.braid_block):
+        cache.cache_clear()
+    monkeypatch.setattr(np.linalg, "matrix_power", _refuse)
+    monkeypatch.setattr(np.linalg, "inv", _refuse)
+    for d in (2, 3, 5):
+        ring = RINGS[d]
+        scripts = [
+            protocols.teleportation_script(ring),
+            protocols.build_max_script(ring, 2),
+            protocols.build_max_script(ring, 3),
+            protocols.bvk_merge_script(ring, (2, 1)),
+        ]
+        scripts += [protocols.phase_space_measurement(ring, v, s) for v in (1, 2) for s in (True, False)]
+        for script in scripts:
+            psi = QState.zero(d, len(script.input_sites)) if script.input_sites else None
+            assert protocols.run_branches(ring, script, psi)
+        ctrls = [f"ctrl {g}^{e} c={c} t={t}" for g in "XYZFG" for e in (1, -1, 2, -3) for c, t in ((1, 2), (2, 1))]
+        text = "\n".join([f"circuit d={d} n=2", "gate F@1", "gate F^-1@2", *ctrls, "measure@1 -> m1"])
+        dsl.run_circuit(ring, dsl.parse_circuit(text))
+        layers = ((Charge(0, 1),), (BraidPos(1),), (Sym(1, 1),), (BraidNeg(0),), (Charge(3, -1),), (BraidNeg(2),))
+        assert evaluator.evaluate(ring, Diagram(d, 4, 4, layers)).matrix.shape == (d * d, d * d)

@@ -32,6 +32,8 @@ from pappa.protocols import (
     teleportation_script,
 )
 
+from gatespec import ctrl_power_block
+
 RINGS = {d: make_phase_ring(d) for d in range(2, 8)}
 
 
@@ -406,6 +408,43 @@ def test_phase_space_full_forms_match_simplified():
                     ), (d, variant, l1, l2)
 
 
+PHASE_SPACE_STEPS = {
+    (1, True): [
+        CtrlStep("a", "X", control=0, target=1),
+        GateStep("a", "F", site=0, power=-1),
+    ],
+    (1, False): [
+        GateStep("a", "G", site=0, power=-1),
+        CtrlStep("a", "X", control=0, target=1),
+        GateStep("a", "G", site=0, power=1),
+        GateStep("a", "F", site=0, power=-1),
+        GateStep("a", "G", site=0, power=1),
+        CtrlStep("a", "X", control=0, target=1, exponent=-1),
+    ],
+    (2, True): [
+        CtrlStep("a", "X", control=1, target=0),
+        GateStep("a", "F", site=1, power=1),
+    ],
+    (2, False): [
+        GateStep("a", "G", site=1, power=1),
+        CtrlStep("a", "X", control=1, target=0),
+        GateStep("a", "G", site=1, power=-1),
+        GateStep("a", "F", site=1, power=1),
+        GateStep("a", "G", site=1, power=-1),
+        CtrlStep("a", "X", control=1, target=0, exponent=-1),
+    ],
+}
+
+
+@pytest.mark.parametrize("variant,simplified", list(PHASE_SPACE_STEPS))
+def test_phase_space_steps_are_the_drawn_circuits(variant, simplified):
+    script = phase_space_measurement(RINGS[3], variant, simplified)
+    meters = [MeasureStep("a", 0, "l1"), MeasureStep("a", 1, "l2")]
+    assert list(script.steps) == PHASE_SPACE_STEPS[variant, simplified] + meters
+    with pytest.raises(ValueError, match="variant must be 1 or 2"):
+        phase_space_measurement(RINGS[3], 3, simplified)
+
+
 def test_state_on_sites_rejects_uncollapsed_qudit():
     with pytest.raises(ValueError, match="qudit 1 .* weight 5.000e-01"):
         state_on_sites(max_state(RINGS[2], 2), (0,))
@@ -430,8 +469,9 @@ def _replay(ring, script, input_state, seed=None, forced=None):
                 state, gates.gate_power(ring, step.name, step.power), step.site
             )
         elif isinstance(step, CtrlStep):
-            base = gates.gate_power(ring, step.name, 1)
-            state = gates.apply_controlled(state, base, step.control, step.target, step.exponent)
+            block = ctrl_power_block(ring, step.name, step.exponent)
+            local = gates.Local((step.control, step.target), block)
+            state = QState(state.d, state.n, gates.apply_local(state.vector, state.d, state.n, local))
         elif isinstance(step, MeasureStep):
             if forced is not None:
                 outcome = forced[measured]
@@ -616,9 +656,9 @@ CACHE_CASES = list(_cache_cases())
 @pytest.mark.parametrize("ring,script,psi", [c[1:] for c in CACHE_CASES], ids=[c[0] for c in CACHE_CASES])
 def test_cold_and_warm_block_cache_give_equal_walks(ring, script, psi):
     gates._gate_block.cache_clear()
-    protocols._ctrl_block.cache_clear()
+    gates._ctrl_block.cache_clear()
     cold = [run(ring, script, psi, seed=7)], run_branches(ring, script, psi)
-    assert gates._gate_block.cache_info().currsize + protocols._ctrl_block.cache_info().currsize > 0
+    assert gates._gate_block.cache_info().currsize + gates._ctrl_block.cache_info().currsize > 0
     warm = [run(ring, script, psi, seed=7)], run_branches(ring, script, psi)
     for a, b in zip(cold, warm):
         _same_transcripts(a, b)
@@ -654,12 +694,10 @@ def test_walker_blocks_are_the_public_builders_bit_for_bit(d):
         for p in range(-8 * d, 8 * d + 1):
             _, (local,) = protocols._locals(ring, 1, GateStep("a", name, 0, p))
             assert local.block.tobytes() == gates.gate_power(ring, name, p).tobytes(), (name, p)
-        base = gates.gate_power(ring, name, 1)
         for e in range(-2 * d, 2 * d + 1):
             _, (local,) = protocols._locals(ring, 2, CtrlStep("a", name, 1, 0, e))
             assert local.sites == (1, 0)
-            want = gates.ctrl_local(base, 1, 0, e).block
-            assert local.block.tobytes() == want.tobytes(), (name, e)
+            assert local.block.tobytes() == ctrl_power_block(ring, name, e).tobytes(), (name, e)
     with pytest.raises(ValueError, match="control and target must differ"):
         ProtocolScript(d, 2, {"a": (0, 1)}, [], [CtrlStep("a", "X", 1, 1)])
 
