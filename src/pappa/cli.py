@@ -17,7 +17,7 @@ as one ``error: ...`` line on stderr.  ``verify --d`` defaults to 2 and
 starts when a suite's widest dense array (``verify.DENSE_WIDTH``; for
 ``sft``, its SFT matrix of d**(2 max(n, 3)) entries) exceeds
 ``MAX_ENTRIES``.  The environment variable ``PAPPA_TOL`` overrides the
-default tolerance.
+default tolerance; a tolerance outside (0, 1], from either, is refused.
 """
 
 from __future__ import annotations
@@ -40,7 +40,14 @@ MAX_ENTRIES = 2**20
 
 def _default_tol() -> float:
     env = os.environ.get("PAPPA_TOL")
-    return float(env) if env else 1e-9
+    return _check_tol(float(env)) if env else 1e-9
+
+
+def _check_tol(tol: float) -> float:
+    # above 1 the flags stored as a residual of 1.0 would pass, and nan fails every suite
+    if not 0 < tol <= 1:
+        raise ValueError(f"tolerance must lie in (0, 1], got {tol}")
+    return tol
 
 
 def _fmt_complex(z: complex) -> str:
@@ -140,7 +147,7 @@ def _cmd_verify(args) -> int:
     if args.n is not None:
         widest = max(widest, 2 * args.n)  # the sft suite's SFT matrix on n qudits
     _check_dims(args.d, widest)
-    tol = _default_tol() if args.tol is None else args.tol
+    tol = _default_tol() if args.tol is None else _check_tol(args.tol)
     results = [verify.run_suite(nm, args.d, tol, n=args.n) for nm in names]
     ok = True
     print(f"d={args.d}")

@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluator, gates
-from .gates import (
-    cz_gate,
-    fourier_gate,
-    gaussian_gate,
-    kron_all,
-    pauli_gate,
-    sft_matrix,
-)
+from .gates import Local, ctrl_block, cz_gate, fourier_gate, gate_block, gaussian_gate, kron_all, sft_matrix
 from .phases import PhaseRing
 
 _HASH_GRID = 1e-6
@@ -76,7 +69,7 @@ def verify_cz_from_sft(ring: PhaseRing) -> IdentityReport:
     d = ring.d
     s = sft_matrix(ring, 2)
     f, g = fourier_gate(ring), gaussian_gate(ring)
-    fi, gi = np.linalg.inv(f), np.linalg.inv(g)
+    fi, gi = gate_block(ring, "F", -1), gate_block(ring, "G", -1)
     cz = cz_gate(ring, 2)
     dressing = kron_all([fi, f @ gi]) @ s @ kron_all([f @ g @ fi, fi @ gi])
     variant = kron_all([g @ fi, f @ gi]) @ s @ kron_all([np.eye(d), fi @ gi])
@@ -87,19 +80,22 @@ def verify_cz_from_sft(ring: PhaseRing) -> IdentityReport:
 
 
 def verify_sft_factorizations(ring: PhaseRing) -> IdentityReport:
-    """Both controlled-gate factorizations of the SFT plus the Bell corollary."""
+    """Both controlled-gate factorizations of the SFT plus the Bell corollary.
+
+    C_{1,X} has qudit 1 control X powers on qudit 2, C_{X,1} the reverse.
+    """
     d = ring.d
     s = sft_matrix(ring, 2)
     f, g = fourier_gate(ring), gaussian_gate(ring)
-    gi = np.linalg.inv(g)
-    x = pauli_gate(ring, "X")
-    c1x = gates.controlled_gate(ring, 2, 0, 1, x)
-    cx1 = gates.controlled_gate(ring, 2, 0, 1, x, flavor="second-controls")
-    fact1 = kron_all([gi, g]) @ np.linalg.inv(c1x) @ kron_all([f, np.eye(d)]) @ c1x
-    fact2 = np.linalg.inv(cx1) @ kron_all([np.eye(d), f]) @ cx1 @ kron_all([g, gi])
+    gi = gate_block(ring, "G", -1)
+    c1x, c1x_inv, cx1, cx1_inv = (
+        Local(sites, ctrl_block(ring, "X", e)).to_matrix(d, 2) for sites in ((0, 1), (1, 0)) for e in (1, -1)
+    )
+    fact1 = kron_all([gi, g]) @ c1x_inv @ kron_all([f, np.eye(d)]) @ c1x
+    fact2 = cx1_inv @ kron_all([np.eye(d), f]) @ cx1 @ kron_all([g, gi])
     zero = np.zeros(d * d)
     zero[0] = 1.0
-    bell = np.linalg.inv(c1x) @ kron_all([f, np.eye(d)]) @ zero
+    bell = c1x_inv @ kron_all([f, np.eye(d)]) @ zero
     extras = {
         "factorization1": float(np.abs(s - fact1).max()),
         "factorization2": float(np.abs(s - fact2).max()),
@@ -112,8 +108,7 @@ def verify_braid_gaussian_dressing(ring: PhaseRing) -> IdentityReport:
     """b_{2,3,-} as a Gaussian dressing of the SFT (corrected scalar omega**0.5)."""
     d = ring.d
     s = sft_matrix(ring, 2)
-    g = gaussian_gate(ring)
-    gi = np.linalg.inv(g)
+    gi = gate_block(ring, "G", -1)
     core = kron_all([np.eye(d), gi]) @ s @ kron_all([gi, np.eye(d)])
     b23 = evaluator.braid_op(ring, 2, 1, -1).matrix
     rep = IdentityReport(

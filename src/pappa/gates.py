@@ -41,14 +41,17 @@ The dense d**n x d**n forms that remain are that kernel on the identity:
 ``ctrl_local``'s, for any matrix), and ``apply_sft`` on a batch of basis
 states (``evaluator.sft_via_braids``); ``sft_matrix`` is the closed form.
 They exist for test oracles and for the checks of ``verify`` and
-``clifford.py``, which compare matrices.
+``clifford.py``, which compare matrices.  The state wrappers
+``apply_site_gate``, ``apply_controlled``, ``apply_full_matrix``,
+``project_site`` and ``measure`` have no caller in the package; they are
+kept because ``bench/tracer.py`` wraps them by name.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -390,11 +393,12 @@ def _permute(v: np.ndarray, dw: int, lay: tuple[int, ...], tables: tuple, dtype)
 
 
 def apply_site_gate(state: QState, m: np.ndarray, site: int) -> QState:
-    """Apply a d x d matrix to one qudit (0-based site)."""
+    """Apply a d x d matrix to one qudit (0-based site).  Kept for ``bench/tracer.py``."""
     return QState(state.d, state.n, apply_local(state.vector, state.d, state.n, Local((site,), m)))
 
 
 def apply_full_matrix(state: QState, m: np.ndarray) -> QState:
+    """``m @ state.vector``.  Kept for ``bench/tracer.py``."""
     return QState(state.d, state.n, m @ state.vector)
 
 
@@ -443,7 +447,7 @@ def _ctrl_block(ring: PhaseRing, name: str, exponent: int) -> np.ndarray:
 def apply_controlled(
     state: QState, a: np.ndarray, control: int, target: int, exponent: int = 1
 ) -> QState:
-    """Apply A**(exponent * k) to ``target`` where k is the control value."""
+    """Apply A**(exponent * k) to ``target``, k the control value.  Kept for ``bench/tracer.py``."""
     local = ctrl_local(a, control, target, exponent)
     return QState(state.d, state.n, apply_local(state.vector, state.d, state.n, local))
 
@@ -491,7 +495,8 @@ def project_site(state: QState, site: int, outcome: int) -> tuple[QState, float]
     """Project one qudit onto |outcome> and renormalize.
 
     Returns (post_state, branch_probability); the post state keeps all n
-    qudits (the measured one collapses to |outcome>).
+    qudits (the measured one collapses to |outcome>).  Kept for
+    ``bench/tracer.py``.
     """
     p = float(site_probabilities(state, site)[outcome])
     return collapse_site(state, site, outcome, p), p
@@ -522,7 +527,8 @@ def draw(state: QState, site: int, rng: np.random.Generator) -> tuple[int, float
 
 
 def measure(state: QState, site: int, rng: np.random.Generator) -> tuple[int, QState, float]:
-    """Computational-basis measurement of one site, sampled with ``rng``."""
+    """Computational-basis measurement of one site, sampled with ``rng``: :func:`draw`
+    then :func:`collapse_site`.  Public, and kept for ``bench/tracer.py``."""
     outcome, p = draw(state, site, rng)
     return outcome, collapse_site(state, site, outcome, p), p
 
@@ -610,114 +616,14 @@ def apply_sft(ring: PhaseRing, state: QState) -> QState:
 
 
 # ---------------------------------------------------------------------------
-# simplifying tricks
+# random draws for the checks of ``verify`` and the tests
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TrickReport:
-    residuals: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.max_residual < tol
-
-
-def _branch_ensemble(state: QState, prep: np.ndarray | None, site: int):
-    """All (probability, post-state) branches of measuring ``site`` after ``prep``."""
-    work = apply_full_matrix(state, prep) if prep is not None else state
-    out = []
-    for k in range(state.d):
-        post, p = project_site(work, site, k)
-        out.append((k, p, post))
-    return out
-
-
-def circuit_tricks_check(ring: PhaseRing, rng: np.random.Generator | None = None) -> TrickReport:
-    """Verify the four protocol-simplification tricks.
-
-    Trick 1 is an exact operator identity; tricks 2-4 are branch-wise
-    statements (distributions exact, post states up to a phase per branch).
-    """
-    rng = rng or np.random.default_rng(0)
-    d = ring.d
-    rep = TrickReport()
-
-    # Trick 1: the control wire commutes with the Gaussian on the control.
-    a = _random_unitary(d, rng)
-    for sgn in (1, -1):
-        c1a = controlled_gate(ring, 2, 0, 1, a)
-        g = Local((0,), gate_block(ring, "G", sgn)).to_matrix(d, 2)
-        rep.residuals[f"trick1_g{sgn:+d}"] = float(np.abs(g @ c1a - c1a @ g).max())
-
-    # Trick 2: a Gaussian before a meter changes nothing observable.
-    psi = _random_state(ring, 2, rng)
-    for sgn in (1, -1):
-        plain = _branch_ensemble(psi, None, 0)
-        g = Local((0,), gate_block(ring, "G", sgn)).to_matrix(d, 2)
-        gauss = _branch_ensemble(psi, g, 0)
-        worst = 0.0
-        for (_, p0, s0), (_, p1, s1) in zip(plain, gauss):
-            worst = max(worst, abs(p0 - p1))
-            if p0 > 1e-12:
-                worst = max(worst, abs(1.0 - s0.fidelity(s1)))
-        rep.residuals[f"trick2_g{sgn:+d}"] = worst
-
-    # Trick 3: remove the controlled X^-1 before double meters by reindexing
-    # the classically controlled correction.  The correction exponent is a
-    # mod-d dit, so the identity needs T**d = 1; draw a random order-d T.
-    t = _random_order_d_unitary(ring, rng)
-    psi = _random_state(ring, 3, rng)
-    worst = 0.0
-    lhs_pre = apply_controlled(psi, gate_power(ring, "X", 1), 0, 1, exponent=-1)
-    for m1 in range(d):
-        l1, p1 = project_site(lhs_pre, 0, m1)
-        r1, q1 = project_site(psi, 0, m1)
-        worst = max(worst, abs(p1 - q1))
-        for m2 in range(d):
-            l2, p2 = project_site(l1, 1, m2)
-            lhs = apply_site_gate(l2, np.linalg.matrix_power(t, m2), 2)
-            # rhs measures the untouched state; outcome of meter 2 shifts by m1
-            m2r = (m2 + m1) % d
-            r2, q2 = project_site(r1, 1, m2r)
-            rhs = apply_site_gate(r2, np.linalg.matrix_power(t, m2r), 2)
-            rhs = apply_site_gate(rhs, np.linalg.matrix_power(np.linalg.inv(t), m1), 2)
-            worst = max(worst, abs(p2 - q2))
-            if p1 * p2 > 1e-12:
-                # compare the traced-out target-qudit branch states up to phase
-                worst = max(worst, abs(1.0 - abs(np.vdot(_site2_vec(lhs, m1, m2), _site2_vec(rhs, m1, m2r)))))
-    rep.residuals["trick3"] = worst
-
-    # Trick 4: meter-controlled Y^-m X^-m equals Z^m up to the phase
-    # zeta**(-m*m) per branch.
-    worst = 0.0
-    for m in range(d):
-        lhs = gate_power(ring, "Y", -m) @ gate_power(ring, "X", -m)
-        rhs = ring.zeta_pow(-m * m) * gate_power(ring, "Z", m)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    rep.residuals["trick4"] = worst
-    return rep
-
-
-def _site2_vec(state: QState, m1: int, m2: int) -> np.ndarray:
-    """Slice out the wire-3 vector of a 3-qudit state with wires 1,2 collapsed."""
-    return state.vector.reshape([state.d] * 3)[m1, m2, :]
 
 
 def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _random_order_d_unitary(ring: PhaseRing, rng: np.random.Generator) -> np.ndarray:
-    """Random unitary with eigenvalues that are d-th roots of unity."""
-    v = _random_unitary(ring.d, rng)
-    eig = np.diag([ring.q_pow(int(rng.integers(ring.d))) for _ in range(ring.d)])
-    return v @ eig @ v.conj().T
 
 
 def _random_state(ring: PhaseRing, n: int, rng: np.random.Generator) -> QState:

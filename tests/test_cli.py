@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from pappa import verify
 from pappa.cli import main
 
 
@@ -86,17 +87,18 @@ def test_verify_jobs_parallel_matches_serial():
 def test_verify_report_does_not_depend_on_blas_threads():
     """Threaded LAPACK rounds differently, so no reported residual may rest on a numerical inverse."""
     root = Path(__file__).resolve().parent.parent
-    outs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
-        env.update(OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pappa.cli", "verify", "sft", "--d", "5"],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    for suite in ("sft", "clifford", "tricks"):
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
+            env.update(OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "pappa.cli", "verify", suite, "--d", "5"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], suite
 
 
 def test_protocol_run_transcript(teleport_pp):
@@ -401,6 +403,11 @@ REFUSALS = [
     "diagram eval {pd} --emit state",
     "circuit run {pc} --emit matrix",
     "verify sft --d x",
+    "verify sft --tol inf",
+    "verify sft --tol nan",
+    "verify sft --tol -1",
+    "verify sft --tol 0",
+    "verify sft --tol 1.5",
     "diagram",
     "",
 ]
@@ -457,6 +464,14 @@ def test_bad_pappa_tol_refuses_only_verify(monkeypatch, capsys, loop_pd):
     assert code == 0 and out.endswith("PASS\n")
     code, out = run_cli(["verify", "relations", "--tol", "1e-3"])
     assert code == 0 and "tol=1.000e-03\n" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "2"])
+def test_out_of_range_pappa_tol_is_refused_before_any_suite(monkeypatch, capsys, value):
+    monkeypatch.setattr(verify, "run_suite", None)  # a suite that ran would raise TypeError
+    monkeypatch.setenv("PAPPA_TOL", value)
+    err = _refused(["verify", "all"], capsys)
+    assert err == f"error: tolerance must lie in (0, 1], got {float(value)}\n"
 
 
 def test_verify_d_defaults_to_2():

@@ -6,13 +6,15 @@ accumulator; seeded random diagrams compare ``evaluate`` with the dense
 ``evaluate`` as a whole.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pappa import evaluator, gates
-from pappa.diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym
+from pappa.diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym, adjoint, compose
 from pappa.phases import make_phase_ring
 from tests import dense_eval
 
@@ -127,9 +129,12 @@ BOXES = {d: {"A": _unitary(d, 1, d), "B": _unitary(d, 2, d + 1)} for d in (2, 3,
 
 
 @st.composite
-def diagrams(draw, boxes=True):
-    """A diagram at d in {2, 3, 5} of every generator kind; boxes too unless ``boxes`` is false."""
-    d = draw(st.sampled_from([2, 3, 5]))
+def diagrams(draw, boxes=True, d=None, out=None):
+    """A diagram at d in {2, 3, 5} of every generator kind; boxes too unless ``boxes`` is false.
+
+    ``d`` fixes the degree; ``out`` closes the diagram with caps or cups to that many points.
+    """
+    d = draw(st.sampled_from([2, 3, 5])) if d is None else d
     pick = lambda lo, hi: draw(st.integers(lo, hi))  # noqa: E731
     widest = 6 if d == 5 else 8
     w = 2 * pick(0, 2)
@@ -159,6 +164,9 @@ def diagrams(draw, boxes=True):
             gen = Box("A", 2 * pick(0, w // 2 - 2) + 1, 2, 0, draw(st.booleans()))
         dia = dia.then(gen)
         w = dia.out_points
+    while out is not None and w != out:
+        dia = dia.then(Cap(pick(0, w)) if w < out else Cup(pick(0, w - 2)))
+        w = dia.out_points
     return dia
 
 
@@ -171,3 +179,26 @@ def test_evaluate_matches_dense_evaluate(dia):
     assert got.shape == want.shape
     assert mx(got - want) < TOL
 
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.data())
+def test_evaluate_of_compose_is_the_product(data):
+    """Boxes, straddles and charge seams meet at the join of ``b`` below ``a``:
+    up to three charges end ``b`` and up to three start ``a``."""
+    a = data.draw(diagrams())
+    d, w = a.d, a.in_points
+    charge = st.builds(Charge, st.integers(0, max(w - 1, 0)), st.integers(-d, d), st.integers(0, 2))
+    run = lambda: data.draw(st.lists(charge, max_size=3 if w else 0))  # noqa: E731
+    b = reduce(Diagram.then, run(), data.draw(diagrams(d=d, out=w)))
+    a = reduce(Diagram.then, run() + a.flat(), Diagram.identity(d, w))
+    ring, boxes = RINGS[d], BOXES[d]
+    want = evaluator.evaluate(ring, a, boxes).matrix @ evaluator.evaluate(ring, b, boxes).matrix
+    assert mx(evaluator.evaluate(ring, compose(a, b), boxes).matrix - want) < TOL
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(diagrams())
+def test_evaluate_of_adjoint_is_the_conjugate_transpose(dia):
+    ring, boxes = RINGS[dia.d], BOXES[dia.d]
+    want = evaluator.evaluate(ring, dia, boxes).matrix.conj().T
+    assert mx(evaluator.evaluate(ring, adjoint(dia), boxes).matrix - want) < TOL

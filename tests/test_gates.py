@@ -20,6 +20,7 @@ from pappa.gates import (
     sym_gate_matrix,
 )
 from pappa.phases import make_phase_ring
+from pappa.verify import tricks_residuals
 
 from dense_eval import index_digits
 from gatespec import GateSpec, apply_gate_spec
@@ -209,10 +210,11 @@ def test_sym_gate_embedding_and_range():
         sym_gate(ring, 2, 3, 0)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_circuit_tricks(d):
-    rep = gates.circuit_tricks_check(RINGS[d], np.random.default_rng(5))
-    assert rep.ok(1e-9), rep.residuals
+    residuals = tricks_residuals(RINGS[d], np.random.default_rng(5))
+    assert set(residuals) == {"trick1_g+1", "trick1_g-1", "trick2_g+1", "trick2_g-1", "trick3", "trick4"}
+    assert all(r < 1e-9 for r in residuals.values()), residuals
 
 
 def test_trick4_identity_d2():

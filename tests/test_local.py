@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pappa import dsl, evaluator, gates, protocols
+from pappa import dsl, evaluator, gates, protocols, verify
 from pappa.diagrams import BraidNeg, BraidPos, Charge, Diagram, Sym
 from pappa.evaluator import local_conjugation_op
 from pappa.gates import Local, QState, apply_local, controlled_gate
@@ -485,9 +485,9 @@ def _refuse(*args, **kwargs):
 
 
 def test_named_blocks_take_no_numerical_power_or_inverse(monkeypatch):
-    """Every protocol builder, a circuit with every ctrl kind and a diagram
-    with braids, ``sym`` and charges run from cold caches with
-    ``np.linalg.matrix_power`` and ``np.linalg.inv`` refusing."""
+    """Every protocol builder, a circuit with every ctrl kind, a diagram
+    with braids, ``sym`` and charges and the Clifford suite run from cold
+    caches with ``np.linalg.matrix_power`` and ``np.linalg.inv`` refusing."""
     for cache in (gates._gate_block, gates._ctrl_block, gates._sym_block, evaluator.braid_block):
         cache.cache_clear()
     monkeypatch.setattr(np.linalg, "matrix_power", _refuse)
@@ -509,3 +509,4 @@ def test_named_blocks_take_no_numerical_power_or_inverse(monkeypatch):
         dsl.run_circuit(ring, dsl.parse_circuit(text))
         layers = ((Charge(0, 1),), (BraidPos(1),), (Sym(1, 1),), (BraidNeg(0),), (Charge(3, -1),), (BraidNeg(2),))
         assert evaluator.evaluate(ring, Diagram(d, 4, 4, layers)).matrix.shape == (d * d, d * d)
+        assert verify.suite_clifford(d).passed
