@@ -1,6 +1,6 @@
 """Charged-string diagrams and their compilation to qudit operators.
 
-A diagram is a stack of layers: caps create entangled pairs of string
+A diagram is a word of generators: caps create entangled pairs of string
 ends, cups annihilate them, charges ride the strings, braids cross them.
 The evaluator compiles a diagram to a dense operator through the
 Jordan-Wigner dictionary.
@@ -67,7 +67,7 @@ messy = (
     .then(Charge(1, 1, 1))
 )
 tidy = normalize(messy)
-print(f"  {len(messy.flat())} generators -> {len(tidy.flat())}, "
+print(f"  {len(messy.gens)} generators -> {len(tidy.gens)}, "
       f"value drift = {np.abs(evaluate(ring, tidy).matrix - evaluate(ring, messy).matrix).max():.2e}")
 
 print("\nResolution of the identity: d^-1/2 sum_k cap_k cup_(-k) = 1:")

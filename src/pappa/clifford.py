@@ -60,9 +60,6 @@ class IdentityReport:
     alternate_residual: float | None = None
     extras: dict[str, float] = field(default_factory=dict)
 
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.residual < tol
-
 
 def verify_cz_from_sft(ring: PhaseRing) -> IdentityReport:
     """C_Z from the 2-qudit SFT dressed by single-qudit Cliffords."""

@@ -1,9 +1,10 @@
-"""Layered charged-string diagrams: the pictorial intermediate representation.
+"""Charged-string diagrams: the pictorial intermediate representation.
 
-A diagram is a stack of layers read top (input side) to bottom (output
-side); composition glues input points of the lower factor to output
-points of the upper factor, and ``compose(a, b)`` places ``a`` *below*
-``b`` so that evaluation satisfies eval(compose(a, b)) = eval(a) @ eval(b).
+A diagram is one word of generators read top (input side) to bottom
+(output side); composition glues input points of the lower factor to
+output points of the upper factor, and ``compose(a, b)`` places ``a``
+*below* ``b`` so that evaluation satisfies
+eval(compose(a, b)) = eval(a) @ eval(b).
 
 Strand positions are 0-based, counted left to right.  Charges carry an
 integer ``tier``; larger tier means drawn higher (applied earlier), and
@@ -160,29 +161,28 @@ class DiagScalar:
 class Diagram:
     """A charged-string tangle over qudit degree ``d``.
 
-    ``layers`` run top to bottom; each layer is a tuple of generators
-    applied left to right within the layer's evolving frame.
+    ``gens`` run top to bottom; each generator applies in the frame the
+    ones above it leave.
     """
 
     d: int
     in_points: int
     out_points: int
-    layers: tuple[tuple[Generator, ...], ...] = ()
+    gens: tuple[Generator, ...] = ()
     scalar: DiagScalar = field(default_factory=DiagScalar)
 
     def __post_init__(self):
         if self.scalar.is_zero:
             return
         w = self.in_points
-        for layer in self.layers:
-            for gen in layer:
-                lo, hi = _gen_span(gen)
-                if not (0 <= lo and hi < w):
-                    raise ValueError(f"{gen!r} out of range at width {w}")
-                w += _gen_width_delta(gen)
+        for gen in self.gens:
+            lo, hi = _gen_span(gen)
+            if not (0 <= lo and hi < w):
+                raise ValueError(f"{gen!r} out of range at width {w}")
+            w += _gen_width_delta(gen)
         if w != self.out_points:
             raise ValueError(
-                f"layers lead from {self.in_points} to {w} points, "
+                f"generators lead from {self.in_points} to {w} points, "
                 f"but out_points={self.out_points}"
             )
 
@@ -194,7 +194,7 @@ class Diagram:
 
     @classmethod
     def single(cls, d: int, in_points: int, gen: Generator) -> "Diagram":
-        return cls(d, in_points, in_points + _gen_width_delta(gen), ((gen,),))
+        return cls(d, in_points, in_points + _gen_width_delta(gen), (gen,))
 
     @classmethod
     def zero(cls, d: int, in_points: int = 0, out_points: int = 0) -> "Diagram":
@@ -204,10 +204,10 @@ class Diagram:
         return replace(self, scalar=self.scalar.times(scalar))
 
     def then(self, gen: Generator) -> "Diagram":
-        """Append one generator below the existing layers."""
+        """Append one generator below the existing ones."""
         return replace(
             self,
-            layers=self.layers + ((gen,),),
+            gens=self.gens + (gen,),
             out_points=self.out_points + _gen_width_delta(gen),
         )
 
@@ -217,9 +217,6 @@ class Diagram:
     @property
     def is_zero(self) -> bool:
         return self.scalar.is_zero
-
-    def flat(self) -> list[Generator]:
-        return [gen for layer in self.layers for gen in layer]
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +239,13 @@ def compose(after: Diagram, before: Diagram) -> Diagram:
         after.d,
         before.in_points,
         after.out_points,
-        _lift_trailing_charges(before.layers, after.flat()) + after.layers,
+        _lift_trailing_charges(before.gens, after.gens) + after.gens,
         before.scalar.times(after.scalar),
     )
 
 
-def _lift_trailing_charges(layers, below: list[Generator]):
-    """Keep ``layers``' trailing charges applied before the charges ``below`` starts with.
+def _lift_trailing_charges(gens: tuple[Generator, ...], below) -> tuple[Generator, ...]:
+    """Keep ``gens``' trailing charges applied before the charges ``below`` starts with.
 
     Evaluation reads consecutive charges as one run ordered by tier, so a
     seam between two charge runs would interleave them by tier.  When the
@@ -256,31 +253,15 @@ def _lift_trailing_charges(layers, below: list[Generator]):
     upper run's tiers are all raised by the same amount, which keeps its
     own order and twisted pairs.
     """
-    flat = [gen for layer in layers for gen in layer]
     lower = list(takewhile(lambda g: isinstance(g, Charge), below))
-    upper = list(takewhile(lambda g: isinstance(g, Charge), reversed(flat)))
+    upper = list(takewhile(lambda g: isinstance(g, Charge), reversed(gens)))
     if not lower or not upper:
-        return layers
+        return gens
     lift = max(c.tier for c in lower) + 1 - min(c.tier for c in upper)
     if lift <= 0:
-        return layers
-    first = len(flat) - len(upper)  # flat index where the upper run starts
-    out, seen = [], 0
-    for layer in layers:
-        out.append(
-            tuple(
-                replace(g, tier=g.tier + lift) if seen + i >= first else g
-                for i, g in enumerate(layer)
-            )
-        )
-        seen += len(layer)
-    return tuple(out)
-
-
-def _shift_gen(gen: Generator, offset: int) -> Generator:
-    if isinstance(gen, Box):
-        return replace(gen, first=gen.first + offset)
-    return replace(gen, strand=gen.strand + offset)
+        return gens
+    first = len(gens) - len(upper)  # index where the upper run starts
+    return gens[:first] + tuple(replace(c, tier=c.tier + lift) for c in gens[first:])
 
 
 def tensor(left: Diagram, right: Diagram) -> Diagram:
@@ -291,14 +272,12 @@ def tensor(left: Diagram, right: Diagram) -> Diagram:
         return Diagram.zero(
             left.d, left.in_points + right.in_points, left.out_points + right.out_points
         )
-    shifted = tuple(
-        tuple(_shift_gen(g, left.out_points) for g in layer) for layer in right.layers
-    )
+    shifted = tuple(_reindex(g, 0, left.out_points) for g in right.gens)
     return Diagram(
         left.d,
         left.in_points + right.in_points,
         left.out_points + right.out_points,
-        left.layers + shifted,
+        left.gens + shifted,
         left.scalar.times(right.scalar),
     )
 
@@ -325,12 +304,9 @@ def adjoint(diagram: Diagram) -> Diagram:
     """Vertical reflection: charges negate, caps and cups swap, scalars conjugate."""
     if diagram.is_zero:
         return Diagram.zero(diagram.d, diagram.out_points, diagram.in_points)
-    layers = tuple(
-        tuple(_reflect_gen(g) for g in reversed(layer))
-        for layer in reversed(diagram.layers)
-    )
+    gens = tuple(_reflect_gen(g) for g in reversed(diagram.gens))
     return Diagram(
-        diagram.d, diagram.out_points, diagram.in_points, layers, diagram.scalar.conj()
+        diagram.d, diagram.out_points, diagram.in_points, gens, diagram.scalar.conj()
     )
 
 
@@ -379,12 +355,10 @@ def sft_rotate(diagram: Diagram) -> Diagram:
         for s in range(w - 1):
             out = out.then(BraidNeg(s))
         return out.with_scalar(DiagScalar(omega_half=1))
-    shifted = tuple(
-        tuple(_shift_gen(g, 1) for g in layer) for layer in diagram.layers
-    )
-    layers = ((Cap(diagram.in_points),),) + shifted + ((Cup(0),),)
+    shifted = tuple(_reindex(g, 0, 1) for g in diagram.gens)
+    gens = (Cap(diagram.in_points),) + shifted + (Cup(0),)
     return Diagram(
-        diagram.d, diagram.in_points, diagram.out_points, layers, diagram.scalar
+        diagram.d, diagram.in_points, diagram.out_points, gens, diagram.scalar
     )
 
 
@@ -411,7 +385,7 @@ def normalize(diagram: Diagram) -> Diagram:
         return Diagram.zero(diagram.d, diagram.in_points, diagram.out_points)
     d = diagram.d
     ring = make_phase_ring(d)
-    gens = diagram.flat()
+    gens = diagram.gens
     scalar = diagram.scalar
 
     changed = True
@@ -465,9 +439,8 @@ def normalize(diagram: Diagram) -> Diagram:
                 return Diagram.zero(d, diagram.in_points, diagram.out_points)
             changed = True
 
-    layers = tuple((g,) for g in gens)
     return Diagram(
-        d, diagram.in_points, diagram.out_points, layers, scalar.normalized(d)
+        d, diagram.in_points, diagram.out_points, tuple(gens), scalar.normalized(d)
     )
 
 
@@ -546,16 +519,15 @@ def _contract_pass(d: int, gens: list[Generator], scalar: DiagScalar):
     return None
 
 
-def _join_runs(parts) -> list[Generator]:
+def _join_runs(parts) -> tuple[Generator, ...]:
     """Concatenate generator lists; a charge run cut by a removed cap or cup stays in order.
 
     As in ``compose``, each part's trailing charges keep applying before
     the next part's leading charges when the two runs become one.
     """
-    out: list[Generator] = []
+    out: tuple[Generator, ...] = ()
     for part in parts:
-        lifted = _lift_trailing_charges(tuple((g,) for g in out), part)
-        out = [g for (g,) in lifted] + list(part)
+        out = _lift_trailing_charges(out, part) + tuple(part)
     return out
 
 

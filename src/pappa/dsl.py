@@ -1,9 +1,10 @@
 """Text formats for diagrams (.pd), circuits (.pc) and protocols (.pp).
 
-Diagram files: a header ``diagram d=<int> in=<int> out=<int>`` then one
-layer per line; generators are ``cap@i``, ``cup@i``, ``chg@i:k:tier``,
-``b+@i``, ``b-@i``, ``sym@i:m`` and ``box NAME@i:w:c``.  Strand indices
-are 0-based.  ``#`` starts a comment.
+Diagram files: a header ``diagram d=<int> in=<int> out=<int>`` then the
+generators in reading order, top to bottom and left to right, one or
+more per line; line breaks carry no meaning.  Generators are ``cap@i``,
+``cup@i``, ``chg@i:k:tier``, ``b+@i``, ``b-@i``, ``sym@i:m`` and
+``box NAME@i:w:c``.  Strand indices are 0-based.  ``#`` starts a comment.
 
 Circuit files: ``circuit d=<int> n=<int>`` then statements ``gate X@2``,
 ``gate F^-1@1``, ``ctrl X c=1 t=2``, ``sft``, ``measure@1 -> m1`` and
@@ -99,18 +100,19 @@ def parse_diagram(text: str, path: str = "<diagram>") -> Diagram:
     if not m:
         raise ParseError(path, lineno, f"bad header {header!r}")
     d, in_points, out_points = (int(g) for g in m.groups())
-    layers = [
-        tuple([_parse_generator(tok, line, path, lineno) for tok in _TOKEN_RE.findall(line)])
+    gens = tuple(
+        _parse_generator(tok, line, path, lineno)
         for lineno, line in lines[1:]
-    ]
+        for tok in _TOKEN_RE.findall(line)
+    )
     try:
-        return Diagram(d, in_points, out_points, tuple(layers))
+        return Diagram(d, in_points, out_points, gens)
     except ValueError as exc:
         raise ParseError(path, lines[-1][0], str(exc)) from exc
 
 
 def format_diagram(diagram: Diagram) -> str:
-    """Render a diagram back into the .pd text form.
+    """Render a diagram back into the .pd text form, one generator per line.
 
     Raises ValueError for what the form cannot hold: a diagram scalar other
     than 1, or a daggered box.  Nothing in ``pappa`` calls it; it is kept
@@ -119,17 +121,14 @@ def format_diagram(diagram: Diagram) -> str:
     if diagram.scalar != DiagScalar():
         raise ValueError(f".pd cannot hold the diagram scalar {diagram.scalar}")
     out = [f"diagram d={diagram.d} in={diagram.in_points} out={diagram.out_points}"]
-    for layer in diagram.layers:
-        toks = []
-        for gen in layer:
-            token, _, args, _ = _BY_CLASS[type(gen)]
-            values = astuple(gen)
-            if isinstance(gen, Box):
-                if gen.dagger:
-                    raise ValueError(f".pd cannot hold the daggered box {gen.name!r}")
-                token, values = f"box {gen.name}", values[1:]
-            toks.append(f"{token}@" + ":".join(map(str, values[: len(args)])))
-        out.append(" ".join(toks))
+    for gen in diagram.gens:
+        token, _, args, _ = _BY_CLASS[type(gen)]
+        values = astuple(gen)
+        if isinstance(gen, Box):
+            if gen.dagger:
+                raise ValueError(f".pd cannot hold the daggered box {gen.name!r}")
+            token, values = f"box {gen.name}", values[1:]
+        out.append(f"{token}@" + ":".join(map(str, values[: len(args)])))
     return "\n".join(out) + "\n"
 
 

@@ -253,6 +253,8 @@ def _box(ring: PhaseRing, n: int, box: Box, x: np.ndarray, boxes) -> np.ndarray:
     """
     if boxes is None or box.name not in boxes:
         raise ValueError(f"no matrix bound for box {box.name!r}")
+    if box.strands <= 0 or box.strands % 2:
+        raise ValueError(f"box {box.name!r} spans {box.strands} strands, not a positive even number")
     d, m, w = ring.d, boxes[box.name], box.strands // 2
     m = m.conj().T if box.dagger else m
     if m.shape != (d**w, d**w):
@@ -297,7 +299,7 @@ def evaluate(
     """Compile a diagram to the operator it simulates.
 
     ``boxes`` binds named Box generators to matrices (a box of width 2w
-    strands needs a d**w x d**w matrix).  Layers apply top-first to an
+    strands needs a d**w x d**w matrix).  Generators apply top-first to an
     accumulator of d**n rows (n the current width) and d**n_in columns,
     starting from the identity; the diagram scalar multiplies the result.
     """
@@ -308,14 +310,14 @@ def evaluate(
     if scalar == 0:
         return QOperator(d, n_in, n_out, np.zeros((d**n_out, d**n_in), complex))
     x, n = np.eye(d**n_in, dtype=complex), n_in
-    for is_charge, run in itertools.groupby(diagram.flat(), lambda g: isinstance(g, Charge)):
+    for is_charge, run in itertools.groupby(diagram.gens, lambda g: isinstance(g, Charge)):
         if is_charge:
             x = _charge_run(ring, n, list(run), x)
             continue
         for gen in run:
             x, n = _apply_generator(ring, n, gen, x, boxes)
     if n != n_out:
-        raise ValueError("layer widths inconsistent with declared out_points")
+        raise ValueError("generator widths inconsistent with declared out_points")
     return QOperator(d, n_in, n, scalar * x)
 
 

@@ -48,10 +48,6 @@ class PhaseRing:
         e = e % (2 * self.d)
         return cmath.exp(1j * cmath.pi * e / self.d)
 
-    def omega_pow(self, e: int) -> complex:
-        """omega**e via exact angle multiplication (|omega| == 1)."""
-        return cmath.exp(1j * e * cmath.phase(self.omega))
-
 
 def make_phase_ring(d: int) -> PhaseRing:
     """The scalar system for qudit degree ``d`` (d >= 2), built once per degree.

@@ -135,8 +135,9 @@ class ProtocolScript:
     def validate(self) -> None:
         """Check every rule of a script; raises ``LocalityError`` with ``where`` set.
 
-        Parties partition the register; resource, input and output sites are
-        distinct and in range, and resources and the input do not overlap.
+        Parties partition the register; every resource holds a site;
+        resource, input and output sites are distinct and in range, and
+        resources and the input do not overlap.
         """
         owner: dict[int, str] = {}
         shared: set[int] = set()  # resource and input sites, which must not overlap
@@ -154,6 +155,8 @@ class ProtocolScript:
                 raise LocalityError("party sites must partition the register")
             for i, res in enumerate(self.resources):
                 where = ("resource", i)
+                if not res.sites:
+                    raise LocalityError("a resource needs at least one site")
                 self._check_site_set("resource", res.sites, shared)
             where = ("input", 0)
             self._check_site_set("input", self.input_sites, shared)

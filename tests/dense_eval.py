@@ -158,7 +158,7 @@ def evaluate(ring, diagram, boxes=None):
     acc = np.eye(d**n, dtype=complex)
     scalar = diagram.scalar_value(ring)
     pending = []
-    for gen in diagram.flat() + [None]:
+    for gen in diagram.gens + (None,):
         if isinstance(gen, Charge):
             pending.append(gen)
             continue

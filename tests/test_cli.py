@@ -324,7 +324,7 @@ def _braid_pd(tmp_path, points):
 
 
 def test_wide_boundary_is_bounded_exit_code_2(tmp_path, capsys):
-    # 11 qudits fit the widest layer, but the accumulator has 2**11 x 2**11 entries
+    # 11 qudits at the widest fit the bound, but the accumulator has 2**11 x 2**11 entries
     code, out = run_cli(["diagram", "eval", _braid_pd(tmp_path, 22)])
     assert code == 2
     assert out == ""

@@ -46,8 +46,8 @@ def test_compose_loop_gives_quantum_dimension():
 def test_compose_identity_neutral():
     d = 3
     dia = Diagram.identity(d, 2).then(BraidPos(0)).then(Charge(0, 1))
-    assert compose(Diagram.identity(d, 2), dia).layers == dia.layers
-    assert compose(dia, Diagram.identity(d, 2)).layers == dia.layers
+    assert compose(Diagram.identity(d, 2), dia).gens == dia.gens
+    assert compose(dia, Diagram.identity(d, 2)).gens == dia.gens
 
 
 def test_compose_width_mismatch():
@@ -62,7 +62,7 @@ def test_compose_charges_merge_under_normalize():
     upper = Diagram.identity(d, 2).then(Charge(0, 2, 1))
     lower = Diagram.identity(d, 2).then(Charge(0, 4, 0))
     merged = normalize(compose(lower, upper))
-    assert merged.flat() == [Charge(0, 1, 0)]
+    assert merged.gens == (Charge(0, 1, 0),)
     assert mx(ev(ring, merged) - ev(ring, compose(lower, upper))) < 1e-12
 
 
@@ -94,7 +94,7 @@ def test_tensor_identity_strands():
     d = 2
     two = tensor(Diagram.identity(d, 1), Diagram.identity(d, 1))
     assert two.in_points == two.out_points == 2
-    assert two.layers == ()
+    assert two.gens == ()
 
 
 def test_tensor_two_charged_caps_is_product_basis():
@@ -133,11 +133,11 @@ def test_tensor_tier_swap_costs_twisting_scalar():
 
 def test_adjoint_structure():
     d = 3
-    assert adjoint(Diagram.single(d, 0, Cap(0)).then(Charge(1, 1))).flat() == [
+    assert adjoint(Diagram.single(d, 0, Cap(0)).then(Charge(1, 1))).gens == (
         Charge(1, -1, 0),
         Cup(0),
-    ]
-    assert adjoint(Diagram.single(d, 2, BraidPos(0))).flat() == [BraidNeg(0)]
+    )
+    assert adjoint(Diagram.single(d, 2, BraidPos(0))).gens == (BraidNeg(0),)
     dia = (
         Diagram.identity(d, 2)
         .then(Charge(0, 2, 1))
@@ -206,7 +206,7 @@ def test_out_of_range_generator_rejected():
     with pytest.raises(ValueError):
         Diagram.identity(2, 2).then(Cup(1))
     with pytest.raises(ValueError):
-        Diagram(2, 2, 2, ((BraidPos(1),),))
+        Diagram(2, 2, 2, (BraidPos(1),))
 
 
 def _range_ok_with_special_cases(gen, w):
@@ -232,7 +232,7 @@ def test_range_check_accepts_what_the_special_cases_did():
             for gen in gens:
                 delta = {Cap: 2, Cup: -2}.get(type(gen), 0)
                 try:
-                    Diagram(2, w, w + delta, ((gen,),))
+                    Diagram(2, w, w + delta, (gen,))
                     accepted = True
                 except ValueError:
                     accepted = False
@@ -277,7 +277,7 @@ def test_normalize_neutral_loop_scalar():
     ring = make_phase_ring(d)
     dia = Diagram.identity(d, 0).then(Cap(0)).then(Cup(0))
     out = normalize(dia)
-    assert out.layers == ()
+    assert out.gens == ()
     assert abs(out.scalar_value(ring) - 2.0) < 1e-12
 
 
@@ -289,7 +289,7 @@ def test_normalize_slide_charge_across_cap():
             out = normalize(dia)
             # the canonical form carries the charge on the right leg
             assert all(
-                not (isinstance(g, Charge) and g.strand == 0) for g in out.flat()
+                not (isinstance(g, Charge) and g.strand == 0) for g in out.gens
             )
             assert mx(ev(ring, out) - ev(ring, dia)) < 1e-12
             # and the emitted scalar is zeta**(k*k)
@@ -302,7 +302,7 @@ def test_normalize_zigzags():
     for s, cup in ((0, 1), (1, 0), (1, 2), (2, 1)):
         dia = Diagram.identity(d, 2).then(Cap(s)).then(Cup(cup))
         out = normalize(dia)
-        assert out.flat() == []
+        assert out.gens == ()
         assert out.scalar == DiagScalar()
 
 

@@ -50,14 +50,14 @@ cup@1 b-@0
 def test_parse_loop():
     dia = parse_diagram(LOOP_PD, "loop.pd")
     assert dia.d == 4 and dia.in_points == 0 and dia.out_points == 0
-    assert dia.flat() == [Cap(0), Cup(0)]
+    assert dia.gens == (Cap(0), Cup(0))
     ring = make_phase_ring(4)
     assert abs(evaluate(ring, dia).matrix[0, 0] - 2.0) < 1e-12
 
 
 def test_parse_mixed_generators():
     dia = parse_diagram(MIXED_PD, "mixed.pd")
-    assert dia.flat() == [
+    assert dia.gens == (
         Charge(0, 1, 2),
         BraidPos(0),
         Cap(1),
@@ -65,7 +65,19 @@ def test_parse_mixed_generators():
         Sym(1, 1),
         Cup(1),
         BraidNeg(0),
-    ]
+    )
+
+
+def test_line_breaks_do_not_change_the_diagram():
+    """A .pd line only groups generators: the same word on one line, or one
+    generator per line, parses to the same Diagram."""
+    header, *lines = [line.split("#")[0] for line in MIXED_PD.splitlines()]
+    tokens = [tok for line in lines for tok in line.split()]
+    one_line = "\n".join([header, " ".join(tokens)])
+    one_each = "\n".join([header, *tokens])
+    dia = parse_diagram(MIXED_PD, "mixed.pd")
+    assert parse_diagram(one_line, "one_line.pd") == dia
+    assert parse_diagram(one_each, "one_each.pd") == dia
 
 
 def test_diagram_round_trip():
@@ -87,12 +99,12 @@ def test_parse_diagram_errors_carry_line_numbers():
 
 def test_parse_box():
     dia = parse_diagram("diagram d=2 in=2 out=2\nbox T@0:2:1\n", "box.pd")
-    assert dia.flat() == [Box("T", 0, 2, 1)]
+    assert dia.gens == (Box("T", 0, 2, 1),)
 
 
 def test_box_round_trips_beside_other_generators():
     dia = parse_diagram("diagram d=2 in=4 out=4\nb+@0 box T@2:2:1 chg@1:1\n", "box.pd")
-    assert dia.flat() == [BraidPos(0), Box("T", 2, 2, 1), Charge(1, 1)]
+    assert dia.gens == (BraidPos(0), Box("T", 2, 2, 1), Charge(1, 1))
     assert parse_diagram(dsl.format_diagram(dia), "again.pd") == dia
 
 

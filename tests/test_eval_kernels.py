@@ -114,6 +114,11 @@ def test_box_binding_errors():
         evaluator._box(ring, 2, Box("U", 0, 2), x, {"U": np.eye(4)})
     with pytest.raises(ValueError, match="straddling"):
         evaluator._box(ring, 3, Box("U", 1, 4), np.eye(8, dtype=complex), {"U": np.eye(4)})
+    # a box covers whole qudits: 2w strands for some w >= 1
+    x_gate = gates.gate_block(ring, "X", 1)
+    for strands, m in ((0, np.array([[2.0]])), (1, np.array([[2.0]])), (3, x_gate)):
+        with pytest.raises(ValueError, match="not a positive even number"):
+            evaluator.evaluate(ring, Diagram.single(2, 4, Box("T", 0, strands)), {"T": m})
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +195,7 @@ def test_evaluate_of_compose_is_the_product(data):
     charge = st.builds(Charge, st.integers(0, max(w - 1, 0)), st.integers(-d, d), st.integers(0, 2))
     run = lambda: data.draw(st.lists(charge, max_size=3 if w else 0))  # noqa: E731
     b = reduce(Diagram.then, run(), data.draw(diagrams(d=d, out=w)))
-    a = reduce(Diagram.then, run() + a.flat(), Diagram.identity(d, w))
+    a = reduce(Diagram.then, run() + list(a.gens), Diagram.identity(d, w))
     ring, boxes = RINGS[d], BOXES[d]
     want = evaluator.evaluate(ring, a, boxes).matrix @ evaluator.evaluate(ring, b, boxes).matrix
     assert mx(evaluator.evaluate(ring, compose(a, b), boxes).matrix - want) < TOL

@@ -111,7 +111,7 @@ def test_evaluate_builds_each_charge_head_once(monkeypatch):
     d = 3
     ring = make_phase_ring(d)
     charges = [(0, 1), (1, 2), (1, 2 + 4 * d), (2, -1), (3, 1), (0, 1 - 4 * d), (2, -1)]
-    diagram = Diagram(d, 4, 4, tuple((Charge(s, k),) for s, k in charges))
+    diagram = Diagram(d, 4, 4, tuple(Charge(s, k) for s, k in charges))
     gates._gate_block.cache_clear()
     built = _counting_gate_power(monkeypatch)
     first = evaluator.evaluate(ring, diagram).matrix
@@ -126,7 +126,7 @@ def test_evaluate_builds_each_sym_block_once(monkeypatch):
     """sym lines read the cached b_m (m mod d): a second evaluate builds none."""
     d = 3
     ring = make_phase_ring(d)
-    diagram = Diagram(d, 4, 4, tuple((Sym(1, m),) for m in (1, 2 + d, -1, 2, 0)))
+    diagram = Diagram(d, 4, 4, tuple(Sym(1, m) for m in (1, 2 + d, -1, 2, 0)))
     gates._sym_block.cache_clear()
     built = []
     real = gates.sym_gate_matrix

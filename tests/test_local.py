@@ -507,6 +507,6 @@ def test_named_blocks_take_no_numerical_power_or_inverse(monkeypatch):
         ctrls = [f"ctrl {g}^{e} c={c} t={t}" for g in "XYZFG" for e in (1, -1, 2, -3) for c, t in ((1, 2), (2, 1))]
         text = "\n".join([f"circuit d={d} n=2", "gate F@1", "gate F^-1@2", *ctrls, "measure@1 -> m1"])
         dsl.run_circuit(ring, dsl.parse_circuit(text))
-        layers = ((Charge(0, 1),), (BraidPos(1),), (Sym(1, 1),), (BraidNeg(0),), (Charge(3, -1),), (BraidNeg(2),))
-        assert evaluator.evaluate(ring, Diagram(d, 4, 4, layers)).matrix.shape == (d * d, d * d)
+        gens = (Charge(0, 1), BraidPos(1), Sym(1, 1), BraidNeg(0), Charge(3, -1), BraidNeg(2))
+        assert evaluator.evaluate(ring, Diagram(d, 4, 4, gens)).matrix.shape == (d * d, d * d)
         assert verify.suite_clifford(d).passed

@@ -359,6 +359,7 @@ def test_validate_rejects_overlapping_parties():
     "resources, input_sites, output_sites, where",
     [
         ([(0, 0)], (), (), ("resource", 0)),
+        ([(0, 1), ()], (), (), ("resource", 1)),  # an empty resource would scale the state by sqrt(d)
         ([(0, 1), (1, 2)], (), (), ("resource", 1)),
         ([(0, 3)], (), (), ("resource", 0)),
         ([(0, 1)], (1,), (), ("input", 0)),
