@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from itertools import accumulate
@@ -168,7 +169,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` leaves it unchanged."""
     p = _Parser(prog="pappa", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -1,7 +1,8 @@
 """Entangled resource states, density matrices, and entanglement entropy.
 
 The maximally entangled family is produced by the string Fourier
-transform acting on product states; closed forms:
+transform acting on product states; closed forms (the q-power of |Max_k>
+is the diagonal of one ``gates.Weyl`` word, Z**k1 x Z**(k1+k2) x ...):
 
     |Max>_n     = d**-((n-1)/2) * sum_{|l|=0} |l>
     |Max_k>     = SFT|k> = zeta**(-|k|**2) d**-((n-1)/2)
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .gates import QState, _q_table, basis_index, digit_sums
+from .gates import QState, Weyl, _eps_table, basis_index, digit_sums
 from .phases import PhaseRing
 
 _EIG_CUTOFF = 1e-12
@@ -49,13 +51,9 @@ def max_basis(ring: PhaseRing, ks) -> QState:
     if any(not 0 <= k < d for k in ks):
         raise ValueError("charges must lie in 0..d-1")
     ktot = sum(ks)
-    # sum_j digit_j * (k1 + ... + kj), built digit by digit as in ``digit_sums``
-    digits = np.arange(d, dtype=np.int64)
-    expo, prefix = np.zeros(1, dtype=np.int64), 0
-    for k in ks:
-        prefix += k
-        expo = (expo[:, None] + prefix * digits).reshape(-1)
-    v = float(d) ** (-(n - 1) / 2) * _q_table(ring)[expo % d]
+    # q**(k1 l1 + (k1+k2) l2 + ...): the exponents of the word Z**k1 x Z**(k1+k2) x ...
+    expo = Weyl.of_paulis(ring, n, [(j, "Z", p) for j, p in enumerate(accumulate(ks))]).exponents()
+    v = float(d) ** (-(n - 1) / 2) * _eps_table(ring)[expo]
     v[(digit_sums(d, n) - ktot) % d != 0] = 0.0
     return QState(d, n, ring.zeta_pow(-ktot * ktot) * v)
 

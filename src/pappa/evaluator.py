@@ -11,13 +11,14 @@ A charge k placed on a single strand compiles to the Jordan-Wigner word
 
 with the Z**k string covering every qudit to the right of j.  The unit
 charges c_s obtained this way are parafermions: c_s**d = 1 and
-c_s c_t = q c_t c_s for s < t.
+c_s c_t = q c_t c_s for s < t.  A run of them, a box's Z tail and the
+tail of :func:`local_conjugation_op` are each one exact ``gates.Weyl`` word.
 
 Vertical order is operator order: of two charges, the higher one is
 applied first.  Two charges at the same height form the twisted product,
 which inserts the scalar zeta**(-k*l) relative to the left-low/right-high
 reading.  ``diagrams.staircase`` is the one definition of this order, for
-evaluation and for ``normalize`` alike, and ``_z_tail`` the one Z-string.
+evaluation and for ``normalize`` alike.
 
 Caps and cups at even strand positions create/annihilate a qudit in
 d**0.25 |0>; at odd (straddling) positions they split a qudit's charge
@@ -28,7 +29,7 @@ state, and are cross-checked against both in the tests.
 
 :func:`evaluate` applies each generator to an accumulator of d**n rows (n
 the current width) and d**n_in columns: a braid, ``sym`` or bound box is a
-``gates.Local``, a charge its one-qudit head times a Z-tail phase vector,
+``gates.Local``, a run of charges one gather and one multiply by its word,
 and a cap or cup inserts, drops, splits or fuses a digit axis by indexing.
 A generator on w qudits costs O(d**(n+w) * d**n_in), and no d**n x d**n
 generator matrix is built.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym, staircase
+from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym
 from .phases import PhaseRing
 
 
@@ -71,10 +72,8 @@ class QOperator:
 
 
 def charge_word(ring: PhaseRing, n: int, strand: int, k: int) -> np.ndarray:
-    """Jordan-Wigner matrix of a charge k on one strand of an n-qudit row (:func:`_charge`)."""
-    if not 0 <= strand < 2 * n:
-        raise ValueError(f"strand {strand} out of range for n={n}")
-    return _charge(ring, n, strand, k, np.eye(ring.d**n, dtype=complex))
+    """Jordan-Wigner matrix of a charge k on one strand of an n-qudit row: its word on 1."""
+    return _charge_run(ring, n, [Charge(strand, k)], np.eye(ring.d**n, dtype=complex))
 
 
 def parafermion_relations_check(ring: PhaseRing, n: int) -> float:
@@ -215,28 +214,9 @@ def sft_via_braids(ring: PhaseRing, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _z_tail(ring: PhaseRing, x: np.ndarray, n: int, site: int, k: int) -> np.ndarray:
-    """Z**k on every qudit after ``site``: one multiply by a q-table phase vector."""
-    rest, k = n - site - 1, k % ring.d  # reduced first: k may pass int64
-    if rest <= 0 or k == 0:
-        return x
-    phases = gates._q_table(ring)[k * gates.digit_sums(ring.d, rest) % ring.d]
-    return (x.reshape(-1, phases.size, x.shape[-1]) * phases[:, None]).reshape(x.shape)
-
-
-def _charge(ring: PhaseRing, n: int, strand: int, k: int, x: np.ndarray) -> np.ndarray:
-    """A charge's Jordan-Wigner word applied to ``x``: its X**k or Y**-k head, then its Z tail."""
-    j = strand // 2
-    head = gates.gate_block(ring, "X", k) if strand % 2 else gates.gate_block(ring, "Y", -k)
-    return _z_tail(ring, gates.apply_local(x, ring.d, n, gates.Local((j,), head)), n, j, k)
-
-
 def _charge_run(ring: PhaseRing, n: int, charges, x: np.ndarray) -> np.ndarray:
-    """A run of charges with explicit tiers, applied to ``x`` in ``diagrams.staircase`` order."""
-    ordered, zexp = staircase(charges)
-    for c in ordered:
-        x = _charge(ring, n, c.strand, c.k, x)
-    return ring.zeta_pow(zexp) * x
+    """A run of charges with explicit tiers applied to ``x``: its one :class:`gates.Weyl` word."""
+    return gates.Weyl.of_charges(ring, n, charges).apply(ring, x)
 
 
 def _charge_run_matrix(ring: PhaseRing, n: int, charges) -> np.ndarray:
@@ -262,12 +242,13 @@ def _box(ring: PhaseRing, n: int, box: Box, x: np.ndarray, boxes) -> np.ndarray:
     j, s = box.first // 2, box.first
     if s % 2 == 0:
         x = gates.apply_local(x, d, n, gates.Local(tuple(range(j, j + w)), m))
-        return _z_tail(ring, x, n, j + w - 1, box.charge)
+        tail = gates.Weyl.of_paulis(ring, n, [(i, "Z", box.charge) for i in range(j + w, n)])
+        return tail.apply(ring, x)
     if box.strands != 2:
         raise ValueError("straddling boxes wider than one qudit are not supported")
-    units = [_cup(ring, n, s, _charge(ring, n, s + 1, -b, x)) for b in range(d)]
+    units = [_cup(ring, n, s, _charge_run(ring, n, [Charge(s + 1, -b)], x)) for b in range(d)]
     mixed = np.tensordot(m, np.array([_cap(ring, n - 1, s, u) for u in units]), axes=(1, 0))
-    return sum(_charge(ring, n, s + 1, a, mixed[a]) for a in range(d)) / d**0.5
+    return sum(_charge_run(ring, n, [Charge(s + 1, a)], mixed[a]) for a in range(d)) / d**0.5
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +340,6 @@ def local_conjugation_op(
     if len(mask) != n:
         raise ValueError("owner mask length must equal qudit count")
     sites = [i for i, b in enumerate(mask) if b]
-    d = ring.d
-    z = gates.gate_block(ring, "Z", charge)
-    m = gates.Local(tuple(sites), t).to_matrix(d, n)
-    for site in range(sites[0] + 1, n):
-        if not mask[site]:
-            m = gates.apply_local(m, d, n, gates.Local((site,), z))
-    return QOperator(d, n, n, m)
+    tail = [(i, "Z", charge) for i in range(sites[0] + 1, n) if not mask[i]]
+    m = gates.Local(tuple(sites), t).to_matrix(ring.d, n)
+    return QOperator(ring.d, n, n, gates.Weyl.of_paulis(ring, n, tail).apply(ring, m))

@@ -7,8 +7,9 @@ Single-qudit conventions (basis |0..d-1>, index arithmetic mod d):
 
 Every phase is one lookup into a ring's cached, read-only table of
 eps**e, e = 0..2d-1 (:func:`_eps_table`): the named gates of
-:func:`gate_power`, one table row each, and the closed forms
-``sft_matrix`` and ``sym_gate_matrix``.  Every named block is cached
+:func:`gate_power`, one table row each, the closed forms ``sft_matrix``
+and ``sym_gate_matrix``, and every :class:`Weyl` word (each Jordan-Wigner
+string is one).  Every named block is cached
 read-only once per process: :func:`gate_block` for the gates,
 :func:`ctrl_block` for their controlled powers (the block diagonal of
 gate blocks, so exact too) and :func:`sym_block` for b_m.  The protocol
@@ -56,6 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .diagrams import staircase
 from .phases import PhaseRing
 
 # ---------------------------------------------------------------------------
@@ -110,13 +112,11 @@ def gate_power(ring: PhaseRing, name: str, power: int = 1) -> np.ndarray:
     if name == "F" and k % 2:
         f = eps[2 * np.outer(m, m) % (2 * d)] / d**0.5
         return f if k % 4 == 1 else f.conj().T
-    rows, expo = {
-        "X": (m + k, 0),
-        "Y": (m - k, z * (k * k - 2 * k * m)),
-        "Z": (m, 2 * k * m),
-        "G": (m, z * k * m * m),
-        "F": (m if k % 4 == 0 else -m, 0),
-    }[name]
+    if name in ("X", "Y", "Z"):
+        a, b, c = _pauli_row(ring, name, k)
+        rows, expo = m + a, c + 2 * b * m
+    else:
+        rows, expo = (m, z * k * m * m) if name == "G" else (m if k % 4 == 0 else -m, 0)
     out = np.zeros((d, d), dtype=complex)
     out[rows % d, m] = eps[expo % (2 * d)]
     return out
@@ -164,11 +164,8 @@ def digit_table(d: int, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def digit_sums(d: int, n: int) -> np.ndarray:
-    """``digit_table(d, n).sum(axis=1)`` (read-only).
-
-    Built digit by digit, so wide ``evaluator._z_tail`` calls do not keep
-    the n times larger table cached.
-    """
+    """``digit_table(d, n).sum(axis=1)`` (read-only), built digit by digit
+    so that a wide register does not keep the n times larger table cached."""
     sums = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         sums = np.add.outer(sums, np.arange(d)).reshape(-1)
@@ -181,6 +178,76 @@ def kron_all(mats) -> np.ndarray:
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def _pauli_row(ring: PhaseRing, name: str, k: int) -> tuple[int, int, int]:
+    """(a, b, c) of X**k, Y**k or Z**k: |m> -> eps**(c + 2 b m) |m + a>.  Each is a
+    function of k mod d, reduced first so that a large k stays a small int."""
+    z, k = ring.zeta_exp, k % ring.d
+    return {"X": (k, 0, 0), "Y": (-k, -z * k, z * k * k), "Z": (0, k, 0)}[name]
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t - a) mod d at [a, t], and 2 b (t - a) mod 2d at [b, a, t] (read-only)."""
+    shift = (np.arange(d) - np.arange(d)[:, None]) % d
+    rows = 2 * np.arange(d)[:, None, None] * shift % (2 * d)
+    shift.flags.writeable = rows.flags.writeable = False
+    return shift, rows
+
+
+@dataclass(frozen=True)
+class Weyl:
+    """W|m> = eps**(c + 2 b.m) |m + a> with ``a`` and ``b`` one digit mod d per
+    qudit and ``c`` mod 2d, so equal words are equal operators."""
+
+    d: int
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    c: int
+
+    @classmethod
+    def of_paulis(cls, ring: PhaseRing, n: int, factors, c: int = 0) -> "Weyl":
+        """eps**c times powers ``(site, name, k)`` of X, Y and Z, the first applied first."""
+        a, b = [0] * n, [0] * n
+        for site, name, k in factors:
+            da, db, dc = _pauli_row(ring, name, k)
+            c += dc + 2 * db * a[site]  # Z**db meets the shift already applied
+            a[site], b[site] = a[site] + da, b[site] + db
+        d = ring.d
+        return cls(d, tuple(v % d for v in a), tuple(v % d for v in b), c % (2 * d))
+
+    @classmethod
+    def of_charges(cls, ring: PhaseRing, n: int, run) -> "Weyl":
+        """A run of charges in ``diagrams.staircase`` order, twist included: a charge k
+        on strand s is X**k (s odd) or Y**-k (s even) on qudit s // 2, then Z**k after it."""
+        ordered, zexp = staircase(run)
+        factors = []
+        for ch in ordered:
+            if not 0 <= ch.strand < 2 * n:
+                raise ValueError(f"strand {ch.strand} out of range for n={n}")
+            j = ch.strand // 2
+            factors += [(j, "X", ch.k) if ch.strand % 2 else (j, "Y", -ch.k)]
+            factors += [(i, "Z", ch.k) for i in range(j + 1, n)]
+        return cls.of_paulis(ring, n, factors, ring.zeta_exp * zexp)
+
+    def exponents(self) -> np.ndarray:
+        """The exponent c + 2 b.(m - a) mod 2d of each output index m (its entry comes from m - a)."""
+        rows, expo = _shift_tables(self.d)[1], self.c
+        for a, b in zip(self.a, self.b):
+            expo = np.add.outer(expo, rows[b, a])
+        return np.ravel(expo) % (2 * self.d)
+
+    def apply(self, ring: PhaseRing, x: np.ndarray) -> np.ndarray:
+        """W x for x of d**n rows: one gather (none when a = 0) and one multiply (none for 1)."""
+        if not (any(self.a) or any(self.b) or self.c):
+            return x
+        if any(self.a):
+            shift, index = _shift_tables(self.d)[0], 0
+            for a in self.a:
+                index = np.add.outer(index * self.d, shift[a])
+            x = x[np.ravel(index)]
+        return x * _eps_table(ring)[self.exponents()].reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 # ---------------------------------------------------------------------------

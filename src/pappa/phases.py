@@ -87,6 +87,8 @@ def phase_pow(ring: PhaseRing, base: str, e: int) -> complex:
     """
     if base not in ("q", "zeta", "eps", "omega"):
         raise ValueError(f"unknown phase base {base!r}")
+    if base == "omega":  # |omega| == 1
+        return cmath.exp(1j * e * cmath.phase(ring.omega))
     return getattr(ring, f"{base}_pow")(e)
 
 

@@ -10,7 +10,7 @@ built script is immutable.  One pre-shared entangled resource costs one
 edit; one cross-party classical message costs one cdit.
 
 The walker reads every block from the read-only caches of ``gates``: a
-gate's from ``gate_block``, which it shares with ``evaluator.evaluate``, a
+gate's from ``gate_block``, which ``clifford`` and ``verify`` read too, a
 ctrl step's from ``ctrl_block`` (exact, from the same phase table), and the
 SFT's braids from ``sft_locals``.  It builds and caches no block itself.
 """

@@ -2,10 +2,11 @@
 
 ``gates.gate_power`` reads every named single-qudit gate from one row map
 and one ``gates._eps_table`` lookup, and ``sym_gate_matrix``, ``cz_gate``,
-``sft_matrix`` and ``_q_table`` read the same table.  These are the
-builders they replaced: one loop per gate behind a dispatch dict, each
-phase from ``PhaseRing.q_pow`` or ``zeta_pow``, and the private tables of
-the closed forms.  The tests hold the table builders to them bit for bit.
+``sft_matrix``, ``_q_table`` and ``entangle.max_basis`` read the same
+table.  These are the builders they replaced: one loop per gate behind a
+dispatch dict, each phase from ``PhaseRing.q_pow`` or ``zeta_pow``, and
+the private tables of the closed forms.  The tests hold the table
+builders to them bit for bit.
 """
 
 import numpy as np
@@ -83,6 +84,19 @@ def gate_power(ring, name, power=1):
 def q_table(ring):
     """q**e for e = 0..d-1."""
     return np.array([ring.q_pow(e) for e in range(ring.d)])
+
+
+def max_basis(ring, ks):
+    """SFT|k> in closed form, its phase exponent built digit by digit and read from ``q_table``."""
+    d, n, ktot = ring.d, len(ks), sum(ks)
+    digits = np.arange(d, dtype=np.int64)
+    expo, prefix = np.zeros(1, dtype=np.int64), 0
+    for k in ks:
+        prefix += k
+        expo = (expo[:, None] + prefix * digits).reshape(-1)
+    v = float(d) ** (-(n - 1) / 2) * q_table(ring)[expo % d]
+    v[(gates.digit_sums(d, n) - ktot) % d != 0] = 0.0
+    return ring.zeta_pow(-ktot * ktot) * v
 
 
 def sym_gate_matrix(ring, m):

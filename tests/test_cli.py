@@ -87,18 +87,19 @@ def test_verify_jobs_parallel_matches_serial():
 def test_verify_report_does_not_depend_on_blas_threads():
     """Threaded LAPACK rounds differently, so no reported residual may rest on a numerical inverse."""
     root = Path(__file__).resolve().parent.parent
-    for suite in ("sft", "clifford", "tricks"):
-        outs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
-            env.update(OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "pappa.cli", "verify", suite, "--d", "5"],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr[-2000:]
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1], suite
+    suites = "sys.exit(max(main(['verify', s, '--d', '5']) for s in ('sft', 'clifford', 'tricks')))"
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
+        env.update(OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; from pappa.cli import main; {suites}"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert all(f"\n{suite}.max_residual=" in outs[0] for suite in ("sft", "clifford", "tricks"))
 
 
 def test_protocol_run_transcript(teleport_pp):

@@ -58,13 +58,15 @@ def test_cup_kernel_matches_dense(d, n):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_z_tail_is_the_kron_string(d):
+    """The Z**k string on every qudit after ``site``, as a Weyl word, applied to a batch."""
     ring, rng = RINGS[d], np.random.default_rng(d)
     n = 3
     x = batch(d, n, rng)
     for site in range(n):
         for k in (-d - 1, -1, 0, 1, 2, d, 2 * d + 1):
             z = [np.eye(d)] * (site + 1) + [gates.gate_power(ring, "Z", k)] * (n - site - 1)
-            assert mx(evaluator._z_tail(ring, x, n, site, k) - gates.kron_all(z) @ x) < TOL
+            word = gates.Weyl.of_paulis(ring, n, [(i, "Z", k) for i in range(site + 1, n)])
+            assert mx(word.apply(ring, x) - gates.kron_all(z) @ x) < TOL
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -8,6 +8,7 @@ from pappa.diagrams import Charge, Diagram, Sym
 from pappa.phases import make_phase_ring
 
 import gate_loops
+from tests import dense_eval
 
 DEGREES = range(2, 8)
 
@@ -53,28 +54,23 @@ def test_named_gates_and_closed_forms_match_the_loop_builders(d):
                     assert same_bits(gates.cz_gate(ring, n, a, b), want)
 
 
-def _outputs(ring):
-    d = ring.d
-    out = []
+@pytest.mark.parametrize("d", DEGREES)
+def test_states_and_charge_words_keep_the_loop_builders_bits(d):
+    """``max_basis`` keeps the digit loop's bits.  A charge word is one Weyl
+    word, so each nonzero entry is one ``_eps_table`` entry; the Kronecker
+    chain of ``dense_eval`` multiplies up to n rounded phases, each off by up
+    to 5e-16, so the two agree to 1e-15 per extra factor."""
+    ring = make_phase_ring(d)
+    table = {z.tobytes() for z in gates._eps_table(ring)}
     for n in (1, 2, 3):
         for ks in gates.all_digit_tuples(d, n):
-            out += [entangle.max_basis(ring, ks).vector, entangle.ghz_basis(ring, ks).vector]
+            assert same_bits(entangle.max_basis(ring, ks).vector, gate_loops.max_basis(ring, ks)), ks
         for s in range(2 * n):
-            out += [evaluator.charge_word(ring, n, s, k) for k in range(-d, d + 1)]
-    return out
-
-
-@pytest.mark.parametrize("d", DEGREES)
-def test_states_and_charge_words_keep_the_loop_builders_bits(monkeypatch, d):
-    ring = make_phase_ring(d)
-    table = _outputs(ring)
-    monkeypatch.setattr(gates, "gate_block", gate_loops.gate_power)
-    monkeypatch.setattr(gates, "_q_table", gate_loops.q_table)
-    monkeypatch.setattr(entangle, "_q_table", gate_loops.q_table)
-    loops = _outputs(ring)
-    assert len(table) == len(loops)
-    for i, (a, b) in enumerate(zip(table, loops)):
-        assert same_bits(a, b), i
+            for k in range(-d, d + 1):
+                word = evaluator.charge_word(ring, n, s, k)
+                kron = dense_eval.charge_word(ring, n, s, k)
+                assert np.abs(word - kron).max() <= 1e-15 * max(n - 1, 1), (n, s, k)
+                assert all(z.tobytes() in table for z in word[word != 0]), (n, s, k)
 
 
 def test_gate_power_refuses_unknown_names():
@@ -93,33 +89,18 @@ def test_gate_block_is_a_read_only_cache_keyed_mod_4d(d):
             assert same_bits(block, gates.gate_power(ring, name, p)), (name, p)
 
 
-def _counting_gate_power(monkeypatch):
-    calls = []
-    real = gates.gate_power
-
-    def counted(ring, name, power=1):
-        calls.append((name, power))
-        return real(ring, name, power)
-
-    monkeypatch.setattr(gates, "gate_power", counted)
-    return calls
-
-
-def test_evaluate_builds_each_charge_head_once(monkeypatch):
-    """Charges reuse the cached X**k and Y**-k heads: each (gate, power mod 4d)
-    is built once, and a second evaluate builds none."""
+def test_evaluate_of_charges_builds_no_gate_block(monkeypatch):
+    """A charge run is one Weyl word: a charge-only evaluate reads no gate block."""
     d = 3
     ring = make_phase_ring(d)
     charges = [(0, 1), (1, 2), (1, 2 + 4 * d), (2, -1), (3, 1), (0, 1 - 4 * d), (2, -1)]
-    diagram = Diagram(d, 4, 4, tuple(Charge(s, k) for s, k in charges))
+    diagram = Diagram(d, 4, 4, tuple(Charge(s, k, t % 2) for t, (s, k) in enumerate(charges)))
     gates._gate_block.cache_clear()
-    built = _counting_gate_power(monkeypatch)
-    first = evaluator.evaluate(ring, diagram).matrix
-    assert sorted(built) == sorted([("Y", 4 * d - 1), ("X", 2), ("Y", 1), ("X", 1)])
-    built.clear()
-    second = evaluator.evaluate(ring, diagram).matrix
-    assert built == []
-    assert same_bits(first, second)
+    built, real = [], gates.gate_power
+    monkeypatch.setattr(gates, "gate_power", lambda *args: built.append(args) or real(*args))
+    got = evaluator.evaluate(ring, diagram).matrix
+    assert built == [] and gates._gate_block.cache_info().currsize == 0
+    assert np.abs(got - dense_eval.evaluate(ring, diagram).matrix).max() < 1e-12
 
 
 def test_evaluate_builds_each_sym_block_once(monkeypatch):

@@ -66,6 +66,16 @@ def test_phase_pow_exact_reduction():
     assert abs(phase_pow(ring, "zeta", 14 * 10**9 + 5) - ring.zeta**5) < 1e-10
 
 
+@pytest.mark.parametrize("d", range(2, 12))
+def test_phase_pow_omega(d):
+    """omega is an eighth root of unity; its powers are angle multiples."""
+    ring = make_phase_ring(d)
+    assert abs(phase_pow(ring, "omega", 8) - 1) < 1e-12
+    if d <= 7:
+        for e in range(-9, 10):
+            assert abs(phase_pow(ring, "omega", e) - ring.omega**e) < 1e-12, e
+
+
 def test_rejects_bad_degree():
     with pytest.raises(ValueError):
         make_phase_ring(1)
