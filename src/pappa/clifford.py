@@ -225,35 +225,13 @@ def generate_group(
     )
 
 
-def _pauli_word_match(ring: PhaseRing, n: int, w: np.ndarray, tol: float) -> bool:
-    """True iff w is a phase times X**x Z**z words on the register."""
-    d = ring.d
-    cols = np.arange(d**n)
-    # every column must have exactly one entry of unit modulus
-    mags = np.abs(w)
-    rows = mags.argmax(axis=0)
-    top = mags[rows, cols]
-    if (np.abs(top - 1.0) > tol).any() or (mags.sum(axis=0) - top > tol).any():
-        return False
-    # constant digit offset per site
-    digits = gates.digit_table(d, n)
-    shift = (digits[rows] - digits) % d
-    if (shift != shift[0]).any():
-        return False
-    # phases must be q**(linear form) relative to column 0; site j's z is
-    # the first power of q within 10 tol of the phase of its unit column
-    entries = w[rows, cols]
-    base, q = entries[0], gates._q_table(ring)
-    units = d ** np.arange(n - 1, -1, -1)
-    near = np.abs(entries[units, None] / base - q) < 10 * tol
-    if not near.any(axis=1).all():
-        return False
-    expect = base * q[digits @ near.argmax(axis=1) % d]
-    return not (np.abs(entries - expect) > 10 * tol).any()
-
-
 def is_clifford(ring: PhaseRing, u: np.ndarray, tol: float = 1e-8) -> bool:
-    """True iff u maps every Pauli generator to a phase times a Pauli word."""
+    """True iff u maps every Pauli generator to one Pauli word.
+
+    For each site j and P in (X, Z), u P_j u**-1 must be within ``tol`` at
+    every entry of one :class:`gates.Weyl` word eps**c X**a Z**b (the word
+    ``Weyl.of_matrix`` reads from it).
+    """
     dim = u.shape[0]
     n = 0
     size = 1
@@ -267,7 +245,7 @@ def is_clifford(ring: PhaseRing, u: np.ndarray, tol: float = 1e-8) -> bool:
     ui = u.conj().T
     for site in range(n):
         for p in ("X", "Z"):
-            word = gates.Local((site,), gates.gate_block(ring, p)).to_matrix(ring.d, n)
-            if not _pauli_word_match(ring, n, u @ word @ ui, tol):
+            word = gates.Weyl.of_paulis(ring, n, [(site, p, 1)])
+            if gates.Weyl.of_matrix(ring, n, u @ word.apply(ring, ui), tol) is None:
                 return False
     return True

@@ -30,14 +30,27 @@ from .gates import QState, Weyl, _eps_table, basis_index, digit_sums
 from .phases import PhaseRing
 
 _EIG_CUTOFF = 1e-12
+_NO_QUDITS = "a state needs at least one qudit"
 
 
 def max_state(ring: PhaseRing, n: int) -> QState:
     """Uniform superposition over the zero-total-charge sector."""
+    if n < 1:
+        raise ValueError(_NO_QUDITS)
     d = ring.d
     v = np.zeros(d**n, dtype=complex)
     v[digit_sums(d, n) % d == 0] = float(d) ** (-(n - 1) / 2)
     return QState(d, n, v)
+
+
+def _charges(ring: PhaseRing, ks) -> tuple[int, ...]:
+    """``ks`` as a tuple, checked to hold at least one charge, each in 0..d-1."""
+    ks = tuple(ks)
+    if not ks:
+        raise ValueError(_NO_QUDITS)
+    if any(not 0 <= k < ring.d for k in ks):
+        raise ValueError("charges must lie in 0..d-1")
+    return ks
 
 
 def ghz_state(ring: PhaseRing, n: int) -> QState:
@@ -46,10 +59,8 @@ def ghz_state(ring: PhaseRing, n: int) -> QState:
 
 def max_basis(ring: PhaseRing, ks) -> QState:
     """Closed form of SFT |k1,...,kn> (the generalized Max basis)."""
-    ks = tuple(ks)
+    ks = _charges(ring, ks)
     d, n = ring.d, len(ks)
-    if any(not 0 <= k < d for k in ks):
-        raise ValueError("charges must lie in 0..d-1")
     ktot = sum(ks)
     # q**(k1 l1 + (k1+k2) l2 + ...): the exponents of the word Z**k1 x Z**(k1+k2) x ...
     expo = Weyl.of_paulis(ring, n, [(j, "Z", p) for j, p in enumerate(accumulate(ks))]).exponents()
@@ -60,10 +71,8 @@ def max_basis(ring: PhaseRing, ks) -> QState:
 
 def ghz_basis(ring: PhaseRing, ks) -> QState:
     """Closed form of (F x...x F)**-1 SFT |k>, the GHZ basis family."""
-    ks = tuple(ks)
+    ks = _charges(ring, ks)
     d, n = ring.d, len(ks)
-    if any(not 0 <= k < d for k in ks):
-        raise ValueError("charges must lie in 0..d-1")
     ktot = sum(ks)
     prefix = np.cumsum(ks)
     v = np.zeros(d**n, dtype=complex)

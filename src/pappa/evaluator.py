@@ -224,6 +224,16 @@ def _charge_run_matrix(ring: PhaseRing, n: int, charges) -> np.ndarray:
     return _charge_run(ring, n, charges, np.eye(ring.d**n, dtype=complex))
 
 
+def _charged_block(
+    ring: PhaseRing, n: int, sites: tuple[int, ...], block: np.ndarray, charge: int, x: np.ndarray
+) -> np.ndarray:
+    """``block`` on ``sites`` applied to ``x``, then its Jordan-Wigner tail: one Weyl
+    word, Z**charge on every qudit after the first site that is not a site."""
+    x = gates.apply_local(x, ring.d, n, gates.Local(sites, block))
+    tail = [(i, "Z", charge) for i in range(sites[0] + 1, n) if i not in sites]
+    return gates.Weyl.of_paulis(ring, n, tail).apply(ring, x)
+
+
 def _box(ring: PhaseRing, n: int, box: Box, x: np.ndarray, boxes) -> np.ndarray:
     """A bound box applied to ``x``: a block with a Z tail, or charged matrix units.
 
@@ -241,9 +251,7 @@ def _box(ring: PhaseRing, n: int, box: Box, x: np.ndarray, boxes) -> np.ndarray:
         raise ValueError(f"box {box.name!r} expects a {d**w} x {d**w} matrix")
     j, s = box.first // 2, box.first
     if s % 2 == 0:
-        x = gates.apply_local(x, d, n, gates.Local(tuple(range(j, j + w)), m))
-        tail = gates.Weyl.of_paulis(ring, n, [(i, "Z", box.charge) for i in range(j + w, n)])
-        return tail.apply(ring, x)
+        return _charged_block(ring, n, tuple(range(j, j + w)), m, box.charge, x)
     if box.strands != 2:
         raise ValueError("straddling boxes wider than one qudit are not supported")
     units = [_cup(ring, n, s, _charge_run(ring, n, [Charge(s + 1, -b)], x)) for b in range(d)]
@@ -339,7 +347,8 @@ def local_conjugation_op(
     mask = [bool(b) for b in owner_mask]
     if len(mask) != n:
         raise ValueError("owner mask length must equal qudit count")
-    sites = [i for i, b in enumerate(mask) if b]
-    tail = [(i, "Z", charge) for i in range(sites[0] + 1, n) if not mask[i]]
-    m = gates.Local(tuple(sites), t).to_matrix(ring.d, n)
-    return QOperator(ring.d, n, n, gates.Weyl.of_paulis(ring, n, tail).apply(ring, m))
+    sites = tuple(i for i, b in enumerate(mask) if b)
+    if not sites:
+        raise ValueError("owner mask selects no qudit")
+    eye = np.eye(ring.d**n, dtype=complex)
+    return QOperator(ring.d, n, n, _charged_block(ring, n, sites, t, charge, eye))

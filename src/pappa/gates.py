@@ -19,7 +19,7 @@ Multi-qudit basis: |k_1,...,k_n> maps to index sum(k_j * d**(n-j)), i.e.
 qudit 1 is the first (most significant) tensor factor.  The cached,
 read-only :func:`digit_table` holds the digits of every index and
 :func:`digit_sums` their sums; closed forms over basis indices (the SFT,
-the Max states, Pauli-word matching) are array expressions on them.
+the Max states) are array expressions on them.
 
 Every local operation is a :class:`Local`, a d**w x d**w block on w listed
 qudits in any order: a gate, a block-diagonal controlled gate, or a braid's
@@ -88,12 +88,6 @@ def _eps_table(ring: PhaseRing) -> np.ndarray:
     table = np.array([ring.eps_pow(e) for e in range(2 * ring.d)])
     table.flags.writeable = False
     return table
-
-
-@functools.lru_cache(maxsize=None)
-def _q_table(ring: PhaseRing) -> np.ndarray:
-    """q**e for e = 0..d-1: the even entries of :func:`_eps_table` (read-only)."""
-    return _eps_table(ring)[::2]
 
 
 def gate_power(ring: PhaseRing, name: str, power: int = 1) -> np.ndarray:
@@ -230,6 +224,28 @@ class Weyl:
             factors += [(j, "X", ch.k) if ch.strand % 2 else (j, "Y", -ch.k)]
             factors += [(i, "Z", ch.k) for i in range(j + 1, n)]
         return cls.of_paulis(ring, n, factors, ring.zeta_exp * zexp)
+
+    @classmethod
+    def of_matrix(cls, ring: PhaseRing, n: int, m: np.ndarray, tol: float) -> "Weyl | None":
+        """The word whose matrix is within ``tol`` of ``m`` at every entry, or None.
+
+        Column 0 and the n unit columns |e_j> are read at their largest entry:
+        column 0's row is the shift a, and each entry's phase is rounded once to
+        the nearest eps**e, c in column 0 and c + 2 b_j in column e_j.  An odd
+        step is no word's, and gives None at any ``tol``.  Else the word is kept
+        only if its own matrix is within ``tol`` of ``m`` at every entry: that
+        one bound is the whole test, so a wrong reading can only give None.
+        """
+        d = ring.d
+        cols = np.array([0, *(d ** np.arange(n - 1, -1, -1))])
+        rows = np.abs(m[:, cols]).argmax(axis=0)
+        e = np.rint(np.angle(m[rows, cols]) * d / np.pi).astype(np.int64)
+        step = (e[1:] - e[0]) % (2 * d)
+        if (step % 2).any():
+            return None
+        a = np.unravel_index(rows[0], (d,) * n)
+        word = cls(d, tuple(map(int, a)), tuple((step // 2).tolist()), int(e[0] % (2 * d)))
+        return word if np.abs(word.apply(ring, np.eye(d**n, dtype=complex)) - m).max() <= tol else None
 
     def exponents(self) -> np.ndarray:
         """The exponent c + 2 b.(m - a) mod 2d of each output index m (its entry comes from m - a)."""

@@ -439,17 +439,14 @@ def teleportation_script(ring: PhaseRing) -> ProtocolScript:
     )
 
 
-def _merge_steps(
-    party: str, next_party: str, chain_end: int, res_a: int, res_b: int, tag: str
-) -> list[Step]:
-    """Fuse the chain end with a fresh pair (res_a local, res_b remote)."""
+def _merge_steps(party: str, next_party: str, target: int, share: int, tag: str) -> list[Step]:
+    """Fuse ``share`` into ``target`` (ctrl-X, F, ctrl-X**-1), meter it and send the outcome."""
     return [
-        CtrlStep(party, "X", control=res_a, target=chain_end),
-        GateStep(party, "F", site=res_a),
-        CtrlStep(party, "X", control=res_a, target=chain_end, exponent=-1),
-        MeasureStep(party, res_a, tag),
+        CtrlStep(party, "X", control=share, target=target),
+        GateStep(party, "F", site=share),
+        CtrlStep(party, "X", control=share, target=target, exponent=-1),
+        MeasureStep(party, share, tag),
         SendStep(party, next_party, tag),
-        CondStep(next_party, "Y", site=res_b, register=tag, coeff=-1),
     ]
 
 
@@ -480,11 +477,8 @@ def build_max_script(ring: PhaseRing, n: int) -> ProtocolScript:
     steps: list[Step] = []
     chain_end = 0
     for j in range(1, n):
-        steps.extend(
-            _merge_steps(
-                f"p{j}", f"p{j + 1}", chain_end, 2 * j - 1, 2 * j, f"m{j}"
-            )
-        )
+        steps.extend(_merge_steps(f"p{j}", f"p{j + 1}", chain_end, 2 * j - 1, f"m{j}"))
+        steps.append(CondStep(f"p{j + 1}", "Y", site=2 * j, register=f"m{j}", coeff=-1))
         chain_end = 2 * j
     return ProtocolScript(
         d=ring.d,
@@ -525,15 +519,8 @@ def bvk_merge_script(ring: PhaseRing, party_sizes) -> ProtocolScript:
     resources.append(Resource(tuple(leaders)))
     steps: list[Step] = []
     for j in range(p):
-        name = f"p{j + 1}"
         steps.extend(
-            [
-                CtrlStep(name, "X", control=leaders[j], target=members[j][0]),
-                GateStep(name, "F", site=leaders[j]),
-                CtrlStep(name, "X", control=leaders[j], target=members[j][0], exponent=-1),
-                MeasureStep(name, leaders[j], f"m{j + 1}"),
-                SendStep(name, f"p{(j + 1) % p + 1}", f"m{j + 1}"),
-            ]
+            _merge_steps(f"p{j + 1}", f"p{(j + 1) % p + 1}", members[j][0], leaders[j], f"m{j + 1}")
         )
     for j in range(p):
         name = f"p{j + 1}"

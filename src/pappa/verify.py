@@ -159,7 +159,7 @@ def suite_sft(d: int, n_max: int = 3, tol: float = 1e-9) -> SuiteResult:
         res.add(f"cross_oracle_n{n}", _mx(s - evaluator.sft_via_braids(ring, n)))
         res.add(f"unitary_n{n}", _mx(s @ s.conj().T - np.eye(d**n)))
         sums = gates.digit_sums(d, n)
-        rotation = np.diag(gates._q_table(ring)[sums**2 % d])
+        rotation = np.diag(gates._eps_table(ring)[2 * (sums**2 % d)])
         res.add(f"full_rotation_n{n}", _mx(np.linalg.matrix_power(s, 2 * n) - rotation))
         # charge sector preservation
         off_sector = (sums[:, None] - sums[None, :]) % d != 0

@@ -2,11 +2,11 @@
 
 ``gates.gate_power`` reads every named single-qudit gate from one row map
 and one ``gates._eps_table`` lookup, and ``sym_gate_matrix``, ``cz_gate``,
-``sft_matrix``, ``_q_table`` and ``entangle.max_basis`` read the same
-table.  These are the builders they replaced: one loop per gate behind a
-dispatch dict, each phase from ``PhaseRing.q_pow`` or ``zeta_pow``, and
-the private tables of the closed forms.  The tests hold the table
-builders to them bit for bit.
+``sft_matrix`` and ``entangle.max_basis`` read the same table.  These
+are the builders they replaced: one loop per gate behind a dispatch dict,
+each phase from ``PhaseRing.q_pow`` or ``zeta_pow``, and the private
+tables of the closed forms.  The tests hold the table builders to them
+bit for bit.
 """
 
 import numpy as np

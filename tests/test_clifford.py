@@ -9,7 +9,6 @@ from pappa import clifford, gates
 from pappa.clifford import (
     GroupReport,
     PhaselessUnitary,
-    _pauli_word_match,
     generate_group,
     is_clifford,
     verify_braid_gaussian_dressing,
@@ -18,6 +17,7 @@ from pappa.clifford import (
 )
 from pappa.gates import (
     Local,
+    Weyl,
     cz_gate,
     fourier_gate,
     gaussian_gate,
@@ -397,15 +397,17 @@ def test_is_clifford_rejects_non_unitary():
 
 
 def test_named_gates_are_clifford():
-    for d in (2, 3):
-        ring = RINGS[d]
+    for d in range(2, 8):
+        ring = make_phase_ring(d)
         for name in "XYZFG":
-            assert is_clifford(ring, gates.gate_power(ring, name, 1)), name
-        assert is_clifford(ring, cz_gate(ring, 2))
+            assert is_clifford(ring, gates.gate_power(ring, name, 1)), (d, name)
+        assert is_clifford(ring, cz_gate(ring, 2)), d
+        for name in "XZ":
+            assert is_clifford(ring, gates.ctrl_block(ring, name)), (d, name)
 
 
 def pauli_word_match_loop(ring, n, w, tol):
-    """The column loops ``_pauli_word_match`` replaced, kept as its oracle."""
+    """The column loops of the float matcher ``Weyl.of_matrix`` replaced, kept as its oracle."""
     d = ring.d
     dim = d**n
     for col in range(dim):
@@ -471,12 +473,29 @@ def _word_corpus(ring):
     return out
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", range(2, 8))
 def test_pauli_word_match_agrees_with_loop_oracle(d):
-    ring = RINGS[d]
+    """``Weyl.of_matrix`` finds a word exactly where the loop oracle does.  From
+    d = 3 on, some images of the random unitary read an odd step."""
+    ring = make_phase_ring(d)
     flags = []
     for n, w in _word_corpus(ring):
-        got = _pauli_word_match(ring, n, w, 1e-8)
-        assert got is pauli_word_match_loop(ring, n, w, 1e-8)
+        got = Weyl.of_matrix(ring, n, w, 1e-8) is not None
+        assert got is pauli_word_match_loop(ring, n, w, 1e-8), n
         flags.append(got)
     assert True in flags and False in flags
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_of_matrix_reads_back_every_word(d):
+    """of_matrix(W.apply(eye)) == W for random words on up to three qudits.  One
+    unit column turned by eps is an odd step, which no word has: None even at tol 1."""
+    ring, rng = make_phase_ring(d), np.random.default_rng(100 + d)
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        a, b = (tuple(rng.integers(d, size=n).tolist()) for _ in "ab")
+        word = Weyl(d, a, b, int(rng.integers(2 * d)))
+        m = word.apply(ring, np.eye(d**n, dtype=complex))
+        assert Weyl.of_matrix(ring, n, m, 1e-12) == word
+        m[:, d ** int(rng.integers(n))] *= ring.eps
+        assert Weyl.of_matrix(ring, n, m, 1.0) is None

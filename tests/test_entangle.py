@@ -152,6 +152,15 @@ def test_max_basis_charge_range():
         ghz_basis(RINGS[2], (-1, 0))
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_zero_qudit_states_are_refused(d):
+    """An n = 0 amplitude d**(-(n-1)/2) would be the one entry sqrt(d), not a unit state."""
+    ring = RINGS[d]
+    for build, arg in ((max_state, 0), (max_basis, ()), (ghz_state, 0), (ghz_basis, ())):
+        with pytest.raises(ValueError, match="at least one qudit"):
+            build(ring, arg)
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(2, 1, np.array([[0.5, 0.5], [0.0, 0.5]]))

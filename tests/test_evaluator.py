@@ -267,6 +267,8 @@ def test_local_conjugation_routing_nonadjacent():
 def test_local_conjugation_mask_mismatch():
     with pytest.raises(ValueError):
         local_conjugation_op(RINGS[2], 2, (1, 0), np.eye(4))
+    with pytest.raises(ValueError, match="no qudit"):
+        local_conjugation_op(RINGS[2], 2, (0, 0), np.eye(1))
 
 
 def test_jordan_wigner_form_box_tails():

@@ -294,13 +294,6 @@ def test_structured_kernels_match_tensordot(case):
         gates._SLICE_LOOP = default
 
 
-def test_z_tail_phase_table_is_built_once_per_ring():
-    ring = RINGS[5]
-    table = gates._q_table(ring)
-    assert gates._q_table(ring) is table and not table.flags.writeable
-    assert np.array_equal(table, [ring.q_pow(e) for e in range(5)])
-
-
 # ---------------------------------------------------------------------------
 # the kernels Local replaced, kept as oracles
 # ---------------------------------------------------------------------------
