@@ -34,14 +34,14 @@ from . import dsl, protocols, verify
 from .diagrams import _gen_width_delta
 from .evaluator import evaluate
 from .gates import QState
-from .phases import make_phase_ring
+from .phases import DEFAULT_TOL, make_phase_ring
 
 MAX_ENTRIES = 2**20
 
 
 def _default_tol() -> float:
     env = os.environ.get("PAPPA_TOL")
-    return _check_tol(float(env)) if env else 1e-9
+    return _check_tol(float(env)) if env else DEFAULT_TOL
 
 
 def _check_tol(tol: float) -> float:

@@ -445,30 +445,25 @@ def normalize(diagram: Diagram) -> Diagram:
 
 
 def _slide_pass(ring: PhaseRing, gens: list[Generator], scalar: DiagScalar):
-    """Move one charge off a cap/cup left leg onto the right leg, or None."""
+    """Move one charge off a cap/cup left leg onto the right leg, or None.
+
+    A cap scans forward and a cup backward, and the phase zeta**(k*k) of the
+    slide takes its sign from the direction.
+    """
     for i, g in enumerate(gens):
-        if isinstance(g, Cap):
-            for j in range(i + 1, len(gens)):
-                h = gens[j]
-                if _gen_width_delta(h) != 0:
-                    break
-                if isinstance(h, Charge) and h.strand == g.strand:
-                    out = list(gens)
-                    out[j] = Charge(g.strand + 1, h.k, h.tier)
-                    return out, scalar.times_eps(ring.zeta_exp * h.k * h.k)
-                if _touches(h, g.strand, g.strand + 1):
-                    break
-        if isinstance(g, Cup):
-            for j in range(i - 1, -1, -1):
-                h = gens[j]
-                if _gen_width_delta(h) != 0:
-                    break
-                if isinstance(h, Charge) and h.strand == g.strand:
-                    out = list(gens)
-                    out[j] = Charge(g.strand + 1, h.k, h.tier)
-                    return out, scalar.times_eps(-ring.zeta_exp * h.k * h.k)
-                if _touches(h, g.strand, g.strand + 1):
-                    break
+        if not isinstance(g, (Cap, Cup)):
+            continue
+        step = 1 if isinstance(g, Cap) else -1
+        for j in range(i + step, len(gens) if step > 0 else -1, step):
+            h = gens[j]
+            if _gen_width_delta(h) != 0:
+                break
+            if isinstance(h, Charge) and h.strand == g.strand:
+                out = list(gens)
+                out[j] = Charge(g.strand + 1, h.k, h.tier)
+                return out, scalar.times_eps(step * ring.zeta_exp * h.k * h.k)
+            if _touches(h, g.strand, g.strand + 1):
+                break
     return None
 
 

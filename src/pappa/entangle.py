@@ -14,7 +14,8 @@ is the diagonal of one ``gates.Weyl`` word, Z**k1 x Z**(k1+k2) x ...):
 
 Entropy is von Neumann entropy in nats, eigenvalues below 1e-12 treated
 as null-space.  A pure state's ``entanglement_entropy`` comes from its
-Schmidt values, with no d**n x d**n matrix; ``DensityMatrix``,
+Schmidt values, the state laid out as a (cut, rest) matrix by the plan of
+``gates._local_axes``, with no d**n x d**n matrix; ``DensityMatrix``,
 ``partial_trace`` and ``entropy`` are for mixed states.
 """
 
@@ -26,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .gates import QState, Weyl, _eps_table, basis_index, digit_sums
+from .gates import QState, Weyl, _eps_table, _local_axes, basis_index, digit_sums
 from .phases import PhaseRing
 
 _EIG_CUTOFF = 1e-12
@@ -114,9 +115,9 @@ def _normalized(state: QState) -> np.ndarray:
     return state.vector / norm
 
 
-def _keep_sites(keep, n: int) -> list[int]:
+def _keep_sites(keep, n: int) -> tuple[int, ...]:
     """``keep`` as sorted distinct sites, checked to be nonempty and in 0..n-1."""
-    keep = sorted(set(keep))
+    keep = tuple(sorted(set(keep)))
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
@@ -154,8 +155,6 @@ def entanglement_entropy(state: QState, cut) -> float:
     except TypeError:
         pass
     d, n = state.d, state.n
-    keep = _keep_sites(cut, n)
-    order = keep + [s for s in range(n) if s not in keep]
-    v = _normalized(state).reshape((d,) * n)
-    m = v.transpose(order).reshape(d ** len(keep), -1)
+    plan = _local_axes(d, n, _keep_sites(cut, n), ())
+    m = _normalized(state).reshape(plan.view).transpose(plan.axes).reshape(plan.dw, -1)
     return _entropy_of(np.linalg.svd(m, compute_uv=False) ** 2)

@@ -37,7 +37,7 @@ generator matrix is built.
 The dense forms that remain are the same kernels applied to the identity:
 ``charge_word``, ``_cap_matrix``, ``_cup_matrix``, ``_charge_run_matrix``,
 ``_braid_matrix`` and ``braid_op`` (through ``Local.to_matrix``) and
-``sft_via_braids`` (through ``gates.apply_sft``).  They exist for test
+``sft_via_braids`` (through ``apply_sft``).  They exist for test
 oracles and for the consistency checks below and in ``clifford.py``;
 ``diagram eval --emit matrix`` prints ``evaluate``'s own accumulator, which
 starts as the identity.
@@ -186,6 +186,20 @@ def braid_local(ring: PhaseRing, strand: int, sign: int) -> gates.Local:
     return gates.Local((j, j + 1) if strand % 2 else (j,), braid_block(ring, strand % 2, sign))
 
 
+def sft_locals(ring: PhaseRing, n: int) -> list[gates.Local]:
+    """b_{0,-}, ..., b_{2n-2,-} in order: the SFT is omega**0.5 times their product."""
+    return [braid_local(ring, s, -1) for s in range(2 * n - 1)]
+
+
+def apply_sft(ring: PhaseRing, state: gates.QState) -> gates.QState:
+    """The SFT on the whole register as its 2n-1 braids; ``state.vector`` may carry a batch axis."""
+    d, n = state.d, state.n
+    v = state.vector * ring.omega_sqrt
+    for local in sft_locals(ring, n):
+        v = gates.apply_local(v, d, n, local)
+    return gates.QState(d, n, v)
+
+
 def _braid_matrix(ring: PhaseRing, n: int, strand: int, sign: int) -> np.ndarray:
     """b_+ / b_- on strands (strand, strand+1), embedded from :func:`braid_local`."""
     if not 0 <= strand < 2 * n - 1:
@@ -203,10 +217,10 @@ def sft_via_braids(ring: PhaseRing, n: int) -> np.ndarray:
 
     The last of the 2n braids in the string picture is capped off and
     contributes the twist scalar omega**0.5 (a negative-braid closure).
-    This is :func:`gates.apply_sft` on the identity.
+    This is :func:`apply_sft` on the identity.
     """
     eye = gates.QState(ring.d, n, np.eye(ring.d**n, dtype=complex))
-    return gates.apply_sft(ring, eye).vector
+    return apply_sft(ring, eye).vector
 
 
 # ---------------------------------------------------------------------------

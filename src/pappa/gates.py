@@ -21,28 +21,34 @@ read-only :func:`digit_table` holds the digits of every index and
 :func:`digit_sums` their sums; closed forms over basis indices (the SFT,
 the Max states) are array expressions on them.
 
+A site tuple becomes an index layout only in :func:`_local_axes`, a cached
+plan that refuses a site outside the register or a repeated one.  Its
+``view`` gives each site an axis and merges the qudits between them; the
+kernels, the meters, ``protocols`` and the entanglement cut all read it.
+
 Every local operation is a :class:`Local`, a d**w x d**w block on w listed
 qudits in any order: a gate, a block-diagonal controlled gate, or a braid's
-``evaluator.braid_block``; the SFT is omega**0.5 times 2n-1 braids.
-:func:`apply_local`, the one way a block reaches a state, picks its kernel
-from the block's structure (:func:`block_structure`).  A diagonal block (Z,
-G, ctrl-Z, the even braids) is one broadcast multiply.  A monomial block
-(X, Y, even powers of F, their ctrl blocks, b_m) moves each entry once and
-scales it by its phase.  A dense block (odd powers of F and their ctrl
-blocks, the odd braids, boxes) is a transpose, one ``np.dot`` and the
-transpose back.  Each is O(d**(n+w)) work and at most two states of
-memory, not the d**(2n) of the matrix, so an ``sft`` at d=2, n=20 runs.
-The cached blocks (:func:`gate_block`, :func:`ctrl_block`,
-:func:`sym_block`, ``evaluator.braid_block``) are :func:`frozen`, so each
-one's kernel tables are worked out once.
+``evaluator.braid_block``; ``evaluator.apply_sft`` is omega**0.5 times 2n-1
+braids.  :func:`apply_local`, the one way a block reaches a state, picks
+its kernel from the block's structure (:func:`block_structure`).  A
+diagonal block (Z, G, ctrl-Z, the even braids) is one broadcast multiply
+of the view.  A monomial block (X, Y, even powers of F, their ctrl blocks,
+b_m) moves each entry once and scales it by its phase.  A dense block (odd
+powers of F and their ctrl blocks, the odd braids, boxes) is a transpose
+of the view with its sites first, one ``np.dot`` and the transpose back.
+Each is O(d**(n+w)) work and at most two states of memory, not the
+d**(2n) of the matrix, so an ``sft`` at d=2, n=20 runs.  The cached blocks
+(:func:`gate_block`, :func:`ctrl_block`, :func:`sym_block`,
+``evaluator.braid_block``) are :func:`frozen`, so each one's kernel tables
+are worked out once.
 
 The dense d**n x d**n forms that remain are that kernel on the identity:
 ``Local.to_matrix``, through which ``sym_gate``, ``cz_gate`` and
 ``controlled_gate`` embed their blocks (the first two cached, the last
-``ctrl_local``'s, for any matrix), and ``apply_sft`` on a batch of basis
-states (``evaluator.sft_via_braids``); ``sft_matrix`` is the closed form.
-They exist for test oracles and for the checks of ``verify`` and
-``clifford.py``, which compare matrices.  The state wrappers
+``ctrl_local``'s, for any matrix), and ``evaluator.apply_sft`` on a batch
+of basis states (``evaluator.sft_via_braids``); ``sft_matrix`` is the
+closed form.  They exist for test oracles and for the checks of ``verify``
+and ``clifford.py``, which compare matrices.  The state wrappers
 ``apply_site_gate``, ``apply_controlled``, ``apply_full_matrix``,
 ``project_site`` and ``measure`` have no caller in the package; they are
 kept because ``bench/tracer.py`` wraps them by name.
@@ -243,8 +249,8 @@ class Weyl:
         step = (e[1:] - e[0]) % (2 * d)
         if (step % 2).any():
             return None
-        a = np.unravel_index(rows[0], (d,) * n)
-        word = cls(d, tuple(map(int, a)), tuple((step // 2).tolist()), int(e[0] % (2 * d)))
+        a = rows[0] // cols[1:] % d  # the digits of column 0's row
+        word = cls(d, tuple(a.tolist()), tuple((step // 2).tolist()), int(e[0] % (2 * d)))
         return word if np.abs(word.apply(ring, np.eye(d**n, dtype=complex)) - m).max() <= tol else None
 
     def exponents(self) -> np.ndarray:
@@ -284,6 +290,8 @@ class QState:
         digits = tuple(digits)
         if len(digits) != n:
             raise ValueError("wrong number of digits")
+        if any(not 0 <= k < d for k in digits):
+            raise ValueError(f"digits {digits} outside 0..{d - 1}")
         v = np.zeros(d**n, dtype=complex)
         v[basis_index(digits, d)] = 1.0
         return cls(d, n, v)
@@ -319,39 +327,37 @@ class Local:
 class _Plan(NamedTuple):
     """How to index x for a block on ``sites``; see :func:`_local_axes`."""
 
-    full: tuple[int, ...]  # x with one axis per qudit, then the batch
-    axes: tuple[int, ...]  # that order with the sites first
-    dw: int  # d**w
-    front: tuple[int, ...]  # the shape of ``full`` in ``axes`` order
-    inverse: tuple[int, ...]  # the order that undoes ``axes``
     view: tuple[int, ...]  # x with each site its own axis and the qudits between them merged
+    axes: tuple[int, ...]  # the axes of ``view``, sites first in listed order
+    dw: int  # d**w
+    front: tuple[int, ...]  # the shape of ``view`` in ``axes`` order
+    inverse: tuple[int, ...]  # the order that undoes ``axes``
     order: tuple[int, ...]  # the block digits in increasing site order
     lay: tuple[int, ...]  # the axes of ``view``, sites first: the monomial gather's layout
 
 
 @functools.lru_cache(maxsize=None)
 def _local_axes(d: int, n: int, sites: tuple[int, ...], batch: tuple[int, ...]) -> _Plan:
-    """Check ``sites`` against the register and plan every kernel's indexing."""
+    """Check ``sites`` against the register and plan every index layout of them."""
     if any(not 0 <= s < n for s in sites):
         raise ValueError(f"sites {sites} outside register of {n}")
     if len(set(sites)) != len(sites):
         raise ValueError(f"sites {sites} repeat a qudit")
-    full = (d,) * n + batch
-    axes = sites + tuple(a for a in range(len(full)) if a not in sites)
     view, prev = [], -1
     for s in sorted(sites):
         view += [d ** (s - prev - 1), d]
         prev = s
     view.append(d ** (n - 1 - prev) * math.prod(batch))
     w = len(sites)
+    rank = sorted(sites).index
+    axes = tuple(2 * rank(s) + 1 for s in sites) + tuple(range(0, 2 * w + 1, 2))
     lay = tuple(range(2 * w + 1)) if w < 2 else (*range(1, 2 * w, 2), *range(0, 2 * w + 1, 2))
     return _Plan(
-        full,
+        tuple(view),
         axes,
         d**w,
-        tuple(full[a] for a in axes),
+        tuple(view[a] for a in axes),
         tuple(np.argsort(axes).tolist()),
-        tuple(view),
         tuple(sorted(range(w), key=sites.__getitem__)),
         lay,
     )
@@ -440,10 +446,11 @@ def apply_local(x: np.ndarray, d: int, n: int, local: Local) -> np.ndarray:
     diagonal block is one broadcast multiply of a view of ``x``.  A monomial
     block moves each entry once and scales it by its phase: one strided
     multiply per output digit string when those slices are large, else one
-    gather.  A dense block transposes its sites to the front, makes one
-    ``np.dot`` and transposes back.  None copies more than two states.
+    gather.  A dense block transposes the view with its sites first, in
+    listed order, makes one ``np.dot`` and transposes back.  None copies
+    more than two states.
     """
-    full, axes, dw, front, inverse, view, order, lay = _local_axes(
+    view, axes, dw, front, inverse, order, lay = _local_axes(
         d, n, tuple(local.sites), x.shape[1:]
     )
     if local.block.shape != (dw, dw):
@@ -454,7 +461,7 @@ def apply_local(x: np.ndarray, d: int, n: int, local: Local) -> np.ndarray:
     if kind == "monomial":
         return _permute(x.reshape(view), dw, lay, tables, local.block.dtype).reshape(x.shape)
     # the transposed copy has no name, so it is freed before the copy back
-    y = np.dot(local.block, x.reshape(full).transpose(axes).reshape(dw, -1))
+    y = np.dot(local.block, x.reshape(view).transpose(axes).reshape(dw, -1))
     return y.reshape(front).transpose(inverse).reshape(x.shape)
 
 
@@ -568,10 +575,9 @@ def cz_gate(ring: PhaseRing, n: int = 2, site_a: int = 0, site_b: int = 1) -> np
 
 
 def site_probabilities(state: QState, site: int) -> np.ndarray:
-    d, n = state.d, state.n
-    t = np.abs(state.vector.reshape([d] * n)) ** 2
-    axes = tuple(i for i in range(n) if i != site)
-    return t.sum(axis=axes)
+    """The probability of each value 0..d-1 of ``site``: axis 1 of its one-site view."""
+    view = _local_axes(state.d, state.n, (site,), ()).view
+    return (np.abs(state.vector.reshape(view)) ** 2).sum(axis=(0, 2))
 
 
 def project_site(state: QState, site: int, outcome: int) -> tuple[QState, float]:
@@ -591,15 +597,16 @@ def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
     Every other value of the site is zeroed and the rest divided by
     sqrt(p) (left as is when p is 0).
     """
-    d, n = state.d, state.n
-    t = state.vector.reshape([d] * n)
+    if not 0 <= outcome < state.d:
+        raise ValueError(f"outcome {outcome} outside 0..{state.d - 1}")
+    t = state.vector.reshape(_local_axes(state.d, state.n, (site,), ()).view)
     out = np.zeros_like(t)
-    kept = (slice(None),) * site + (outcome, ...)  # a view even when n is 1
+    kept = (slice(None), outcome)
     if p > 0:
         np.divide(t[kept], np.sqrt(p), out=out[kept])
     else:
         out[kept] = t[kept]
-    return QState(d, n, out.reshape(-1))
+    return QState(state.d, state.n, out.reshape(-1))
 
 
 def draw(state: QState, site: int, rng: np.random.Generator) -> tuple[int, float]:
@@ -676,26 +683,6 @@ def sft_matrix(ring: PhaseRing, n: int) -> np.ndarray:
     out = scale * eps[ring.zeta_exp * total**2 % (2 * d)][:, None] * eps[2 * expo % (2 * d)]
     out[(total[:, None] - total[None, :]) % d != 0] = 0.0
     return out
-
-
-def sft_locals(ring: PhaseRing, n: int) -> list[Local]:
-    """b_{0,-}, ..., b_{2n-2,-} in order: the SFT is omega**0.5 times their product."""
-    from .evaluator import braid_local
-
-    return [braid_local(ring, s, -1) for s in range(2 * n - 1)]
-
-
-def apply_sft(ring: PhaseRing, state: QState) -> QState:
-    """The string Fourier transform on the whole register, as 2n-1 local braids.
-
-    ``state.vector`` may carry a batch axis; on the identity this is
-    ``evaluator.sft_via_braids``.
-    """
-    d, n = state.d, state.n
-    v = state.vector * ring.omega_sqrt
-    for local in sft_locals(ring, n):
-        v = apply_local(v, d, n, local)
-    return QState(d, n, v)
 
 
 # ---------------------------------------------------------------------------

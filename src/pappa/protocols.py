@@ -12,7 +12,8 @@ edit; one cross-party classical message costs one cdit.
 The walker reads every block from the read-only caches of ``gates``: a
 gate's from ``gate_block``, which ``clifford`` and ``verify`` read too, a
 ctrl step's from ``ctrl_block`` (exact, from the same phase table), and the
-SFT's braids from ``sft_locals``.  It builds and caches no block itself.
+SFT's braids from ``evaluator.sft_locals``.  It builds and caches no block
+itself, and lays out qudits only through the plan of ``gates._local_axes``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import entangle, gates
+from . import entangle, evaluator, gates
 from .gates import QState
 from .phases import DEFAULT_TOL, PhaseRing
 
@@ -225,38 +226,38 @@ def _initial_state(
 ) -> QState:
     d, total = ring.d, script.n_sites
     blocks: list[tuple[tuple[int, ...], np.ndarray]] = []
-    used: set[int] = set()
     if script.input_sites:
         if input_state is None:
             raise ValueError("script expects an input state")
+        if input_state.d != d:
+            raise ValueError(f"input state of degree {input_state.d}, script of degree {d}")
         if input_state.n != len(script.input_sites):
             raise ValueError("input state size mismatch")
         blocks.append((script.input_sites, input_state.vector))
-        used.update(script.input_sites)
     elif input_state is not None:
         raise ValueError("script takes no input state")
     for res in script.resources:
         blocks.append((res.sites, entangle.max_state(ring, res.k).vector))
-        used.update(res.sites)
+    used = {s for sites, _ in blocks for s in sites}
     rest = tuple(s for s in range(total) if s not in used)
     if rest or not blocks:
         zero = np.zeros(d ** len(rest), dtype=complex)
         zero[0] = 1.0
         blocks.append((rest, zero))
-    order = [s for sites, _ in blocks for s in sites]
+    order = tuple(s for sites, _ in blocks for s in sites)
     vec = blocks[0][1]
     for _, block_vec in blocks[1:]:
         vec = np.multiply.outer(vec, block_vec).reshape(-1)  # np.kron's bits, less overhead
-    t = vec.reshape([d] * total)
-    axes = [order.index(site) for site in range(total)]
-    return QState(d, total, np.transpose(t, axes).reshape(-1))
+    # vec lists its qudits in ``order``: the plan's front, which ``inverse`` puts in site order
+    plan = gates._local_axes(d, total, order, ())
+    return QState(d, total, vec.reshape(plan.front).transpose(plan.inverse).reshape(-1))
 
 
 def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
     """What the walk applies at ``step``: (scale or None, Locals).
 
     A cond step needs its register ``value``; measure and send steps give
-    None.  The SFT's omega**0.5 stays a scale, as in ``gates.apply_sft``.
+    None.  The SFT's omega**0.5 stays a scale, as in ``evaluator.apply_sft``.
     """
     if isinstance(step, GateStep):
         return None, [gates.Local((step.site,), gates.gate_block(ring, step.name, step.power))]
@@ -269,7 +270,7 @@ def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
             return None, []
         return None, [gates.Local((step.site,), gates.gate_block(ring, step.name, power))]
     if isinstance(step, SftStep):
-        return ring.omega_sqrt, gates.sft_locals(ring, n)
+        return ring.omega_sqrt, evaluator.sft_locals(ring, n)
     return None
 
 
@@ -375,29 +376,28 @@ def state_on_sites(state: QState, sites) -> QState:
     """Restrict to ``sites``; all other qudits must be collapsed to a basis value.
 
     Used to read off the surviving carriers after measurements collapse
-    the rest of the register.  Raises ``ValueError`` when another qudit
-    holds more than ``DEFAULT_TOL`` of the weight off its likeliest value.
+    the rest of the register.  Raises ``ValueError`` when ``sites`` are out
+    of range or repeat a qudit, or when another qudit holds more than
+    ``DEFAULT_TOL`` of the weight off its likeliest value.
     """
     sites = tuple(sites)
-    d, n = state.d, state.n
-    t = state.vector.reshape([d] * n)
-    others = [i for i in range(n) if i not in sites]
-    # find the (unique) basis values of the collapsed qudits
-    for site in sorted(others, reverse=True):
-        probs = (np.abs(np.moveaxis(t, site, 0)) ** 2).reshape(d, -1).sum(axis=1)
+    d = state.d
+    gates._local_axes(d, state.n, sites, ())
+    # read each collapsed qudit, the last first, and drop it at its likeliest value
+    for site in sorted(set(range(state.n)) - set(sites), reverse=True):
+        probs = gates.site_probabilities(state, site)
         val = int(np.argmax(probs))
         stray = float((probs.sum() - probs[val]) / probs.sum())
         if stray > DEFAULT_TOL:
             raise ValueError(
                 f"qudit {site} is not collapsed: weight {stray:.3e} off its value {val}"
             )
-        t = np.take(t, val, axis=site)
-    v = t.reshape(-1)
-    order = list(np.argsort(sites))
-    nk = len(sites)
-    t = v.reshape([d] * nk)
-    t = np.transpose(t, [order.index(i) for i in range(nk)])
-    return QState(d, nk, t.reshape(-1))
+        view = gates._local_axes(d, state.n, (site,), ()).view
+        state = QState(d, state.n - 1, state.vector.reshape(view)[:, val].reshape(-1))
+    # the kept qudits are in increasing order: the plan of their ranks lists them
+    rank = sorted(sites).index
+    plan = gates._local_axes(d, state.n, tuple(rank(s) for s in sites), ())
+    return QState(d, state.n, state.vector.reshape(plan.view).transpose(plan.axes).reshape(-1))
 
 
 def phase_free_fidelity(a: QState, b: QState) -> float:

@@ -25,7 +25,10 @@ from .diagrams import (
     sft_rotate,
 )
 from .evaluator import evaluate
-from .phases import PhaseRing, make_phase_ring
+from .phases import DEFAULT_TOL, PhaseRing, make_phase_ring
+
+# the entropy suite's floor: its Schmidt values come through an SVD
+ENTROPY_TOL = 1e-8
 
 
 @dataclass
@@ -33,7 +36,7 @@ class SuiteResult:
     name: str
     lines: list[tuple[str, str]] = field(default_factory=list)
     worst: float = 0.0
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
 
     def add(self, key: str, value: float) -> None:
         self.lines.append((key, f"{value:.6e}"))
@@ -54,7 +57,7 @@ def _mx(a) -> float:
 # ---------------------------------------------------------------------------
 
 
-def suite_relations(d: int, tol: float = 1e-9) -> SuiteResult:
+def suite_relations(d: int, tol: float = DEFAULT_TOL) -> SuiteResult:
     """Planar relations, Reidemeister moves, particle-braid, braid-Fourier."""
     ring = make_phase_ring(d)
     res = SuiteResult("relations", tol=tol)
@@ -147,7 +150,7 @@ def suite_relations(d: int, tol: float = 1e-9) -> SuiteResult:
     return res
 
 
-def suite_sft(d: int, n_max: int = 3, tol: float = 1e-9) -> SuiteResult:
+def suite_sft(d: int, n_max: int = 3, tol: float = DEFAULT_TOL) -> SuiteResult:
     """Braid-product vs closed-form SFT, rotation order, Max/GHZ forms, for n = 1..n_max."""
     if n_max < 1:
         raise ValueError(f"n must be at least 1, got {n_max}")
@@ -183,7 +186,7 @@ def suite_sft(d: int, n_max: int = 3, tol: float = 1e-9) -> SuiteResult:
     return res
 
 
-def suite_entropy(d: int, tol: float = 1e-8) -> SuiteResult:
+def suite_entropy(d: int, tol: float = ENTROPY_TOL) -> SuiteResult:
     """Maximal entanglement of SFT images of neutral product states."""
     ring = make_phase_ring(d)
     res = SuiteResult("entropy", tol=tol)
@@ -207,7 +210,7 @@ def suite_entropy(d: int, tol: float = 1e-8) -> SuiteResult:
     return res
 
 
-def suite_clifford(d: int, tol: float = 1e-9) -> SuiteResult:
+def suite_clifford(d: int, tol: float = DEFAULT_TOL) -> SuiteResult:
     ring = make_phase_ring(d)
     res = SuiteResult("clifford", tol=tol)
     r1 = cliffordmod.verify_cz_from_sft(ring)
@@ -319,7 +322,7 @@ def tricks_residuals(ring: PhaseRing, rng: np.random.Generator) -> dict[str, flo
     return out
 
 
-def suite_tricks(d: int, tol: float = 1e-9) -> SuiteResult:
+def suite_tricks(d: int, tol: float = DEFAULT_TOL) -> SuiteResult:
     res = SuiteResult("tricks", tol=tol)
     residuals = tricks_residuals(make_phase_ring(d), np.random.default_rng(7))
     for key in sorted(residuals):
@@ -327,7 +330,19 @@ def suite_tricks(d: int, tol: float = 1e-9) -> SuiteResult:
     return res
 
 
-def suite_protocols(d: int, tol: float = 1e-9) -> SuiteResult:
+def _branch_residuals(ring: PhaseRing, script, target, input_state=None) -> tuple[float, float]:
+    """Over every branch of ``script``: the worst 1 - phase-free fidelity of its
+    output carriers to ``target``, and 1 - the sum of the branch probabilities."""
+    worst = 0.0
+    total_p = 0.0
+    for tr in protocols.run_branches(ring, script, input_state):
+        out = protocols.state_on_sites(tr.final_state, script.output_sites)
+        worst = max(worst, abs(1.0 - protocols.phase_free_fidelity(out, target)))
+        total_p += tr.probability
+    return worst, abs(1.0 - total_p)
+
+
+def suite_protocols(d: int, tol: float = DEFAULT_TOL) -> SuiteResult:
     ring = make_phase_ring(d)
     res = SuiteResult("protocols", tol=tol)
 
@@ -335,14 +350,9 @@ def suite_protocols(d: int, tol: float = 1e-9) -> SuiteResult:
     rng = np.random.default_rng(11)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi = gates.QState(d, 1, v / np.linalg.norm(v))
-    worst = 0.0
-    total_p = 0.0
-    for tr in protocols.run_branches(ring, script, psi):
-        out = protocols.state_on_sites(tr.final_state, script.output_sites)
-        worst = max(worst, abs(1.0 - protocols.phase_free_fidelity(out, psi)))
-        total_p += tr.probability
+    worst, stray_p = _branch_residuals(ring, script, psi, psi)
     res.add("teleport_branch_fidelity", worst)
-    res.add("teleport_probability_sum", abs(1.0 - total_p))
+    res.add("teleport_probability_sum", stray_p)
     tr3 = protocols.run(ring, script, psi, seed=3)
     res.note("teleport_edits", tr3.edits)
     res.note("teleport_cdits", tr3.cdits)
@@ -352,11 +362,7 @@ def suite_protocols(d: int, tol: float = 1e-9) -> SuiteResult:
     n = 3
     script = protocols.build_max_script(ring, n)
     target = entangle.max_state(ring, n)
-    worst = 0.0
-    for tr in protocols.run_branches(ring, script):
-        out = protocols.state_on_sites(tr.final_state, script.output_sites)
-        worst = max(worst, abs(1.0 - protocols.phase_free_fidelity(out, target)))
-    res.add("build_max3_branch_fidelity", worst)
+    res.add("build_max3_branch_fidelity", _branch_residuals(ring, script, target)[0])
     tr = protocols.run(ring, script, seed=5)
     res.note("build_max3_edits", tr.edits)
     res.note("build_max3_cdits", tr.cdits)
@@ -365,11 +371,7 @@ def suite_protocols(d: int, tol: float = 1e-9) -> SuiteResult:
 
     script = protocols.bvk_merge_script(ring, (1, 1))
     target = entangle.max_state(ring, 2)
-    worst = 0.0
-    for tr in protocols.run_branches(ring, script):
-        out = protocols.state_on_sites(tr.final_state, script.output_sites)
-        worst = max(worst, abs(1.0 - protocols.phase_free_fidelity(out, target)))
-    res.add("bvk_11_branch_fidelity", worst)
+    res.add("bvk_11_branch_fidelity", _branch_residuals(ring, script, target)[0])
     return res
 
 
@@ -396,5 +398,5 @@ def run_suite(name: str, d: int, tol: float, n: int | None = None) -> SuiteResul
     if name == "sft":
         return suite_sft(d, n_max=3 if n is None else n, tol=tol)
     if name == "entropy":
-        return suite_entropy(d, tol=max(tol, 1e-8))
+        return suite_entropy(d, tol=max(tol, ENTROPY_TOL))
     return SUITES[name](d, tol=tol)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pappa import gates
-from pappa.evaluator import braid_local
+from pappa.evaluator import apply_sft, braid_local
 from pappa.gates import QState
 
 
@@ -74,5 +74,5 @@ def apply_gate_spec(ring, state: QState, spec: GateSpec) -> QState:
         a, b = spec.sites
         return gates.apply_controlled(state, gates.gate_power(ring, "Z", 1), a, b, spec.power)
     if spec.kind == "sft":
-        return gates.apply_sft(ring, state)
+        return apply_sft(ring, state)
     raise ValueError(f"unknown gate kind {spec.kind!r}")

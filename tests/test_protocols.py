@@ -9,7 +9,7 @@ import pytest
 from pappa import gates, protocols
 from pappa.diagrams import Charge, Cup, Diagram
 from pappa.entangle import max_state
-from pappa.evaluator import evaluate
+from pappa.evaluator import apply_sft, evaluate
 from pappa.gates import QState
 from pappa.phases import make_phase_ring
 from pappa.protocols import (
@@ -616,7 +616,7 @@ def test_sft_step_needs_a_party_owning_every_site():
     psi = rand_state(3, 2, 0)
     whole = ProtocolScript(3, 2, {"a": (0, 1)}, [], [SftStep("a")], input_sites=(0, 1))
     out = run(ring, whole, psi).final_state
-    assert np.array_equal(out.vector, gates.apply_sft(ring, psi).vector)
+    assert np.array_equal(out.vector, apply_sft(ring, psi).vector)
     with pytest.raises(LocalityError):
         ProtocolScript(3, 2, {"a": (0,), "b": (1,)}, [], [SftStep("a")], input_sites=(0, 1))
 

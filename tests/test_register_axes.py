@@ -1,0 +1,153 @@
+"""One register layout: every site tuple goes through ``gates._local_axes``.
+
+The dense kernel, the meters, ``state_on_sites``, ``_initial_state`` and
+the entropy cut are held bit for bit to the n-axis formulas of
+``register_axes`` for d = 2..7 and every site tuple on up to 5 qudits.
+The dense kernel runs every tuple whose work d**(n + w), w the tuple's
+width, is at most 4**9 (all of them at d = 2, 3), with and without a batch
+axis.  The
+refusals at the end are what the plan and the register layer now reject.
+"""
+
+from itertools import combinations, permutations
+
+import numpy as np
+import pytest
+
+from pappa import entangle, gates, protocols
+from pappa.gates import Local, QState
+from pappa.phases import make_phase_ring
+from pappa.protocols import ProtocolScript, Resource
+
+import register_axes as oracle
+
+DS = range(2, 8)
+RINGS = {d: make_phase_ring(d) for d in DS}
+
+
+def site_tuples(n):
+    """Every ordered tuple of distinct sites of an n-qudit register, the empty one first."""
+    return [t for w in range(n + 1) for t in permutations(range(n), w)]
+
+
+def rand_vector(shape, rng):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def rand_state(d, n, rng):
+    v = rand_vector(d**n, rng)
+    return QState(d, n, v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("d", DS)
+def test_dense_branch_matches_n_axis_formula(d):
+    rng = np.random.default_rng(d)
+    blocks = {}
+    for n in range(1, 6):
+        for batch in ((), (2,)):
+            x = rand_vector((d**n,) + batch, rng)
+            for sites in site_tuples(n)[1:]:
+                w = len(sites)
+                if d ** (n + w) > 4**9:
+                    continue
+                if w not in blocks:
+                    blocks[w] = rand_vector((d**w, d**w), rng)
+                    assert gates.block_structure(blocks[w]) == "dense"
+                got = gates.apply_local(x, d, n, Local(sites, blocks[w]))
+                assert np.array_equal(got, oracle.apply_dense(x, d, n, sites, blocks[w])), sites
+
+
+@pytest.mark.parametrize("d", DS)
+def test_meters_match_n_axis_formula(d):
+    rng = np.random.default_rng(10 + d)
+    for n in range(1, 6):
+        state = rand_state(d, n, rng)
+        for site in range(n):
+            probs = gates.site_probabilities(state, site)
+            assert np.array_equal(probs, oracle.site_probabilities(state, site))
+            for outcome, p in [*enumerate(probs.tolist()), (0, 0.0)]:
+                got = gates.collapse_site(state, site, outcome, p).vector
+                assert np.array_equal(got, oracle.collapse_site(state, site, outcome, p).vector)
+
+
+@pytest.mark.parametrize("d", DS)
+def test_state_on_sites_matches_n_axis_formula(d):
+    rng = np.random.default_rng(20 + d)
+    for n in range(1, 6):
+        for sites in site_tuples(n):
+            # collapse every other qudit onto a random value
+            state = rand_state(d, n, rng)
+            for site in set(range(n)) - set(sites):
+                state = oracle.collapse_site(state, site, int(rng.integers(d)), 1.0)
+            got = protocols.state_on_sites(state, sites)
+            want = oracle.state_on_sites(state, sites)
+            assert (got.d, got.n) == (want.d, want.n)
+            assert np.array_equal(got.vector, want.vector), sites
+
+
+@pytest.mark.parametrize("d", DS)
+def test_initial_state_matches_n_axis_formula(d):
+    """The input on a prefix of each site order, a resource on the next two, |0> on the rest."""
+    ring, rng = RINGS[d], np.random.default_rng(30 + d)
+    for n in range(1, 6):
+        for perm in permutations(range(n)):
+            for cut in range(n + 1):
+                inputs, shared = perm[:cut], perm[cut : cut + 2]
+                resources = [Resource(shared)] if shared else []
+                script = ProtocolScript(d, n, {"a": tuple(range(n))}, resources, [], inputs)
+                psi = rand_state(d, cut, rng) if cut else None
+                got = protocols._initial_state(ring, script, psi)
+                assert np.array_equal(got.vector, oracle.initial_state(ring, script, psi).vector)
+
+
+@pytest.mark.parametrize("d", DS)
+def test_entropy_cut_matches_n_axis_formula(d):
+    rng = np.random.default_rng(40 + d)
+    for n in range(1, 6):
+        state = QState(d, n, rand_vector(d**n, rng))
+        for w in range(1, n + 1):
+            for keep in combinations(range(n), w):
+                got = entangle.entanglement_entropy(state, keep[::-1])
+                assert got == oracle.entanglement_entropy(state, keep), keep
+
+
+# ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("digit", [5, 3, -1])
+def test_basis_refuses_digits_outside_the_degree(digit):
+    with pytest.raises(ValueError, match="outside 0..2"):
+        QState.basis(3, 1, (digit,))
+
+
+@pytest.mark.parametrize("outcome", [-1, 3])
+def test_collapse_refuses_outcomes_outside_the_degree(outcome):
+    state = entangle.max_state(RINGS[3], 2)
+    with pytest.raises(ValueError, match="outside 0..2"):
+        gates.collapse_site(state, 0, outcome, 1 / 3)
+
+
+@pytest.mark.parametrize("site", [2, 5, -1])
+def test_meter_refuses_a_site_outside_the_register(site):
+    state = entangle.max_state(RINGS[3], 2)
+    with pytest.raises(ValueError, match="outside register"):
+        gates.site_probabilities(state, site)
+
+
+@pytest.mark.parametrize(
+    "sites, match", [((0, 0), "repeat a qudit"), ((0, 3), "outside register"), ((-1,), "outside register")]
+)
+def test_state_on_sites_refuses_bad_sites(sites, match):
+    state = QState.basis(2, 3, (1, 0, 1))
+    with pytest.raises(ValueError, match=match):
+        protocols.state_on_sites(state, sites)
+
+
+@pytest.mark.parametrize("execute", [protocols.run, protocols.run_branches])
+def test_executors_refuse_an_input_of_another_degree(execute):
+    ring = RINGS[3]
+    psi = QState.basis(2, 1, (1,))
+    with pytest.raises(ValueError, match="input state of degree 2, script of degree 3"):
+        execute(ring, protocols.teleportation_script(ring), psi)
