@@ -31,7 +31,6 @@ from itertools import accumulate
 from pathlib import Path
 
 from . import dsl, protocols, verify
-from .diagrams import _gen_width_delta
 from .evaluator import evaluate
 from .gates import QState
 from .phases import DEFAULT_TOL, make_phase_ring
@@ -77,7 +76,7 @@ def _cmd_diagram(args) -> int:
         diagram = dataclasses.replace(diagram, d=args.d)
     d = diagram.d
     # evaluate's accumulator: d**(peak width) rows, d**n_in columns
-    peak = max(accumulate(map(_gen_width_delta, diagram.gens), initial=diagram.in_points)) // 2
+    peak = max(accumulate((g.delta for g in diagram.gens), initial=diagram.in_points)) // 2
     _check_dims(d, peak + diagram.in_points // 2)
     _check_block(d, peak)
     ring = make_phase_ring(d)

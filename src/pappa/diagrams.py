@@ -28,74 +28,104 @@ from .phases import PhaseRing, make_phase_ring
 # ---------------------------------------------------------------------------
 
 
+class _Generator:
+    """A generator's geometry: ``delta`` its width change, ``span()`` the inclusive
+    strands it touches in its input frame, ``mirror()`` its vertical reflection,
+    ``moved(threshold, delta)`` it with strand references >= threshold shifted.
+    The defaults fit a generator on (strand, strand+1) that keeps the width."""
+
+    delta = 0
+
+    def span(self) -> tuple[int, int]:
+        return self.strand, self.strand + 1
+
+    def moved(self, threshold: int, delta: int):
+        return replace(self, strand=self.strand + delta) if self.strand >= threshold else self
+
+
 @dataclass(frozen=True)
-class Charge:
+class Charge(_Generator):
     strand: int
     k: int
     tier: int = 0
 
+    def span(self) -> tuple[int, int]:
+        return self.strand, self.strand
+
+    def mirror(self) -> "Charge":
+        return Charge(self.strand, -self.k, -self.tier)
+
 
 @dataclass(frozen=True)
-class Cap:
+class Cap(_Generator):
     strand: int  # the new pair occupies (strand, strand+1) on the output side
+    delta = 2
+
+    def span(self) -> tuple[int, int]:
+        return self.strand, self.strand - 1  # occupies output-side strands only
+
+    def mirror(self) -> "Cup":
+        return Cup(self.strand)
 
 
 @dataclass(frozen=True)
-class Cup:
+class Cup(_Generator):
     strand: int  # consumes input strands (strand, strand+1)
+    delta = -2
+
+    def mirror(self) -> "Cap":
+        return Cap(self.strand)
 
 
 @dataclass(frozen=True)
-class BraidPos:
+class BraidPos(_Generator):
     strand: int
+    sign = 1
+
+    def mirror(self) -> "BraidNeg":
+        return BraidNeg(self.strand)
 
 
 @dataclass(frozen=True)
-class BraidNeg:
+class BraidNeg(_Generator):
     strand: int
+    sign = -1
+
+    def mirror(self) -> "BraidPos":
+        return BraidPos(self.strand)
 
 
 @dataclass(frozen=True)
-class Sym:
+class Sym(_Generator):
     strand: int  # odd: the boundary between two adjacent qudits
     m: int = 0
 
+    def span(self) -> tuple[int, int]:
+        return self.strand - 1, self.strand + 2
+
+    def mirror(self) -> "Sym":
+        return Sym(self.strand, -self.m)
+
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Generator):
     name: str
     first: int
     strands: int
     charge: int = 0
     dagger: bool = False
 
+    def span(self) -> tuple[int, int]:
+        return self.first, self.first + self.strands - 1
+
+    def mirror(self) -> "Box":
+        return replace(self, charge=-self.charge, dagger=not self.dagger)
+
+    def moved(self, threshold: int, delta: int) -> "Box":
+        return replace(self, first=self.first + delta) if self.first >= threshold else self
+
 
 Generator = Charge | Cap | Cup | BraidPos | BraidNeg | Sym | Box
-
-
-def _gen_width_delta(gen: Generator) -> int:
-    if isinstance(gen, Cap):
-        return 2
-    if isinstance(gen, Cup):
-        return -2
-    return 0
-
-
-def _gen_span(gen: Generator) -> tuple[int, int]:
-    """Inclusive strand range a generator touches, in its input frame."""
-    if isinstance(gen, Charge):
-        return gen.strand, gen.strand
-    if isinstance(gen, Cap):
-        return gen.strand, gen.strand - 1  # occupies output-side strands only
-    if isinstance(gen, Cup):
-        return gen.strand, gen.strand + 1
-    if isinstance(gen, (BraidPos, BraidNeg)):
-        return gen.strand, gen.strand + 1
-    if isinstance(gen, Sym):
-        return gen.strand - 1, gen.strand + 2
-    if isinstance(gen, Box):
-        return gen.first, gen.first + gen.strands - 1
-    raise TypeError(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +206,10 @@ class Diagram:
             return
         w = self.in_points
         for gen in self.gens:
-            lo, hi = _gen_span(gen)
+            lo, hi = gen.span()
             if not (0 <= lo and hi < w):
                 raise ValueError(f"{gen!r} out of range at width {w}")
-            w += _gen_width_delta(gen)
+            w += gen.delta
         if w != self.out_points:
             raise ValueError(
                 f"generators lead from {self.in_points} to {w} points, "
@@ -194,7 +224,7 @@ class Diagram:
 
     @classmethod
     def single(cls, d: int, in_points: int, gen: Generator) -> "Diagram":
-        return cls(d, in_points, in_points + _gen_width_delta(gen), (gen,))
+        return cls(d, in_points, in_points + gen.delta, (gen,))
 
     @classmethod
     def zero(cls, d: int, in_points: int = 0, out_points: int = 0) -> "Diagram":
@@ -208,7 +238,7 @@ class Diagram:
         return replace(
             self,
             gens=self.gens + (gen,),
-            out_points=self.out_points + _gen_width_delta(gen),
+            out_points=self.out_points + gen.delta,
         )
 
     def scalar_value(self, ring: PhaseRing) -> complex:
@@ -272,7 +302,7 @@ def tensor(left: Diagram, right: Diagram) -> Diagram:
         return Diagram.zero(
             left.d, left.in_points + right.in_points, left.out_points + right.out_points
         )
-    shifted = tuple(_reindex(g, 0, left.out_points) for g in right.gens)
+    shifted = tuple(g.moved(0, left.out_points) for g in right.gens)
     return Diagram(
         left.d,
         left.in_points + right.in_points,
@@ -282,29 +312,11 @@ def tensor(left: Diagram, right: Diagram) -> Diagram:
     )
 
 
-def _reflect_gen(gen: Generator) -> Generator:
-    if isinstance(gen, Charge):
-        return Charge(gen.strand, -gen.k, -gen.tier)
-    if isinstance(gen, Cap):
-        return Cup(gen.strand)
-    if isinstance(gen, Cup):
-        return Cap(gen.strand)
-    if isinstance(gen, BraidPos):
-        return BraidNeg(gen.strand)
-    if isinstance(gen, BraidNeg):
-        return BraidPos(gen.strand)
-    if isinstance(gen, Sym):
-        return Sym(gen.strand, -gen.m)
-    if isinstance(gen, Box):
-        return replace(gen, charge=-gen.charge, dagger=not gen.dagger)
-    raise TypeError(gen)
-
-
 def adjoint(diagram: Diagram) -> Diagram:
     """Vertical reflection: charges negate, caps and cups swap, scalars conjugate."""
     if diagram.is_zero:
         return Diagram.zero(diagram.d, diagram.out_points, diagram.in_points)
-    gens = tuple(_reflect_gen(g) for g in reversed(diagram.gens))
+    gens = tuple(g.mirror() for g in reversed(diagram.gens))
     return Diagram(
         diagram.d, diagram.out_points, diagram.in_points, gens, diagram.scalar.conj()
     )
@@ -355,7 +367,7 @@ def sft_rotate(diagram: Diagram) -> Diagram:
         for s in range(w - 1):
             out = out.then(BraidNeg(s))
         return out.with_scalar(DiagScalar(omega_half=1))
-    shifted = tuple(_reindex(g, 0, 1) for g in diagram.gens)
+    shifted = tuple(g.moved(0, 1) for g in diagram.gens)
     gens = (Cap(diagram.in_points),) + shifted + (Cup(0),)
     return Diagram(
         diagram.d, diagram.in_points, diagram.out_points, gens, diagram.scalar
@@ -368,83 +380,61 @@ def sft_rotate(diagram: Diagram) -> Diagram:
 
 
 def _touches(gen: Generator, lo: int, hi: int) -> bool:
-    a, b = _gen_span(gen)
+    a, b = gen.span()
     return not (b < lo or a > hi)
 
 
 def normalize(diagram: Diagram) -> Diagram:
     """Rewrite to a canonical form without changing the evaluation.
 
-    Applies, to a fixpoint: same-tier twisted products folded to the
-    staircase order, charge merging and mod-d reduction per strand,
-    charges slid off cap/cup left legs (zeta**(+-k*k) scalars), zigzag
-    straightening, and loop removal (sqrt(d) when neutral, the zero
-    diagram otherwise).
+    Each round runs three passes: ``_fold_pass`` folds every charge run
+    to the staircase order, merges charges per strand, reduces them mod d
+    and drops zeros; then the first slide of ``_slide_pass`` (a charge off
+    a cap or cup left leg, a zeta**(+-k*k) scalar) applies, or else the
+    first rewrite of ``_contract_pass`` (a zigzag straightened, or a loop
+    removed: sqrt(d) when neutral, the zero diagram otherwise).  The word
+    is normal when neither rewrite applies and the fold leaves it as is.
     """
     if diagram.is_zero:
         return Diagram.zero(diagram.d, diagram.in_points, diagram.out_points)
-    d = diagram.d
+    d, gens, scalar = diagram.d, diagram.gens, diagram.scalar
     ring = make_phase_ring(d)
-    gens = diagram.gens
-    scalar = diagram.scalar
+    for _ in range(10_000):
+        folded, scalar = _fold_pass(ring, gens, scalar)
+        rewrite = _slide_pass(ring, folded, scalar) or _contract_pass(d, folded, scalar)
+        if rewrite is None and folded == gens:
+            return Diagram(d, diagram.in_points, diagram.out_points, gens, scalar.normalized(d))
+        gens, scalar = rewrite or (folded, scalar)
+        if scalar.is_zero:
+            return Diagram.zero(d, diagram.in_points, diagram.out_points)
+    raise RuntimeError("normalize failed to reach a fixpoint")
 
-    changed = True
-    guard = 0
-    while changed:
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("normalize failed to reach a fixpoint")
-        changed = False
 
-        # fold each charge run into the staircase order, merge same-strand
-        # neighbours, reduce mod d and drop zeros
-        out: list[Generator] = []
-        for is_charge, group in groupby(gens, lambda g: isinstance(g, Charge)):
-            if not is_charge:
-                out.extend(group)
-                continue
-            run = list(group)
-            if any(a.tier <= b.tier for a, b in zip(run, run[1:])):
-                changed = True
-            ordered, zexp = staircase(run)
-            scalar = scalar.times_eps(ring.zeta_exp * zexp)
-            merged: list[Charge] = []
-            for c in ordered:
-                if merged and merged[-1].strand == c.strand:
-                    merged[-1] = Charge(c.strand, (merged[-1].k + c.k) % d)
-                    changed = True
-                else:
-                    merged.append(Charge(c.strand, c.k % d))
-            kept = [c for c in merged if c.k != 0]
-            if len(kept) != len(run) or any(
-                (a.strand, a.k) != (b.strand, b.k) for a, b in zip(kept, run)
-            ):
-                changed = True
-            out.extend(
-                Charge(c.strand, c.k, len(kept) - 1 - pos)
-                for pos, c in enumerate(kept)
-            )
-        gens = out
+def _fold_pass(ring: PhaseRing, gens: tuple[Generator, ...], scalar: DiagScalar):
+    """Fold each charge run into the staircase order; returns (gens, scalar).
 
-        slid = _slide_pass(ring, gens, scalar)
-        if slid is not None:
-            gens, scalar = slid
-            changed = True
+    Same-strand neighbours merge, charges reduce mod d, zeros drop, and
+    the kept charges get the tiers len-1, ..., 0 of their order.
+    """
+    out: list[Generator] = []
+    for is_charge, group in groupby(gens, lambda g: isinstance(g, Charge)):
+        if not is_charge:
+            out.extend(group)
             continue
+        ordered, zexp = staircase(list(group))
+        scalar = scalar.times_eps(ring.zeta_exp * zexp)
+        merged: list[Charge] = []
+        for c in ordered:
+            if merged and merged[-1].strand == c.strand:
+                merged[-1] = Charge(c.strand, (merged[-1].k + c.k) % ring.d)
+            else:
+                merged.append(Charge(c.strand, c.k % ring.d))
+        kept = [c for c in merged if c.k != 0]
+        out.extend(Charge(c.strand, c.k, len(kept) - 1 - pos) for pos, c in enumerate(kept))
+    return tuple(out), scalar
 
-        result = _contract_pass(d, gens, scalar)
-        if result is not None:
-            gens, scalar = result
-            if scalar.is_zero:
-                return Diagram.zero(d, diagram.in_points, diagram.out_points)
-            changed = True
 
-    return Diagram(
-        d, diagram.in_points, diagram.out_points, tuple(gens), scalar.normalized(d)
-    )
-
-
-def _slide_pass(ring: PhaseRing, gens: list[Generator], scalar: DiagScalar):
+def _slide_pass(ring: PhaseRing, gens: tuple[Generator, ...], scalar: DiagScalar):
     """Move one charge off a cap/cup left leg onto the right leg, or None.
 
     A cap scans forward and a cup backward, and the phase zeta**(k*k) of the
@@ -456,18 +446,17 @@ def _slide_pass(ring: PhaseRing, gens: list[Generator], scalar: DiagScalar):
         step = 1 if isinstance(g, Cap) else -1
         for j in range(i + step, len(gens) if step > 0 else -1, step):
             h = gens[j]
-            if _gen_width_delta(h) != 0:
+            if h.delta:
                 break
             if isinstance(h, Charge) and h.strand == g.strand:
-                out = list(gens)
-                out[j] = Charge(g.strand + 1, h.k, h.tier)
+                out = gens[:j] + (Charge(g.strand + 1, h.k, h.tier),) + gens[j + 1 :]
                 return out, scalar.times_eps(step * ring.zeta_exp * h.k * h.k)
             if _touches(h, g.strand, g.strand + 1):
                 break
     return None
 
 
-def _contract_pass(d: int, gens: list[Generator], scalar: DiagScalar):
+def _contract_pass(d: int, gens: tuple[Generator, ...], scalar: DiagScalar):
     """Remove one loop or zigzag; returns (gens, scalar) or None.
 
     Patterns handled, with no width-changing generator in between and
@@ -490,7 +479,7 @@ def _contract_pass(d: int, gens: list[Generator], scalar: DiagScalar):
                 if h.strand == s:
                     # drop cap, cup and the charges absorbed into the loop
                     inner = [
-                        _reindex(gen, s, -2)
+                        gen.moved(s, -2)
                         for t, gen in enumerate(gens[i + 1 : j], i + 1)
                         if t not in charge_idx
                     ]
@@ -501,9 +490,9 @@ def _contract_pass(d: int, gens: list[Generator], scalar: DiagScalar):
                 if charge_idx:
                     break  # charged legs block the zigzag rewrites
                 lo = s - 1 if h.strand == s - 1 else s
-                inner = [_reindex(gen, lo + 2, -2) for gen in gens[i + 1 : j]]
+                inner = [gen.moved(lo + 2, -2) for gen in gens[i + 1 : j]]
                 return _join_runs([gens[:i], inner, gens[j + 1 :]]), scalar
-            if _gen_width_delta(h) != 0:
+            if h.delta:
                 break
             if isinstance(h, Charge) and h.strand == s + 1:
                 charge_idx.append(j)
@@ -524,14 +513,3 @@ def _join_runs(parts) -> tuple[Generator, ...]:
     for part in parts:
         out = _lift_trailing_charges(out, part) + tuple(part)
     return out
-
-
-def _reindex(gen: Generator, threshold: int, delta: int) -> Generator:
-    """Shift strand references >= ``threshold`` by delta (after removals)."""
-    if isinstance(gen, Box):
-        if gen.first >= threshold:
-            return replace(gen, first=gen.first + delta)
-        return gen
-    if gen.strand >= threshold:
-        return replace(gen, strand=gen.strand + delta)
-    return gen

@@ -187,7 +187,9 @@ def braid_local(ring: PhaseRing, strand: int, sign: int) -> gates.Local:
 
 
 def sft_locals(ring: PhaseRing, n: int) -> list[gates.Local]:
-    """b_{0,-}, ..., b_{2n-2,-} in order: the SFT is omega**0.5 times their product."""
+    """b_{0,-}, ..., b_{2n-2,-} in order, n >= 1: the SFT is omega**0.5 times their product."""
+    if n < 1:
+        raise ValueError(f"the SFT needs at least one qudit, got n={n}")
     return [braid_local(ring, s, -1) for s in range(2 * n - 1)]
 
 
@@ -287,7 +289,7 @@ def _apply_generator(ring: PhaseRing, n: int, gen, x: np.ndarray, boxes) -> tupl
     if isinstance(gen, Box):
         return _box(ring, n, gen, x, boxes), n
     if isinstance(gen, (BraidPos, BraidNeg)):
-        local = braid_local(ring, gen.strand, +1 if isinstance(gen, BraidPos) else -1)
+        local = braid_local(ring, gen.strand, gen.sign)
     elif isinstance(gen, Sym):
         j = gates._sym_pair(n, gen.strand)
         local = gates.Local((j, j + 1), gates.sym_block(ring, gen.m))
@@ -305,7 +307,10 @@ def evaluate(
     strands needs a d**w x d**w matrix).  Generators apply top-first to an
     accumulator of d**n rows (n the current width) and d**n_in columns,
     starting from the identity; the diagram scalar multiplies the result.
+    A ring of another degree than the diagram's is refused.
     """
+    if ring.d != diagram.d:
+        raise ValueError(f"ring degree {ring.d} and diagram degree {diagram.d} differ")
     if diagram.in_points % 2 or diagram.out_points % 2:
         raise ValueError("diagram boundary must have an even number of points")
     d, n_in, n_out = ring.d, diagram.in_points // 2, diagram.out_points // 2

@@ -587,6 +587,7 @@ def project_site(state: QState, site: int, outcome: int) -> tuple[QState, float]
     qudits (the measured one collapses to |outcome>).  Kept for
     ``bench/tracer.py``.
     """
+    _check_outcome(state.d, outcome)
     p = float(site_probabilities(state, site)[outcome])
     return collapse_site(state, site, outcome, p), p
 
@@ -597,8 +598,7 @@ def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
     Every other value of the site is zeroed and the rest divided by
     sqrt(p) (left as is when p is 0).
     """
-    if not 0 <= outcome < state.d:
-        raise ValueError(f"outcome {outcome} outside 0..{state.d - 1}")
+    _check_outcome(state.d, outcome)
     t = state.vector.reshape(_local_axes(state.d, state.n, (site,), ()).view)
     out = np.zeros_like(t)
     kept = (slice(None), outcome)
@@ -607,6 +607,11 @@ def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
     else:
         out[kept] = t[kept]
     return QState(state.d, state.n, out.reshape(-1))
+
+
+def _check_outcome(d: int, outcome: int) -> None:
+    if not 0 <= outcome < d:
+        raise ValueError(f"outcome {outcome} outside 0..{d - 1}")
 
 
 def draw(state: QState, site: int, rng: np.random.Generator) -> tuple[int, float]:
@@ -673,7 +678,10 @@ def sft_matrix(ring: PhaseRing, n: int) -> np.ndarray:
     <l|SFT|k> = d**((1-n)/2) * zeta**(|l|**2) * prod_{j1<j2} q**(-l_j1 k_j2)
     on the charge-conserving sector |l| == |k| (mod d), zero elsewhere.
     The integer exponents are reduced before one ``_eps_table`` lookup per phase.
+    Refuses n < 1: on no qudits the formula gives sqrt(d), not a unitary.
     """
+    if n < 1:
+        raise ValueError(f"the SFT needs at least one qudit, got n={n}")
     d = ring.d
     digits = digit_table(d, n)
     total = digit_sums(d, n)

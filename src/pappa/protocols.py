@@ -11,9 +11,9 @@ edit; one cross-party classical message costs one cdit.
 
 The walker reads every block from the read-only caches of ``gates``: a
 gate's from ``gate_block``, which ``clifford`` and ``verify`` read too, a
-ctrl step's from ``ctrl_block`` (exact, from the same phase table), and the
-SFT's braids from ``evaluator.sft_locals``.  It builds and caches no block
-itself, and lays out qudits only through the plan of ``gates._local_axes``.
+ctrl step's from ``ctrl_block`` (exact, from the same phase table); an SFT
+step is ``evaluator.apply_sft``.  It builds and caches no block itself, and
+lays out qudits only through the plan of ``gates._local_axes``.
 """
 
 from __future__ import annotations
@@ -253,24 +253,22 @@ def _initial_state(
     return QState(d, total, vec.reshape(plan.front).transpose(plan.inverse).reshape(-1))
 
 
-def _locals(ring: PhaseRing, n: int, step: Step, value: int | None = None):
-    """What the walk applies at ``step``: (scale or None, Locals).
+def _locals(ring: PhaseRing, step: Step, value: int | None = None):
+    """The Locals the walk applies at a gate, ctrl or cond step, else None.
 
-    A cond step needs its register ``value``; measure and send steps give
-    None.  The SFT's omega**0.5 stays a scale, as in ``evaluator.apply_sft``.
+    A cond step needs its register ``value``; the walk applies an SFT step
+    through ``evaluator.apply_sft``.
     """
     if isinstance(step, GateStep):
-        return None, [gates.Local((step.site,), gates.gate_block(ring, step.name, step.power))]
+        return [gates.Local((step.site,), gates.gate_block(ring, step.name, step.power))]
     if isinstance(step, CtrlStep):
         block = gates.ctrl_block(ring, step.name, step.exponent)
-        return None, [gates.Local((step.control, step.target), block)]
+        return [gates.Local((step.control, step.target), block)]
     if isinstance(step, CondStep):
         power = step.coeff * value
         if not power:
-            return None, []
-        return None, [gates.Local((step.site,), gates.gate_block(ring, step.name, power))]
-    if isinstance(step, SftStep):
-        return ring.omega_sqrt, evaluator.sft_locals(ring, n)
+            return []
+        return [gates.Local((step.site,), gates.gate_block(ring, step.name, power))]
     return None
 
 
@@ -279,8 +277,9 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
 
     Each gate block is built once per process, read-only, by
     ``gates.gate_block`` or, for a ctrl step, ``gates.ctrl_block``.  Each
-    gate, ctrl and SFT step is wrapped in its ``Local``s once per walk,
-    before it; a cond step once per visit, from its register's value.
+    gate and ctrl step is wrapped in its ``Local``s once per walk, before
+    it; a cond step once per visit, from its register's value.  An SFT
+    step is ``evaluator.apply_sft``.
     ``fork(state, site)`` lists the children taken at a measurement as
     (outcome, p) pairs in outcome order, ``p`` being the child's own
     probability.  A child's state is collapsed from its parent
@@ -293,7 +292,7 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
     if ring.d != script.d:
         raise ValueError(f"ring degree {ring.d} and script degree {script.d} differ")
     d, n, steps = ring.d, script.n_sites, script.steps
-    ops = [None if isinstance(step, CondStep) else _locals(ring, n, step) for step in steps]
+    ops = [None if isinstance(step, CondStep) else _locals(ring, step) for step in steps]
     leaves: list[Transcript] = []
     pending: list[tuple] = []  # (children, parent, measure step, resume at, outcomes, cdits, prob)
     state = _initial_state(ring, script, input_state)
@@ -310,11 +309,13 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
                 if step.src != step.dst:
                     cdits += 1
                 continue
+            if isinstance(step, SftStep):
+                state = evaluator.apply_sft(ring, state)
+                continue
             if isinstance(step, CondStep):
-                op = _locals(ring, n, step, outcomes[step.register])
-            scale, locs = op
-            v = state.vector if scale is None else state.vector * scale
-            for local in locs:
+                op = _locals(ring, step, outcomes[step.register])
+            v = state.vector
+            for local in op:
                 v = gates.apply_local(v, d, n, local)
             state = QState(d, n, v)
         else:
@@ -377,12 +378,15 @@ def state_on_sites(state: QState, sites) -> QState:
 
     Used to read off the surviving carriers after measurements collapse
     the rest of the register.  Raises ``ValueError`` when ``sites`` are out
-    of range or repeat a qudit, or when another qudit holds more than
-    ``DEFAULT_TOL`` of the weight off its likeliest value.
+    of range or repeat a qudit, when the state is zero, or when another
+    qudit holds more than ``DEFAULT_TOL`` of the weight off its likeliest
+    value.
     """
     sites = tuple(sites)
     d = state.d
     gates._local_axes(d, state.n, sites, ())
+    if not state.vector.any():
+        raise ValueError("the state has no weight")
     # read each collapsed qudit, the last first, and drop it at its likeliest value
     for site in sorted(set(range(state.n)) - set(sites), reverse=True):
         probs = gates.site_probabilities(state, site)

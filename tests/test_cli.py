@@ -179,6 +179,13 @@ def test_huge_circuit_header_is_refused_in_constant_memory(tmp_path, capsys):
     assert peak < 2**20, peak
 
 
+def test_sft_on_zero_qudits_exit_code_2(tmp_path, capsys):
+    empty = tmp_path / "empty.pc"
+    empty.write_text("circuit d=2 n=0\nsft\n")
+    err = _refused(["circuit", "run", str(empty), "--emit", "state"], capsys)
+    assert err == "error: the SFT needs at least one qudit, got n=0\n"
+
+
 def test_unbound_box_exit_code_2(tmp_path, capsys):
     pd = tmp_path / "box.pd"
     pd.write_text("diagram d=2 in=2 out=2\nbox U@0:2:0\n")

@@ -22,6 +22,8 @@ from pappa.diagrams import (
 from pappa.evaluator import evaluate
 from pappa.phases import make_phase_ring
 
+import normalize_loop
+
 RINGS = {d: make_phase_ring(d) for d in (2, 3, 5)}
 
 
@@ -210,7 +212,7 @@ def test_out_of_range_generator_rejected():
 
 
 def _range_ok_with_special_cases(gen, w):
-    """The range check ``Diagram`` made before it used ``_gen_span`` alone."""
+    """The range check ``Diagram`` made before it used each generator's ``span()`` alone."""
     if isinstance(gen, Cap):
         return 0 <= gen.strand <= w
     if isinstance(gen, Sym):
@@ -262,6 +264,36 @@ def test_normalize_idempotent_fuzz():
                 assert normalize(n1) == n1
                 if not n1.is_zero:
                     assert mx(ev(ring, n1) - ev(ring, case)) < 1e-9
+
+
+def _dense_word(d, rng, depth=16):
+    """A random word on at most 6 strands: caps, cups, braids, ``sym`` and charges of mixed tiers."""
+    w = int(rng.integers(7))
+    dia = Diagram.identity(d, w)
+    for _ in range(depth):
+        kind = int(rng.integers(6))
+        if kind == 0 and w <= 4:
+            dia, w = dia.then(Cap(int(rng.integers(w + 1)))), w + 2
+        elif kind == 1 and w >= 2:
+            dia, w = dia.then(Cup(int(rng.integers(w - 1)))), w - 2
+        elif kind == 2 and w >= 2:
+            braid = BraidPos if rng.integers(2) else BraidNeg
+            dia = dia.then(braid(int(rng.integers(w - 1))))
+        elif kind == 3 and w >= 4:
+            dia = dia.then(Sym(int(rng.choice(range(1, w - 2, 2))), int(rng.integers(-d, d))))
+        elif w >= 1:
+            k, tier = int(rng.integers(-d, 2 * d)), int(rng.integers(-2, 3))
+            dia = dia.then(Charge(int(rng.integers(w)), k, tier))
+    return dia
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_normalize_matches_the_fixpoint_loop_oracle(d):
+    """The three-pass loop gives the old fixpoint loop's normal form, scalar and all."""
+    rng = np.random.default_rng(100 + d)
+    for _ in range(300):
+        dia = _dense_word(d, rng)
+        assert repr(normalize(dia)) == repr(normalize_loop.normalize(dia)), dia
 
 
 def test_normalize_charged_loop_is_zero():

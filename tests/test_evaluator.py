@@ -285,3 +285,9 @@ def test_jordan_wigner_form_box_tails():
 def test_qoperator_shape_validation():
     with pytest.raises(ValueError):
         QOperator(2, 1, 1, np.eye(3))
+
+
+def test_evaluate_refuses_a_ring_of_another_degree():
+    dia = Diagram.identity(2, 2).then(Charge(1, 1))
+    with pytest.raises(ValueError, match="ring degree 3 and diagram degree 2 differ"):
+        evaluate(RINGS[3], dia)

@@ -669,13 +669,13 @@ def test_cached_blocks_are_read_only():
     ring = RINGS[3]
     steps = [GateStep("a", "F", 0, -1), CtrlStep("a", "X", 0, 1, 2), CondStep("a", "Y", 1, "m", 2)]
     for step in steps:
-        _, (local,) = protocols._locals(ring, 2, step, 1)
+        (local,) = protocols._locals(ring, step, 1)
         with pytest.raises(ValueError):
             local.block[0, 0] = 1.0
     # the public builders still hand out fresh, writable arrays
     fresh = gates.gate_power(ring, "F", -1)
     fresh[0, 0] = 1.0
-    assert not np.array_equal(fresh, protocols._locals(ring, 2, steps[0])[1][0].block)
+    assert not np.array_equal(fresh, protocols._locals(ring, steps[0])[0].block)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -693,10 +693,10 @@ def test_walker_blocks_are_the_public_builders_bit_for_bit(d):
     ring = RINGS[d]
     for name in "XYZFG":
         for p in range(-8 * d, 8 * d + 1):
-            _, (local,) = protocols._locals(ring, 1, GateStep("a", name, 0, p))
+            (local,) = protocols._locals(ring, GateStep("a", name, 0, p))
             assert local.block.tobytes() == gates.gate_power(ring, name, p).tobytes(), (name, p)
         for e in range(-2 * d, 2 * d + 1):
-            _, (local,) = protocols._locals(ring, 2, CtrlStep("a", name, 1, 0, e))
+            (local,) = protocols._locals(ring, CtrlStep("a", name, 1, 0, e))
             assert local.sites == (1, 0)
             assert local.block.tobytes() == ctrl_power_block(ring, name, e).tobytes(), (name, e)
     with pytest.raises(ValueError, match="control and target must differ"):

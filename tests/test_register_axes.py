@@ -129,6 +129,13 @@ def test_collapse_refuses_outcomes_outside_the_degree(outcome):
         gates.collapse_site(state, 0, outcome, 1 / 3)
 
 
+@pytest.mark.parametrize("outcome", [-1, 3])
+def test_project_refuses_outcomes_outside_the_degree(outcome):
+    """The outcome is checked before the probability read, as in ``collapse_site``."""
+    with pytest.raises(ValueError, match="outside 0..2"):
+        gates.project_site(QState.basis(3, 2, (1, 2)), 1, outcome)
+
+
 @pytest.mark.parametrize("site", [2, 5, -1])
 def test_meter_refuses_a_site_outside_the_register(site):
     state = entangle.max_state(RINGS[3], 2)
@@ -143,6 +150,12 @@ def test_state_on_sites_refuses_bad_sites(sites, match):
     state = QState.basis(2, 3, (1, 0, 1))
     with pytest.raises(ValueError, match=match):
         protocols.state_on_sites(state, sites)
+
+
+@pytest.mark.parametrize("sites", [(0,), (2, 0, 1)])
+def test_state_on_sites_refuses_a_state_with_no_weight(sites):
+    with pytest.raises(ValueError, match="the state has no weight"):
+        protocols.state_on_sites(QState(2, 3, np.zeros(8)), sites)
 
 
 @pytest.mark.parametrize("execute", [protocols.run, protocols.run_branches])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pappa import gates, verify
+from pappa import dsl, evaluator, gates, verify
 from pappa.diagrams import Cap, Charge, Diagram, compose, sft_rotate
 from pappa.evaluator import evaluate, sft_via_braids
 from pappa.gates import (
@@ -234,3 +234,22 @@ def test_sft_suite_n1_runs_its_checks():
     assert [name for name, _ in res.lines if name.endswith("_n1")][:4] == [
         "cross_oracle_n1", "unitary_n1", "full_rotation_n1", "charge_sectors_n1"
     ]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sft_on_no_qudits_is_refused(n):
+    """On zero qudits the closed form gives sqrt(d) and the braids omega**0.5: not unitaries."""
+    ring = RINGS[2]
+    for build in (sft_matrix, evaluator.sft_locals):
+        with pytest.raises(ValueError, match=f"at least one qudit, got n={n}"):
+            build(ring, n)
+
+
+def test_sft_paths_through_the_braids_refuse_zero_qudits():
+    ring = RINGS[2]
+    with pytest.raises(ValueError, match="at least one qudit, got n=0"):
+        sft_via_braids(ring, 0)
+    with pytest.raises(ValueError, match="at least one qudit, got n=0"):
+        evaluator.apply_sft(ring, QState(2, 0, np.ones(1, dtype=complex)))
+    with pytest.raises(ValueError, match="at least one qudit, got n=0"):
+        dsl.run_circuit(ring, dsl.parse_circuit("circuit d=2 n=0\nsft\n"))
