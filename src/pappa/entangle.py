@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .gates import QState, Weyl, _eps_table, _local_axes, basis_index, digit_sums
+from .gates import QState, Weyl, _local_axes, basis_index, digit_sums
 from .phases import PhaseRing
 
 _EIG_CUTOFF = 1e-12
@@ -65,7 +65,7 @@ def max_basis(ring: PhaseRing, ks) -> QState:
     ktot = sum(ks)
     # q**(k1 l1 + (k1+k2) l2 + ...): the exponents of the word Z**k1 x Z**(k1+k2) x ...
     expo = Weyl.of_paulis(ring, n, [(j, "Z", p) for j, p in enumerate(accumulate(ks))]).exponents()
-    v = float(d) ** (-(n - 1) / 2) * _eps_table(ring)[expo]
+    v = float(d) ** (-(n - 1) / 2) * ring.eps_table[expo]
     v[(digit_sums(d, n) - ktot) % d != 0] = 0.0
     return QState(d, n, ring.zeta_pow(-ktot * ktot) * v)
 

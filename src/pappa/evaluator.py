@@ -11,8 +11,9 @@ A charge k placed on a single strand compiles to the Jordan-Wigner word
 
 with the Z**k string covering every qudit to the right of j.  The unit
 charges c_s obtained this way are parafermions: c_s**d = 1 and
-c_s c_t = q c_t c_s for s < t.  A run of them, a box's Z tail and the
-tail of :func:`local_conjugation_op` are each one exact ``gates.Weyl`` word.
+c_s c_t = q c_t c_s for s < t.  The dictionary lives here alone: a run of
+them is one exact ``gates.Weyl`` word (:func:`charge_run_word`), whose Z-string
+(:func:`_z_string`) is also the tail of a box and of :func:`local_conjugation_op`.
 
 Vertical order is operator order: of two charges, the higher one is
 applied first.  Two charges at the same height form the twisted product,
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym
+from .diagrams import Box, BraidNeg, BraidPos, Cap, Charge, Cup, Diagram, Sym, staircase
 from .phases import PhaseRing
 
 
@@ -221,6 +222,7 @@ def sft_via_braids(ring: PhaseRing, n: int) -> np.ndarray:
     contributes the twist scalar omega**0.5 (a negative-braid closure).
     This is :func:`apply_sft` on the identity.
     """
+    sft_locals(ring, n)  # refuses n < 1 before d**n is formed
     eye = gates.QState(ring.d, n, np.eye(ring.d**n, dtype=complex))
     return apply_sft(ring, eye).vector
 
@@ -230,9 +232,28 @@ def sft_via_braids(ring: PhaseRing, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _z_string(n: int, first: int, k: int, skip=()) -> list[tuple[int, str, int]]:
+    """The Jordan-Wigner string: Z**k on every qudit after ``first`` that is not in ``skip``."""
+    return [(i, "Z", k) for i in range(first + 1, n) if i not in skip]
+
+
+def charge_run_word(ring: PhaseRing, n: int, run) -> gates.Weyl:
+    """A run of charges in ``diagrams.staircase`` order, twist included: a charge k
+    on strand s is X**k (s odd) or Y**-k (s even) on qudit s // 2, then its Z-string."""
+    ordered, zexp = staircase(run)
+    factors = []
+    for ch in ordered:
+        if not 0 <= ch.strand < 2 * n:
+            raise ValueError(f"strand {ch.strand} out of range for n={n}")
+        j = ch.strand // 2
+        factors += [(j, "X", ch.k) if ch.strand % 2 else (j, "Y", -ch.k)]
+        factors += _z_string(n, j, ch.k)
+    return gates.Weyl.of_paulis(ring, n, factors, ring.zeta_exp * zexp)
+
+
 def _charge_run(ring: PhaseRing, n: int, charges, x: np.ndarray) -> np.ndarray:
     """A run of charges with explicit tiers applied to ``x``: its one :class:`gates.Weyl` word."""
-    return gates.Weyl.of_charges(ring, n, charges).apply(ring, x)
+    return charge_run_word(ring, n, charges).apply(ring, x)
 
 
 def _charge_run_matrix(ring: PhaseRing, n: int, charges) -> np.ndarray:
@@ -246,8 +267,7 @@ def _charged_block(
     """``block`` on ``sites`` applied to ``x``, then its Jordan-Wigner tail: one Weyl
     word, Z**charge on every qudit after the first site that is not a site."""
     x = gates.apply_local(x, ring.d, n, gates.Local(sites, block))
-    tail = [(i, "Z", charge) for i in range(sites[0] + 1, n) if i not in sites]
-    return gates.Weyl.of_paulis(ring, n, tail).apply(ring, x)
+    return gates.Weyl.of_paulis(ring, n, _z_string(n, sites[0], charge, sites)).apply(ring, x)
 
 
 def _box(ring: PhaseRing, n: int, box: Box, x: np.ndarray, boxes) -> np.ndarray:
@@ -280,14 +300,14 @@ def _box(ring: PhaseRing, n: int, box: Box, x: np.ndarray, boxes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _apply_generator(ring: PhaseRing, n: int, gen, x: np.ndarray, boxes) -> tuple[np.ndarray, int]:
-    """One non-charge generator applied to ``x`` (d**n rows); returns (x, new n)."""
+def _apply_generator(ring: PhaseRing, n: int, gen, x: np.ndarray, boxes) -> np.ndarray:
+    """One non-charge generator applied to ``x`` (d**n rows); the width moves by ``gen.delta // 2``."""
     if isinstance(gen, Cap):
-        return _cap(ring, n, gen.strand, x), n + 1
+        return _cap(ring, n, gen.strand, x)
     if isinstance(gen, Cup):
-        return _cup(ring, n, gen.strand, x), n - 1
+        return _cup(ring, n, gen.strand, x)
     if isinstance(gen, Box):
-        return _box(ring, n, gen, x, boxes), n
+        return _box(ring, n, gen, x, boxes)
     if isinstance(gen, (BraidPos, BraidNeg)):
         local = braid_local(ring, gen.strand, gen.sign)
     elif isinstance(gen, Sym):
@@ -295,7 +315,7 @@ def _apply_generator(ring: PhaseRing, n: int, gen, x: np.ndarray, boxes) -> tupl
         local = gates.Local((j, j + 1), gates.sym_block(ring, gen.m))
     else:
         raise TypeError(f"unknown generator {gen!r}")
-    return gates.apply_local(x, ring.d, n, local), n
+    return gates.apply_local(x, ring.d, n, local)
 
 
 def evaluate(
@@ -323,10 +343,9 @@ def evaluate(
             x = _charge_run(ring, n, list(run), x)
             continue
         for gen in run:
-            x, n = _apply_generator(ring, n, gen, x, boxes)
-    if n != n_out:
-        raise ValueError("generator widths inconsistent with declared out_points")
-    return QOperator(d, n_in, n, scalar * x)
+            x = _apply_generator(ring, n, gen, x, boxes)
+            n += gen.delta // 2
+    return QOperator(d, n_in, n_out, scalar * x)
 
 
 def resolution_of_identity_check(ring: PhaseRing) -> float:

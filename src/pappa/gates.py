@@ -5,11 +5,11 @@ Single-qudit conventions (basis |0..d-1>, index arithmetic mod d):
     X|k> = |k+1>        Y|k> = zeta**(1-2k) |k-1>       Z|k> = q**k |k>
     F|k> = d**-0.5 * sum_l q**(k*l) |l>                 G|k> = zeta**(k*k) |k>
 
-Every phase is one lookup into a ring's cached, read-only table of
-eps**e, e = 0..2d-1 (:func:`_eps_table`): the named gates of
+The module reads nothing of the package but ``phases``.  Every phase is
+one lookup into ``PhaseRing.eps_table``: the named gates of
 :func:`gate_power`, one table row each, the closed forms ``sft_matrix``
 and ``sym_gate_matrix``, and every :class:`Weyl` word (each Jordan-Wigner
-string is one).  Every named block is cached
+string of ``evaluator`` is one).  Every named block is cached
 read-only once per process: :func:`gate_block` for the gates,
 :func:`ctrl_block` for their controlled powers (the block diagonal of
 gate blocks, so exact too) and :func:`sym_block` for b_m.  The protocol
@@ -63,7 +63,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagrams import staircase
 from .phases import PhaseRing
 
 # ---------------------------------------------------------------------------
@@ -88,14 +87,6 @@ def gaussian_gate(ring: PhaseRing) -> np.ndarray:
     return gate_power(ring, "G", 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _eps_table(ring: PhaseRing) -> np.ndarray:
-    """eps**e for e = 0..2d-1 (read-only): q**e sits at 2e, zeta**e at zeta_exp * e, mod 2d."""
-    table = np.array([ring.eps_pow(e) for e in range(2 * ring.d)])
-    table.flags.writeable = False
-    return table
-
-
 def gate_power(ring: PhaseRing, name: str, power: int = 1) -> np.ndarray:
     """Named single-qudit gate raised to an integer power (exact phases).
 
@@ -107,7 +98,7 @@ def gate_power(ring: PhaseRing, name: str, power: int = 1) -> np.ndarray:
     """
     if name not in ("X", "Y", "Z", "F", "G"):
         raise ValueError(f"unknown gate {name!r}")
-    d, z, eps = ring.d, ring.zeta_exp, _eps_table(ring)
+    d, z, eps = ring.d, ring.zeta_exp, ring.eps_table
     k, m = power % (4 * d), np.arange(d)
     if name == "F" and k % 2:
         f = eps[2 * np.outer(m, m) % (2 * d)] / d**0.5
@@ -218,20 +209,6 @@ class Weyl:
         return cls(d, tuple(v % d for v in a), tuple(v % d for v in b), c % (2 * d))
 
     @classmethod
-    def of_charges(cls, ring: PhaseRing, n: int, run) -> "Weyl":
-        """A run of charges in ``diagrams.staircase`` order, twist included: a charge k
-        on strand s is X**k (s odd) or Y**-k (s even) on qudit s // 2, then Z**k after it."""
-        ordered, zexp = staircase(run)
-        factors = []
-        for ch in ordered:
-            if not 0 <= ch.strand < 2 * n:
-                raise ValueError(f"strand {ch.strand} out of range for n={n}")
-            j = ch.strand // 2
-            factors += [(j, "X", ch.k) if ch.strand % 2 else (j, "Y", -ch.k)]
-            factors += [(i, "Z", ch.k) for i in range(j + 1, n)]
-        return cls.of_paulis(ring, n, factors, ring.zeta_exp * zexp)
-
-    @classmethod
     def of_matrix(cls, ring: PhaseRing, n: int, m: np.ndarray, tol: float) -> "Weyl | None":
         """The word whose matrix is within ``tol`` of ``m`` at every entry, or None.
 
@@ -269,7 +246,7 @@ class Weyl:
             for a in self.a:
                 index = np.add.outer(index * self.d, shift[a])
             x = x[np.ravel(index)]
-        return x * _eps_table(ring)[self.exponents()].reshape((-1,) + (1,) * (x.ndim - 1))
+        return x * ring.eps_table[self.exponents()].reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +615,7 @@ def sym_gate_matrix(ring: PhaseRing, m: int) -> np.ndarray:
     d = ring.d
     k, l = digit_table(d, 2).T
     out = np.zeros((d * d, d * d), dtype=complex)
-    out[l * d + k, k * d + l] = _eps_table(ring)[2 * (m % d) * k * l % (2 * d)]
+    out[l * d + k, k * d + l] = ring.eps_table[2 * (m % d) * k * l % (2 * d)]
     return out
 
 
@@ -677,7 +654,7 @@ def sft_matrix(ring: PhaseRing, n: int) -> np.ndarray:
 
     <l|SFT|k> = d**((1-n)/2) * zeta**(|l|**2) * prod_{j1<j2} q**(-l_j1 k_j2)
     on the charge-conserving sector |l| == |k| (mod d), zero elsewhere.
-    The integer exponents are reduced before one ``_eps_table`` lookup per phase.
+    The integer exponents are reduced before one ``ring.eps_table`` lookup per phase.
     Refuses n < 1: on no qudits the formula gives sqrt(d), not a unitary.
     """
     if n < 1:
@@ -687,7 +664,7 @@ def sft_matrix(ring: PhaseRing, n: int) -> np.ndarray:
     total = digit_sums(d, n)
     before = np.cumsum(digits, axis=1) - digits  # l_1 + ... + l_{j-1}
     expo = -(before @ digits.T)  # [l, k]: -sum_{j1<j2} l_j1 k_j2
-    eps, scale = _eps_table(ring), float(d) ** ((1 - n) / 2)
+    eps, scale = ring.eps_table, float(d) ** ((1 - n) / 2)
     out = scale * eps[ring.zeta_exp * total**2 % (2 * d)][:, None] * eps[2 * expo % (2 * d)]
     out[(total[:, None] - total[None, :]) % d != 0] = 0.0
     return out

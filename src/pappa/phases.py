@@ -9,15 +9,18 @@ A ``PhaseRing`` fixes, for a qudit degree ``d``:
   which has modulus one,
 * ``omega_sqrt`` -- a fixed square root of omega (principal branch).
 
-Phase exponents are reduced exactly modulo the base's order before any
-floating-point evaluation, so long products of phases do not drift.
+Every phase is one read of the ring's read-only ``eps_table`` of eps**e,
+e = 0..2d-1, built once per degree: q, zeta, eps and omega's terms too.
+Exponents are reduced exactly mod 2d before the read, so they do not drift.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -34,6 +37,10 @@ class PhaseRing:
     omega_sqrt: complex
     # zeta as a power of eps: eps**zeta_exp == zeta exactly.
     zeta_exp: int
+    eps_table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "eps_table", _eps_powers(self.d))
 
     def q_pow(self, e: int) -> complex:
         """q**e with the exponent reduced mod d."""
@@ -44,9 +51,8 @@ class PhaseRing:
         return self.eps_pow(self.zeta_exp * e)
 
     def eps_pow(self, e: int) -> complex:
-        """eps**e with the exponent reduced mod 2d."""
-        e = e % (2 * self.d)
-        return cmath.exp(1j * cmath.pi * e / self.d)
+        """eps**e with the exponent reduced mod 2d: one read of ``eps_table``."""
+        return complex(self.eps_table[e % (2 * self.d)])
 
 
 def make_phase_ring(d: int) -> PhaseRing:
@@ -64,18 +70,23 @@ def make_phase_ring(d: int) -> PhaseRing:
 
 
 @functools.cache
+def _eps_powers(d: int) -> np.ndarray:
+    """eps**e for e = 0..2d-1, read-only: the one array every ring of degree d holds."""
+    table = np.array([cmath.exp(1j * cmath.pi * e / d) for e in range(2 * d)])
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
 def _phase_ring(d: int) -> PhaseRing:
     zeta_exp = 1 if d % 2 == 0 else d + 1
-    eps = cmath.exp(1j * cmath.pi / d)
-    q = eps**2
-    zeta = cmath.exp(1j * cmath.pi * (zeta_exp % (2 * d)) / d)
-    omega = sum(
-        cmath.exp(1j * cmath.pi * ((zeta_exp * j * j) % (2 * d)) / d) for j in range(d)
-    ) / (d**0.5)
+    eps = _eps_powers(d).tolist()
+    omega = sum(eps[(zeta_exp * j * j) % (2 * d)] for j in range(d)) / (d**0.5)
     # Principal square root: half the principal argument, taken in (-pi, pi].
     omega_sqrt = cmath.exp(1j * cmath.phase(omega) / 2) * abs(omega) ** 0.5
     return PhaseRing(
-        d=d, q=q, zeta=zeta, eps=eps, omega=omega, omega_sqrt=omega_sqrt, zeta_exp=zeta_exp
+        d=d, q=eps[2], zeta=eps[zeta_exp % (2 * d)], eps=eps[1], omega=omega,
+        omega_sqrt=omega_sqrt, zeta_exp=zeta_exp,
     )
 
 

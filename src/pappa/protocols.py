@@ -233,6 +233,10 @@ def _initial_state(
             raise ValueError(f"input state of degree {input_state.d}, script of degree {d}")
         if input_state.n != len(script.input_sites):
             raise ValueError("input state size mismatch")
+        if not np.isfinite(input_state.vector).all():
+            raise ValueError("input state holds a non-finite entry")
+        if not input_state.vector.any():
+            raise ValueError("input state has no weight")
         blocks.append((script.input_sites, input_state.vector))
     elif input_state is not None:
         raise ValueError("script takes no input state")

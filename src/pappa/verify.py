@@ -75,30 +75,19 @@ def suite_relations(d: int, tol: float = DEFAULT_TOL) -> SuiteResult:
     worst = 0.0
     for k in range(d):
         for l in range(d):
-            lo = ev(
-                Diagram.identity(d, 4).then(Charge(0, k, 0)).then(Charge(3, l, 1))
-            )
-            hi = ev(
-                Diagram.identity(d, 4).then(Charge(0, k, 1)).then(Charge(3, l, 0))
+            lo, hi, same = (
+                ev(Diagram.identity(d, 4).then(Charge(0, k, tk)).then(Charge(3, l, tl)))
+                for tk, tl in ((0, 1), (1, 0), (0, 0))
             )
             worst = max(worst, _mx(lo - ring.q_pow(k * l) * hi))
-            same = ev(
-                Diagram.identity(d, 4).then(Charge(0, k, 0)).then(Charge(3, l, 0))
-            )
             worst = max(worst, _mx(same - ring.zeta_pow(-k * l) * lo))
     res.add("para_isotopy_twisted_product", worst)
 
     worst = 0.0
     for k in range(d):
-        left = ev(Diagram.identity(d, 0).then(Cap(0)).then(Charge(0, k)))
-        right = ev(Diagram.identity(d, 0).then(Cap(0)).then(Charge(1, k)))
+        left, right = (ev(Diagram.identity(d, 0).then(Cap(0)).then(Charge(s, k))) for s in (0, 1))
         worst = max(worst, _mx(left - ring.zeta_pow(k * k) * right))
-        upleft = ev(
-            Diagram.identity(d, 2).then(Charge(0, k)).then(Cup(0))
-        )
-        upright = ev(
-            Diagram.identity(d, 2).then(Charge(1, k)).then(Cup(0))
-        )
+        upleft, upright = (ev(Diagram.identity(d, 2).then(Charge(s, k)).then(Cup(0))) for s in (0, 1))
         worst = max(worst, _mx(upleft - ring.zeta_pow(-k * k) * upright))
     res.add("string_fourier_slides", worst)
 
@@ -162,7 +151,7 @@ def suite_sft(d: int, n_max: int = 3, tol: float = DEFAULT_TOL) -> SuiteResult:
         res.add(f"cross_oracle_n{n}", _mx(s - evaluator.sft_via_braids(ring, n)))
         res.add(f"unitary_n{n}", _mx(s @ s.conj().T - np.eye(d**n)))
         sums = gates.digit_sums(d, n)
-        rotation = np.diag(gates._eps_table(ring)[2 * (sums**2 % d)])
+        rotation = np.diag(ring.eps_table[2 * (sums**2 % d)])
         res.add(f"full_rotation_n{n}", _mx(np.linalg.matrix_power(s, 2 * n) - rotation))
         # charge sector preservation
         off_sector = (sums[:, None] - sums[None, :]) % d != 0
@@ -393,8 +382,7 @@ DENSE_WIDTH = {"relations": 5, "sft": 6, "entropy": 6, "clifford": 7, "tricks": 
 
 
 def run_suite(name: str, d: int, tol: float, n: int | None = None) -> SuiteResult:
-    if name not in SUITES:
-        raise KeyError(name)
+    """One suite by name; an unknown name raises ``KeyError``."""
     if name == "sft":
         return suite_sft(d, n_max=3 if n is None else n, tol=tol)
     if name == "entropy":

@@ -1,7 +1,7 @@
 """The loop builders of the named gates and phase tables, kept as oracles.
 
 ``gates.gate_power`` reads every named single-qudit gate from one row map
-and one ``gates._eps_table`` lookup, and ``sym_gate_matrix``, ``cz_gate``,
+and one ``PhaseRing.eps_table`` lookup, and ``sym_gate_matrix``, ``cz_gate``,
 ``sft_matrix`` and ``entangle.max_basis`` read the same table.  These
 are the builders they replaced: one loop per gate behind a dispatch dict,
 each phase from ``PhaseRing.q_pow`` or ``zeta_pow``, and the private

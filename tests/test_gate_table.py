@@ -1,5 +1,7 @@
 """The one phase table and the one gate-block cache, held to the loop builders bit for bit."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,27 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("d", DEGREES)
+def bits(z):
+    return np.complex128(z).tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 10))
 def test_eps_table_is_built_once_per_ring(d):
+    """The ring's table is one read-only array of exp(i pi e / d), computed here,
+    and every phase the ring hands out is one of its entries, bit for bit."""
     ring = make_phase_ring(d)
-    eps = gates._eps_table(ring)
-    assert gates._eps_table(ring) is eps and not eps.flags.writeable
-    assert same_bits(eps, np.array([ring.eps_pow(e) for e in range(2 * d)]))
-    assert same_bits(np.ascontiguousarray(eps[::2]), gate_loops.q_table(ring))
+    eps = ring.eps_table
+    assert ring.eps_table is eps and make_phase_ring(d).eps_table is eps
+    with pytest.raises(ValueError, match="read-only"):
+        eps[0] = 1
+    assert same_bits(eps, np.array([cmath.exp(1j * cmath.pi * e / d) for e in range(2 * d)]))
+    z = ring.zeta_exp
+    assert [bits(ring.q), bits(ring.zeta), bits(ring.eps)] == [bits(eps[2]), bits(eps[z]), bits(eps[1])]
+    for e in range(-4 * d, 4 * d + 1):
+        got = [ring.eps_pow(e), ring.q_pow(e), ring.zeta_pow(e)]
+        assert all(type(g) is complex for g in got), e
+        want = [eps[e % (2 * d)], eps[2 * e % (2 * d)], eps[z * e % (2 * d)]]
+        assert list(map(bits, got)) == list(map(bits, want)), e
 
 
 @pytest.mark.parametrize("d", DEGREES)
@@ -55,11 +71,11 @@ def test_named_gates_and_closed_forms_match_the_loop_builders(d):
 @pytest.mark.parametrize("d", DEGREES)
 def test_states_and_charge_words_keep_the_loop_builders_bits(d):
     """``max_basis`` keeps the digit loop's bits.  A charge word is one Weyl
-    word, so each nonzero entry is one ``_eps_table`` entry; the Kronecker
+    word, so each nonzero entry is one ``ring.eps_table`` entry; the Kronecker
     chain of ``dense_eval`` multiplies up to n rounded phases, each off by up
     to 5e-16, so the two agree to 1e-15 per extra factor."""
     ring = make_phase_ring(d)
-    table = {z.tobytes() for z in gates._eps_table(ring)}
+    table = {z.tobytes() for z in ring.eps_table}
     for n in (1, 2, 3):
         for ks in gates.all_digit_tuples(d, n):
             assert same_bits(entangle.max_basis(ring, ks).vector, gate_loops.max_basis(ring, ks)), ks

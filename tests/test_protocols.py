@@ -451,6 +451,20 @@ def test_state_on_sites_rejects_uncollapsed_qudit():
         state_on_sites(max_state(RINGS[2], 2), (0,))
 
 
+@pytest.mark.parametrize("execute", [run, run_branches])
+@pytest.mark.parametrize(
+    "vector, reason",
+    [([0, 0, 0], "has no weight"), ([np.nan, 0, 0], "non-finite"), ([1, np.inf, 0], "non-finite")],
+)
+def test_executors_refuse_an_input_with_no_weight_or_a_non_finite_entry(execute, vector, reason):
+    """Such an input has no branch probabilities: ``run_branches`` would return no
+    transcript and ``run`` would fail inside the sampler."""
+    ring = RINGS[3]
+    psi = QState(3, 1, np.array(vector, dtype=complex))
+    with pytest.raises(ValueError, match=reason):
+        execute(ring, teleportation_script(ring), psi)
+
+
 # ---------------------------------------------------------------------------
 # the tree walk against the per-tuple replay it replaced
 # ---------------------------------------------------------------------------

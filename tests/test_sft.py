@@ -249,6 +249,8 @@ def test_sft_paths_through_the_braids_refuse_zero_qudits():
     ring = RINGS[2]
     with pytest.raises(ValueError, match="at least one qudit, got n=0"):
         sft_via_braids(ring, 0)
+    with pytest.raises(ValueError, match="at least one qudit, got n=-1"):
+        sft_via_braids(ring, -1)
     with pytest.raises(ValueError, match="at least one qudit, got n=0"):
         evaluator.apply_sft(ring, QState(2, 0, np.ones(1, dtype=complex)))
     with pytest.raises(ValueError, match="at least one qudit, got n=0"):

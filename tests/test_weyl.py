@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pappa.diagrams import Charge
-from pappa.evaluator import _charge_run_matrix
+from pappa.evaluator import _charge_run_matrix, charge_run_word
 from pappa.gates import Weyl, kron_all
 from pappa.phases import make_phase_ring
 
@@ -19,7 +19,7 @@ DEGREES = range(2, 8)
 
 def units(ring, n, *strands):
     """The word of c_{s_1} c_{s_2} ... (unit charges; the rightmost applies first)."""
-    return Weyl.of_charges(ring, n, [Charge(s, 1, i) for i, s in enumerate(strands)])
+    return charge_run_word(ring, n, [Charge(s, 1, i) for i, s in enumerate(strands)])
 
 
 @pytest.mark.parametrize("d", DEGREES)
@@ -101,4 +101,4 @@ def test_charge_fold_refuses_strands_outside_the_row():
     ring = make_phase_ring(3)
     for strand in (-1, 4):
         with pytest.raises(ValueError, match="out of range"):
-            Weyl.of_charges(ring, 2, [Charge(strand, 1)])
+            charge_run_word(ring, 2, [Charge(strand, 1)])
