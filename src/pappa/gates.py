@@ -25,6 +25,11 @@ A site tuple becomes an index layout only in :func:`_local_axes`, a cached
 plan that refuses a site outside the register or a repeated one.  Its
 ``view`` gives each site an axis and merges the qudits between them; the
 kernels, the meters, ``protocols`` and the entanglement cut all read it.
+numpy's innermost loop runs over the view's last axis, the entries after
+the last site, which is short unless the sites lead the register.  So on
+a state of 4096 entries or more whose sites do not lead, the plan is wide
+and adds ``rows``: the early sites keep their axes and the last qudits,
+later sites included, merge into rows of at least 256 entries.
 
 Every local operation is a :class:`Local`, a d**w x d**w block on w listed
 qudits in any order: a gate, a block-diagonal controlled gate, or a braid's
@@ -32,15 +37,22 @@ qudits in any order: a gate, a block-diagonal controlled gate, or a braid's
 braids.  :func:`apply_local`, the one way a block reaches a state, picks
 its kernel from the block's structure (:func:`block_structure`).  A
 diagonal block (Z, G, ctrl-Z, the even braids) is one broadcast multiply
-of the view.  A monomial block (X, Y, even powers of F, their ctrl blocks,
-b_m) moves each entry once and scales it by its phase.  A dense block (odd
-powers of F and their ctrl blocks, the odd braids, boxes) is a transpose
-of the view with its sites first, one ``np.dot`` and the transpose back.
-Each is O(d**(n+w)) work and at most two states of memory, not the
-d**(2n) of the matrix, so an ``sft`` at d=2, n=20 runs.  The cached blocks
-(:func:`gate_block`, :func:`ctrl_block`, :func:`sym_block`,
-``evaluator.braid_block``) are :func:`frozen`, so each one's kernel tables
-are worked out once.
+of the view, or of a wide plan's rows by its diagonal laid over a row.  A
+monomial block (X, Y, even powers of F, their ctrl blocks, b_m) moves each
+entry once and scales it by its phase; on a wide plan the move is one
+``np.take`` over the span of the sites, copying whole runs, and the phases
+are a diagonal over the rows.  A dense block (odd powers of F and their
+ctrl blocks, the odd braids, boxes) is a transpose of the view with its
+sites first, one ``np.dot`` and the transpose back; when the runs are
+short, both transposes copy whole runs, and ``np.dot`` sees the very
+operand it would otherwise.  Each layout does the same floating-point
+operations on each entry, so every output keeps its bits, signs of zeros
+included; the meters do the same (see :func:`site_probabilities` and
+:func:`_divide`).  Each is O(d**(n+w)) work and at most two states of
+memory, not the d**(2n) of the matrix, so an ``sft`` at d=2, n=20 runs.
+The cached blocks (:func:`gate_block`, :func:`ctrl_block`,
+:func:`sym_block`, ``evaluator.braid_block``) are :func:`frozen`, so each
+one's kernel tables are worked out once, per plan for a wide one.
 
 The dense d**n x d**n forms that remain are that kernel on the identity:
 ``Local.to_matrix``, through which ``sym_gate``, ``cz_gate`` and
@@ -311,6 +323,21 @@ class _Plan(NamedTuple):
     inverse: tuple[int, ...]  # the order that undoes ``axes``
     order: tuple[int, ...]  # the block digits in increasing site order
     lay: tuple[int, ...]  # the axes of ``view``, sites first: the monomial gather's layout
+    rows: tuple[int, ...] | None  # the wide layout's view of x, None for a narrow plan
+    tile: tuple[int, ...] | None  # the site digits' shape inside ``rows``' last axis
+
+
+# numpy runs a kernel's innermost loop over the last axis of its view: the run
+# of entries after the last site, times the batch.  Under 8192 entries (its
+# buffer) numpy buffers the loop, at about twice the cost; a run under _SHORT
+# entries costs more to start than to do.  Only sites that lead the register
+# leave long runs.  Otherwise, on a state of at least _WIDE entries, the plan
+# is wide: its ``rows`` keeps each early site an axis and merges the last
+# qudits, later sites included, and the batch into rows of at least _RUN
+# entries, over which ``tile`` lays the digits of the merged sites.
+_SHORT = 32
+_RUN = 256
+_WIDE = 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -320,15 +347,21 @@ def _local_axes(d: int, n: int, sites: tuple[int, ...], batch: tuple[int, ...]) 
         raise ValueError(f"sites {sites} outside register of {n}")
     if len(set(sites)) != len(sites):
         raise ValueError(f"sites {sites} repeat a qudit")
-    view, prev = [], -1
-    for s in sorted(sites):
-        view += [d ** (s - prev - 1), d]
-        prev = s
-    view.append(d ** (n - 1 - prev) * math.prod(batch))
+    view = _site_axes(d, sorted(sites), n)
+    view[-1] *= math.prod(batch)
     w = len(sites)
     rank = sorted(sites).index
     axes = tuple(2 * rank(s) + 1 for s in sites) + tuple(range(0, 2 * w + 1, 2))
     lay = tuple(range(2 * w + 1)) if w < 2 else (*range(1, 2 * w, 2), *range(0, 2 * w + 1, 2))
+    rows = tile = None
+    size = math.prod(batch) * d**n
+    if size >= _WIDE and view[-1] * d**w < size:
+        k = 0  # a row holds the last k qudits and the batch
+        while k < n and size // d ** (n - k) < _RUN:
+            k += 1
+        high = [s for s in sorted(sites) if s < n - k]
+        rows = (*_site_axes(d, high, n - k), size // d ** (n - k))
+        tile = (d,) * len(high) + tuple(d if s in sites else 1 for s in range(n - k, n)) + (1,)
     return _Plan(
         tuple(view),
         axes,
@@ -337,17 +370,27 @@ def _local_axes(d: int, n: int, sites: tuple[int, ...], batch: tuple[int, ...]) 
         tuple(np.argsort(axes).tolist()),
         tuple(sorted(range(w), key=sites.__getitem__)),
         lay,
+        rows,
+        tile,
     )
+
+
+def _site_axes(d: int, sites: list[int], n: int) -> list[int]:
+    """An axis of d for each of the increasing ``sites`` of n qudits, and one for the qudits around them."""
+    axes, prev = [], -1
+    for s in sites:
+        axes += [d ** (s - prev - 1), d]
+        prev = s
+    return axes + [d ** (n - 1 - prev)]
 
 
 # Blocks cached read-only for the life of the process, by id.  Holding them
 # keeps their ids from being reused, so their kernels can be memoised by id.
 _FROZEN: dict[int, np.ndarray] = {}
-_KERNELS: dict[tuple[int, tuple[int, ...]], tuple] = {}
-# a monomial block scales one strided slice per output digit string once the
-# slices hold this many entries; below, one gather costs less (measured on
-# one core for d = 2, 3, 7 and w = 1, 2)
-_SLICE_LOOP = 2048
+_KERNELS: dict[tuple, tuple] = {}
+# a wide monomial block gathers over the span of its sites in one ``np.take``
+# when the span holds at most this many entries, else it moves slot by slot
+_SPAN = 4096
 
 
 def frozen(block: np.ndarray) -> np.ndarray:
@@ -370,44 +413,85 @@ def block_structure(block: np.ndarray) -> str:
     return "dense"
 
 
-def _kernel(block: np.ndarray, d: int, order: tuple[int, ...]) -> tuple:
-    """(structure, tables) of ``block`` with its digits taken in ``order``.
+def _kernel(block: np.ndarray, d: int, plan: _Plan) -> tuple:
+    """(structure, tables) of ``block`` in ``plan``'s layout.
 
-    A pure function of the block's values, memoised for :func:`frozen` blocks.
-    A diagonal block's table is its diagonal shaped to broadcast over the
-    plan's ``view``.  A monomial block's, in increasing site order, are the
-    gather index into ``view``, its phases shaped to the gather, and for the
-    slice loop the slices of ``view``, the source of each output digit string
-    and its phase (both phase tables None when every phase is 1).
+    A pure function of the block's values and the plan, memoised for
+    :func:`frozen` blocks: by digit order for a narrow plan, and for a wide
+    one also by all that its tables read of the plan (``tile``, the number of
+    axes and the length of ``rows``, and the span of the sites), which
+    registers of many sizes share.  A diagonal block's table is its diagonal shaped to
+    broadcast over ``view``, or over ``rows``.  A narrow monomial block's,
+    in increasing site order, are the gather index into ``view``, its phases
+    shaped to the gather, and for the slice loop the source of each output
+    digit string and its phase.  A wide one's are the ``np.take`` index over
+    its span (None past _SPAN entries), the sources, and its phases as a
+    diagonal table over ``rows``.  Every phase table is None when all are 1.
+    A wide dense block's table is the block row of each output slot.
     """
-    key = (id(block), order)
+    key = (id(block), plan.order)
+    if plan.rows is not None:
+        key += (plan.tile, len(plan.rows), plan.rows[-1], plan.view[1:-1])
     hit = _KERNELS.get(key)
     if hit is None:
-        hit = _tables(block, d, order)
+        hit = _tables(block, d, plan)
         if _FROZEN.get(id(block)) is block:
             _KERNELS[key] = hit
     return hit
 
 
-def _tables(block: np.ndarray, d: int, order: tuple[int, ...]) -> tuple:
-    kind, w = block_structure(block), len(order)
+def _tables(block: np.ndarray, d: int, plan: _Plan) -> tuple:
+    kind, order = block_structure(block), plan.order
+    w, wide = len(order), plan.rows is not None
     if kind == "dense":
-        return kind, None
+        if not wide:
+            return kind, None
+        # the listed-order row of each digit string in increasing site order
+        listed = np.empty((d**w, w), dtype=np.int64)
+        listed[:, order] = digit_table(d, w)
+        return kind, tuple((listed @ d ** np.arange(w - 1, -1, -1)).tolist())
     axis = (None, slice(None)) * w + (None,)
     if kind == "diagonal":
-        return kind, block.diagonal().reshape((d,) * w).transpose(order)[axis]
+        diagonal = block.diagonal().reshape((d,) * w).transpose(order)
+        return kind, _row_table(diagonal, plan) if wide else diagonal[axis]
     # renumber rows and columns by their digits in increasing site order
     dw = block.shape[0]
     block = block.reshape((d,) * 2 * w).transpose(order + tuple(w + k for k in order)).reshape(dw, dw)
     src = (block != 0).argmax(axis=1)
     phase = block[np.arange(dw), src]
     digits = digit_table(d, w)[src].T.reshape((w,) + (d,) * w)
+    sources, phases = src.tolist(), None if (phase == 1).all() else phase
+    if wide:
+        span, index = plan.view[1:-1], None
+        if math.prod(span) <= _SPAN:
+            # output (t_1, g_1, ..., t_w) reads (s_1, g_1, ..., s_w): s the sources of t, g the gaps
+            axes = range(len(span))
+            coords = [
+                digits[a // 2].reshape([d if b % 2 == 0 else 1 for b in axes])
+                if a % 2 == 0
+                else np.arange(span[a]).reshape([span[a] if b == a else 1 for b in axes])
+                for a in axes
+            ]
+            index = np.ravel_multi_index(coords, span).reshape(-1)
+        if phases is not None:
+            phases = _row_table(phase.reshape((d,) * w), plan)
+        return kind, (index, sources, phases)
     index = sum(((slice(None), k) for k in digits), ()) + (slice(None),)
-    sources, phases = src.tolist(), phase.tolist()
-    if all(p == 1 for p in phases):
-        return kind, (index, None, _view_slots(d, w), sources, None)
+    if phases is None:
+        return kind, (index, None, sources, None)
     gathered = phase.reshape((d,) * w + (1,) * (w + 1)) if w > 1 else phase[axis]
-    return kind, (index, gathered, _view_slots(d, w), sources, phases)
+    return kind, (index, gathered, sources, phase.tolist())
+
+
+def _row_table(values: np.ndarray, plan: _Plan) -> np.ndarray:
+    """``values`` (one per site digit string, increasing site order) laid over ``plan.rows``."""
+    rows, tile, d = plan.rows, plan.tile, values.shape[0]
+    high = (len(rows) - 2) // 2
+    k = len(tile) - 1 - high  # the qudits of a row
+    if max(tile[high:]) == 1:  # no site in the row: the values broadcast along it
+        return values.reshape((1, d) * high + (1, 1))
+    spread = np.broadcast_to(values.reshape(tile), (d,) * (high + k) + (rows[-1] // d**k,))
+    return spread.reshape((1, d) * high + (1, rows[-1]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -416,46 +500,94 @@ def _view_slots(d: int, w: int) -> list[tuple]:
     return [sum(((slice(None), k) for k in ks), ()) + (slice(None),) for ks in digit_table(d, w).tolist()]
 
 
+def _runs(a: np.ndarray, run: int) -> np.ndarray:
+    """``a`` as one opaque item per ``run`` consecutive entries, so a copy moves whole runs."""
+    return a.reshape(-1, run).view(np.dtype((np.void, run * a.itemsize)))
+
+
 def apply_local(x: np.ndarray, d: int, n: int, local: Local) -> np.ndarray:
     """Apply ``local`` to ``x`` (d**n entries, then an optional batch axis).
 
-    The kernel follows the block's structure (:func:`block_structure`).  A
-    diagonal block is one broadcast multiply of a view of ``x``.  A monomial
-    block moves each entry once and scales it by its phase: one strided
-    multiply per output digit string when those slices are large, else one
-    gather.  A dense block transposes the view with its sites first, in
-    listed order, makes one ``np.dot`` and transposes back.  None copies
-    more than two states.
+    The kernel follows the block's structure (:func:`block_structure`) and
+    the plan's width (:func:`_local_axes`).  A diagonal block is one
+    broadcast multiply of ``view``, or of ``rows`` for a wide plan.  A
+    monomial block moves each entry once and scales it by its phase: one
+    gather on a small state, one strided multiply per output digit string on
+    a narrow wide-enough one, and on a wide plan one ``np.take`` over the
+    sites' span (or one copy of whole runs per digit string) and then the
+    phases as a diagonal.  A dense block transposes ``view`` with its sites
+    first, in listed order, makes one ``np.dot`` and transposes back; a wide
+    plan moves whole runs both ways.  Every layout computes each entry with
+    the same operations in the same order, so all give the same bits.  None
+    holds more than two states.
     """
-    view, axes, dw, front, inverse, order, lay = _local_axes(
-        d, n, tuple(local.sites), x.shape[1:]
-    )
-    if local.block.shape != (dw, dw):
-        raise ValueError(f"block of shape {local.block.shape} is not {dw} x {dw}")
-    kind, tables = _kernel(local.block, d, order)
+    plan = _local_axes(d, n, tuple(local.sites), x.shape[1:])
+    if local.block.shape != (plan.dw, plan.dw):
+        raise ValueError(f"block of shape {local.block.shape} is not {plan.dw} x {plan.dw}")
+    kind, tables = _kernel(local.block, d, plan)
     if kind == "diagonal":
-        return (x.reshape(view) * tables).reshape(x.shape)
+        return (x.reshape(plan.rows or plan.view) * tables).reshape(x.shape)
     if kind == "monomial":
-        return _permute(x.reshape(view), dw, lay, tables, local.block.dtype).reshape(x.shape)
-    # the transposed copy has no name, so it is freed before the copy back
-    y = np.dot(local.block, x.reshape(view).transpose(axes).reshape(dw, -1))
-    return y.reshape(front).transpose(inverse).reshape(x.shape)
+        return _permute(x, d, plan, tables, local.block.dtype)
+    return _dense(x, d, plan, tables, local.block)
 
 
-def _permute(v: np.ndarray, dw: int, lay: tuple[int, ...], tables: tuple, dtype) -> np.ndarray:
-    """A d**w x d**w monomial block on a plan's ``view`` ``v``."""
-    index, gathered, slots, sources, phases = tables
-    out = np.empty(v.shape, v.dtype if v.dtype == dtype else np.result_type(v.dtype, dtype))
-    if v.size >= dw * _SLICE_LOOP:
-        for t, src in enumerate(sources):
-            if phases is None:
-                np.copyto(out[slots[t]], v[slots[src]])
-            else:
-                np.multiply(v[slots[src]], phases[t], out=out[slots[t]])
-    elif gathered is None:
-        np.copyto(out.transpose(lay), v[index])
+def _permute(x: np.ndarray, d: int, plan: _Plan, tables: tuple, dtype) -> np.ndarray:
+    """A d**w x d**w monomial block on ``x``."""
+    out = np.empty(x.shape, x.dtype if x.dtype == dtype else np.result_type(x.dtype, dtype))
+    view = plan.view
+    if plan.rows is None:
+        index, gathered, sources, phases = tables
+        v, o = x.reshape(view), out.reshape(view)
+        if x.size >= _WIDE:
+            slots = _view_slots(d, len(plan.order))
+            for t, src in enumerate(sources):
+                if phases is None:
+                    np.copyto(o[slots[t]], v[slots[src]])
+                else:
+                    np.multiply(v[slots[src]], phases[t], out=o[slots[t]])
+        elif gathered is None:
+            np.copyto(o.transpose(plan.lay), v[index])
+        else:
+            np.multiply(v[index], gathered, out=o.transpose(plan.lay))
+        return out
+    index, sources, phases = tables
+    x, run = x.astype(out.dtype, copy=False), view[-1]
+    if index is not None:
+        shape = (view[0], index.size, run)
+        np.take(x.reshape(shape), index, axis=1, out=out.reshape(shape), mode="clip")
     else:
-        np.multiply(v[index], gathered, out=out.transpose(lay))
+        runs, slots = view[:-1] + (1,), _view_slots(d, len(plan.order))
+        v, o = _runs(x, run).reshape(runs), _runs(out, run).reshape(runs)
+        for t, src in enumerate(sources):
+            o[slots[t]] = v[slots[src]]
+    if phases is not None:
+        rows = out.reshape(plan.rows)
+        np.multiply(rows, phases, out=rows)
+    return out
+
+
+def _dense(x: np.ndarray, d: int, plan: _Plan, slot_rows, block: np.ndarray) -> np.ndarray:
+    """A dense d**w x d**w block on ``x``: ``np.dot`` on its sites' rows, in listed order."""
+    dw, view = plan.dw, plan.view
+    if plan.rows is None or view[-1] >= _SHORT:
+        # the transposed copy has no name, so it is freed before the copy back
+        y = np.dot(block, x.reshape(view).transpose(plan.axes).reshape(dw, -1))
+        return y.reshape(plan.front).transpose(plan.inverse).reshape(x.shape)
+    # the same (dw, M) operand, moved a run at a time; then each slot back from its row
+    run, runs, copy = view[-1], view[:-1] + (1,), None
+    try:  # numpy's reshape gives np.dot a strided view when it can, so must this
+        operand = x.reshape(view).transpose(plan.axes).reshape(dw, -1, copy=False)
+    except ValueError:
+        moved = _runs(x, run).reshape(view[:-1]).transpose(plan.axes[:-1])
+        operand = copy = moved.copy(order="C").view(x.dtype).reshape(dw, -1)
+    y = np.dot(block, operand)
+    del operand
+    # the operand's copy is free once np.dot returns: the result reuses it
+    out = copy.reshape(x.shape) if copy is not None and copy.dtype == y.dtype else np.empty(x.shape, y.dtype)
+    o, v = _runs(out, run).reshape(runs), _runs(y, run).reshape((dw,) + plan.front[len(plan.order) : -1] + (1,))
+    for slot, r in zip(_view_slots(d, len(plan.order)), slot_rows):
+        o[slot] = v[r]
     return out
 
 
@@ -552,9 +684,51 @@ def cz_gate(ring: PhaseRing, n: int = 2, site_a: int = 0, site_b: int = 1) -> np
 
 
 def site_probabilities(state: QState, site: int) -> np.ndarray:
-    """The probability of each value 0..d-1 of ``site``: axis 1 of its one-site view."""
-    view = _local_axes(state.d, state.n, (site,), ()).view
-    return (np.abs(state.vector.reshape(view)) ** 2).sum(axis=(0, 2))
+    """The probability of each value 0..d-1 of ``site``: axis 1 of its one-site view.
+
+    The bits are those of numpy's ``sum(axis=(0, 2))`` of the view: each
+    run of entries after the site summed pairwise (left to right below 8
+    entries), then the runs added in order.  On a wide plan with runs of
+    fewer than _SHORT entries that sum loops over a few entries at a time,
+    so the same additions run on whole columns of the view instead,
+    negated, and the runs are added in order by ``np.subtract.reduce``,
+    which, unlike an add, keeps its running total in a register.
+    """
+    plan = _local_axes(state.d, state.n, (site,), ())
+    p = np.abs(state.vector.reshape(plan.view)) ** 2
+    if plan.rows is None or plan.view[-1] >= _SHORT:
+        return p.sum(axis=(0, 2))
+    sums = _negated_pairwise(p.transpose(2, 1, 0))  # [value, run]; may negate p in place
+    np.negative(sums[:, 0], out=sums[:, 0])
+    probs = np.array([np.subtract.reduce(row) for row in sums])
+    if np.isfinite(probs).all():
+        return probs
+    # NaN carries its sign bit through negation; leave such a state to numpy's sum
+    return (np.abs(state.vector.reshape(plan.view)) ** 2).sum(axis=(0, 2))
+
+
+def _negated_pairwise(cols: np.ndarray) -> np.ndarray:
+    """Minus numpy's pairwise sum of ``cols`` (non-negative) along axis 0, for fewer than 128 columns.
+
+    A single column is negated in place, in the caller's array.  Its rows
+    are then strided: a 1-D reduction of each row still runs as one long
+    loop, a 2-D reduction of them all would not.
+    """
+    n = len(cols)
+    if n == 1:
+        return np.negative(cols[0], out=cols[0])
+    if n < 8:
+        acc = np.negative(cols[0], order="C")
+        for col in cols[1:]:
+            np.subtract(acc, col, out=acc)
+        return acc
+    r = np.negative(cols[:8], order="C")
+    for i in range(8, n - n % 8, 8):
+        np.subtract(r, cols[i : i + 8], out=r)
+    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for col in cols[n - n % 8 :]:
+        np.subtract(acc, col, out=acc)
+    return acc
 
 
 def project_site(state: QState, site: int, outcome: int) -> tuple[QState, float]:
@@ -573,17 +747,47 @@ def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
     """The post state of reading ``outcome`` at ``site``, whose probability is ``p``.
 
     Every other value of the site is zeroed and the rest divided by
-    sqrt(p) (left as is when p is 0).
+    sqrt(p) (left as is when p is 0).  On a wide plan whose runs are
+    short, the division runs over the whole state and the other values'
+    runs are then blanked whole, so no loop is short.
     """
     _check_outcome(state.d, outcome)
-    t = state.vector.reshape(_local_axes(state.d, state.n, (site,), ()).view)
-    out = np.zeros_like(t)
+    plan = _local_axes(state.d, state.n, (site,), ())
+    t = state.vector.reshape(plan.view)
+    pre, d, run = plan.view
     kept = (slice(None), outcome)
+    if plan.rows is not None and 1 < run < _SHORT:
+        # short runs: divide the whole state, then blank the other values' runs whole
+        out = np.empty(t.shape, t.dtype)
+        if p > 0:
+            _divide(t, p, out)
+        else:
+            np.copyto(out, t)
+        runs = _runs(out, run).reshape(pre, d)
+        for k in set(range(d)) - {outcome}:
+            runs[:, k] = np.zeros((), runs.dtype)
+        return QState(state.d, state.n, out.reshape(-1))
+    out = np.zeros(t.shape, t.dtype)
     if p > 0:
-        np.divide(t[kept], np.sqrt(p), out=out[kept])
+        _divide(t[kept], p, out[kept])
     else:
         out[kept] = t[kept]
     return QState(state.d, state.n, out.reshape(-1))
+
+
+def _divide(a: np.ndarray, p: float, out: np.ndarray) -> None:
+    """``a / sqrt(p)`` into ``out``.
+
+    numpy divides a complex x by c + 0j as ((x.re + x.im*0)*s, (x.im - x.re*0)*s),
+    s = 1/c, signs of zeros included.  x times s - 0j, fused or not, gives
+    the same bits for every finite x whenever s >= 1, i.e. p <= 1: its
+    products with 0 are exact, and no product with s rounds to zero.  Only a
+    NaN may come out with another sign bit.
+    """
+    if a.dtype == np.complex128 and p <= 1:
+        np.multiply(a, complex(1 / math.sqrt(p), -0.0), out=out)
+    else:
+        np.divide(a, np.sqrt(p), out=out)
 
 
 def _check_outcome(d: int, outcome: int) -> None:

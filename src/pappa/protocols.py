@@ -237,6 +237,9 @@ def _initial_state(
             raise ValueError("input state holds a non-finite entry")
         if not input_state.vector.any():
             raise ValueError("input state has no weight")
+        norm2 = float(np.vdot(input_state.vector, input_state.vector).real)
+        if abs(norm2 - 1.0) > DEFAULT_TOL:
+            raise ValueError(f"input state has squared norm {norm2:.6g}, not 1")
         blocks.append((script.input_sites, input_state.vector))
     elif input_state is not None:
         raise ValueError("script takes no input state")
@@ -356,7 +359,8 @@ def run(
 def run_branches(
     ring: PhaseRing, script: ProtocolScript, input_state: QState | None = None
 ) -> list[Transcript]:
-    """Execute every measurement branch; probabilities sum to one.
+    """Execute every measurement branch; for a unit input (the only kind
+    accepted) the probabilities sum to one.
 
     One depth-first walk of the outcome tree: the initial state is built
     once, the steps before each measurement run once per surviving prefix,

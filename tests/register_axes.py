@@ -1,6 +1,6 @@
 """The n-axis register layouts that ``gates._local_axes`` replaced, kept as oracles.
 
-``apply_local``'s dense branch, the meters ``site_probabilities`` and
+``apply_local``'s three kernels, the meters ``site_probabilities`` and
 ``collapse_site``, ``protocols.state_on_sites``, ``protocols._initial_state``
 and the cut of ``entangle.entanglement_entropy`` all index a register
 through the one plan of ``gates._local_axes``.  These are the formulas
@@ -22,6 +22,33 @@ def apply_dense(x, d, n, sites, block):
     front = tuple(full[a] for a in axes)
     y = np.dot(block, x.reshape(full).transpose(axes).reshape(d ** len(sites), -1))
     return y.reshape(front).transpose(np.argsort(axes)).reshape(x.shape)
+
+
+def apply_diagonal(x, d, n, sites, block):
+    """A diagonal block on ``sites``: one broadcast multiply of the n-axis view."""
+    full = (d,) * n + x.shape[1:]
+    table = np.transpose(block.diagonal().reshape((d,) * len(sites)), np.argsort(sites))
+    shape = [d if a in sites else 1 for a in range(len(full))]
+    return (x.reshape(full) * table.reshape(shape)).reshape(x.shape)
+
+
+def apply_monomial(x, d, n, sites, block):
+    """A monomial block on ``sites``: each output digit string's slice of the
+    n-axis view read from its source's slice, and times its phase unless every
+    phase is 1."""
+    full, w = (d,) * n + x.shape[1:], len(sites)
+    v, out = x.reshape(full), np.empty(full, np.result_type(x.dtype, block.dtype))
+    sources = (block != 0).argmax(axis=1)
+    copy = all(block[t, s] == 1 for t, s in enumerate(sources))
+    for t, s in enumerate(sources):
+        at, frm = [slice(None)] * len(full), [slice(None)] * len(full)
+        for j, site in enumerate(sites):
+            at[site], frm[site] = t // d ** (w - 1 - j) % d, s // d ** (w - 1 - j) % d
+        if copy:
+            out[tuple(at)] = v[tuple(frm)]
+        else:
+            np.multiply(v[tuple(frm)], block[t, s], out=out[tuple(at)])
+    return out.reshape(x.shape)
 
 
 def site_probabilities(state, site):

@@ -148,36 +148,56 @@ def test_apply_local_is_bit_identical_to_tensordot(d, w, seed):
             assert np.array_equal(apply_local(batch, d, n, local), apply_local_tensordot(batch, d, n, local))
 
 
-@pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 3), (5, 2)])
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 3), (5, 2), (2, 16), (3, 10)])
 def test_collapse_site_is_bit_identical_to_copy_then_divide(d, n):
-    """Same values and the same signs of zeros, including p = 0 and negative zeros."""
+    """Same values and the same signs of zeros, including p = 0 and negative
+    zeros, on narrow and wide plans (the last sites of d=2, n=16 and d=3, n=10)."""
     rng = np.random.default_rng(10 * d + n)
     for trial in range(10):
         v = _random(rng, d**n)
         v[rng.random(d**n) < 0.3] = complex(-0.0, -0.0) if trial % 2 else 0j
+        v[rng.random(d**n) < 0.1] = complex(-0.0, 1.0) if trial % 2 else complex(2.0, -0.0)
         psi = QState(d, n, v)
-        site, outcome = int(rng.integers(n)), int(rng.integers(d))
+        site = int(rng.integers(n - 3, n)) if n > 6 else int(rng.integers(n))
+        outcome = int(rng.integers(d))
         for p in (0.0, float(gates.site_probabilities(psi, site)[outcome]), 0.37):
             got = gates.collapse_site(psi, site, outcome, p).vector
             assert _same_bits(got, collapse_site_copy_then_divide(psi, site, outcome, p))
 
 
-@pytest.mark.parametrize("sites", [(0,), (5,), (17,), (3, 4), (9, 2)])
-def test_apply_local_allocates_at_most_two_states(sites):
-    """The transposed copy is freed before the copy back, so at most the
-    product and the result are alive at once (d=2, n=18)."""
-    d, n = 2, 18
-    x = np.ones(d**n, dtype=complex)
-    local = Local(sites, np.eye(d ** len(sites), dtype=complex))
-    apply_local(x, d, n, local)
+def _peak(run):
+    """The most memory ``run()`` holds at once, above what was held before it."""
+    run()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        apply_local(x, d, n, local)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * x.nbytes + 64 * 1024, peak / x.nbytes
+
+
+@pytest.mark.parametrize("sites", [(0,), (5,), (17,), (3, 4), (9, 2), (15,), (16,), (17, 0)])
+def test_apply_local_allocates_at_most_two_states(sites):
+    """The identity (diagonal), X and F, or ctrl-X and ctrl-F on two sites
+    (d=2, n=18): the transposed copy is freed before the copy back, so at
+    most the product and the result are alive at once."""
+    d, n, ring = 2, 18, RINGS[2]
+    x = np.ones(d**n, dtype=complex)
+    named = gates.gate_block if len(sites) == 1 else gates.ctrl_block
+    for block in (np.eye(d ** len(sites), dtype=complex), named(ring, "X"), named(ring, "F")):
+        peak = _peak(lambda: apply_local(x, d, n, Local(sites, block)))
+        assert peak <= 2 * x.nbytes + 64 * 1024, (block, peak / x.nbytes)
+
+
+@pytest.mark.parametrize("site", [0, 15, 16, 17])
+def test_meters_allocate_at_most_two_states(site):
+    d, n = 2, 18
+    psi = gates._random_state(RINGS[d], n, np.random.default_rng(site))
+    p = float(gates.site_probabilities(psi, site)[1])
+    for meter in (lambda: gates.site_probabilities(psi, site), lambda: gates.collapse_site(psi, site, 1, p)):
+        peak = _peak(meter)
+        assert peak <= 2 * psi.vector.nbytes + 64 * 1024, peak / psi.vector.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +290,37 @@ def structured_locals(draw):
     return d, n, Local(sites, block), x / np.linalg.norm(x), kind
 
 
+# (_WIDE, _SPAN): the narrow gather; the narrow slice loop or else a wide plan
+# whose monomial takes over its span; the same with slot-by-slot run copies
+LAYOUTS = [(2**62, gates._SPAN), (0, 2**62), (0, 0)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(structured_locals())
 def test_structured_kernels_match_tensordot(case):
-    """Both forms of the monomial kernel (slice loop and gather) and the
-    diagonal kernel, on writable and frozen blocks, are within 1e-15 per
-    entry of ``tensordot``; a near miss takes the dense kernel, bit for bit."""
+    """Every layout of the monomial kernel (gather, slice loop, span take,
+    run copies) and of the diagonal kernel (view, rows), on writable and
+    frozen blocks, gives the same bits, within 1e-15 per entry of
+    ``tensordot``; a near miss takes the dense kernel, bit for bit."""
     d, n, local, x, kind = case
     assert gates.block_structure(local.block) == kind
     want = apply_local_tensordot(x, d, n, local)
-    frozen = Local(local.sites, gates.frozen(local.block.copy()))
-    default = gates._SLICE_LOOP
+    defaults, bits = (gates._WIDE, gates._SPAN), set()
     try:
-        for loop in (0, 2**62):
-            gates._SLICE_LOOP = loop
+        for gates._WIDE, gates._SPAN in LAYOUTS:
+            gates._local_axes.cache_clear()
+            frozen = Local(local.sites, gates.frozen(local.block.copy()))
             got = apply_local(x, d, n, local)
             assert got.shape == x.shape and got.dtype == want.dtype
             if kind == "dense":
                 assert np.array_equal(got, want)
             assert np.abs(got - want).max() <= 1e-15
             assert _same_bits(apply_local(x, d, n, frozen), got)
+            bits.add(got.tobytes())
     finally:
-        gates._SLICE_LOOP = default
+        gates._WIDE, gates._SPAN = defaults
+        gates._local_axes.cache_clear()
+    assert len(bits) == 1
 
 
 # ---------------------------------------------------------------------------

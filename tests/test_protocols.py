@@ -465,6 +465,24 @@ def test_executors_refuse_an_input_with_no_weight_or_a_non_finite_entry(execute,
         execute(ring, teleportation_script(ring), psi)
 
 
+@pytest.mark.parametrize("execute", [run, run_branches])
+@pytest.mark.parametrize("scale", [2.0, 0.5, 1 + 1e-6])
+def test_executors_refuse_an_input_off_unit_norm(execute, scale):
+    """An unnormalized input would give branch probabilities that sum to its
+    squared norm: ``run_branches`` returned 9 branches summing to 4 for |2,0,0>."""
+    ring = RINGS[3]
+    psi = QState(3, 1, np.array([scale, 0, 0], dtype=complex))
+    with pytest.raises(ValueError, match="squared norm .*, not 1"):
+        execute(ring, teleportation_script(ring), psi)
+
+
+def test_executors_take_an_input_within_the_tolerance_of_unit_norm():
+    ring = RINGS[3]
+    psi = QState(3, 1, np.array([1 + 1e-12, 0, 0], dtype=complex))
+    branches = run_branches(ring, teleportation_script(ring), psi)
+    assert abs(sum(tr.probability for tr in branches) - 1) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # the tree walk against the per-tuple replay it replaced
 # ---------------------------------------------------------------------------

@@ -112,6 +112,109 @@ def test_entropy_cut_matches_n_axis_formula(d):
 
 
 # ---------------------------------------------------------------------------
+# wide registers: the row and run layouts of a wide plan
+# ---------------------------------------------------------------------------
+
+WIDE = [(2, 16), (2, 18), (3, 10), (3, 11)]
+
+
+def wide_sites(n):
+    """Sites 0, n//2 and the last three alone, then an adjacent, a reversed and two far-apart pairs."""
+    return [(s,) for s in (0, n // 2, n - 3, n - 2, n - 1)] + [
+        (n - 2, n - 1),
+        (n - 1, n - 3),
+        (n // 2, 0),
+        (0, n - 1),
+    ]
+
+
+def signed_zeros(v, rng):
+    """``v`` with a fifth of its real parts and a fifth of its imaginary parts zeros of either sign."""
+    v = v.copy()
+    parts = v.view(float).reshape(-1, 2)
+    for col in (0, 1):
+        hit = rng.random(len(v)) < 0.2
+        parts[hit, col] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return v
+
+
+def structured_blocks(d, w, rng):
+    """A diagonal, a phased and a phase-free monomial, and a dense block on w qudits."""
+    dw = d**w
+    unit = np.exp(2j * np.pi * rng.random(dw))
+    cycle = rng.permutation(dw)  # one cycle through every digit string: no fixed point
+    perm = np.zeros((dw, dw), dtype=complex)
+    perm[cycle, np.roll(cycle, 1)] = 1
+    return [
+        ("diagonal", np.diag(unit), oracle.apply_diagonal),
+        ("monomial", perm * unit[:, None], oracle.apply_monomial),
+        ("permutation", perm, oracle.apply_monomial),
+        ("dense", rand_vector((dw, dw), rng), oracle.apply_dense),
+    ]
+
+
+@pytest.mark.parametrize("d,n", WIDE)
+def test_wide_kernels_match_n_axis_formulas(d, n):
+    rng = np.random.default_rng(50 + 10 * d + n)
+    x = signed_zeros(rand_vector(d**n, rng), rng)
+    blocks = {w: structured_blocks(d, w, rng) for w in (1, 2)}
+    for sites in wide_sites(n):
+        assert (gates._local_axes(d, n, sites, ()).rows is None) == (sites == (0,))
+        for kind, block, formula in blocks[len(sites)]:
+            assert gates.block_structure(block) == kind.replace("permutation", "monomial")
+            got = gates.apply_local(x, d, n, Local(sites, block))
+            assert _same_bits(got, formula(x, d, n, sites, block)), (kind, sites)
+
+
+@pytest.mark.parametrize("d,n", WIDE)
+def test_wide_meters_match_n_axis_formulas(d, n):
+    """A dense state, and one on its last 64 entries, where the sum of a run
+    reaches a probability without being rounded away."""
+    rng = np.random.default_rng(60 + 10 * d + n)
+    v, tail = rand_vector(d**n, rng), np.zeros(d**n, dtype=complex)
+    tail[-64:] = v[-64:]
+    for w in (v, tail):
+        state = QState(d, n, signed_zeros(w / np.linalg.norm(w), rng))
+        for site in (0, n // 2, n - 3, n - 2, n - 1):
+            probs = gates.site_probabilities(state, site)
+            assert _same_bits(probs, oracle.site_probabilities(state, site)), site
+            for outcome, p in ((0, float(probs[0])), (d - 1, float(probs[d - 1])), (1, 0.0)):
+                got = gates.collapse_site(state, site, outcome, p).vector
+                assert _same_bits(got, oracle.collapse_site(state, site, outcome, p).vector), (site, p)
+
+
+def test_wide_tables_of_one_block_differ_between_layouts():
+    """A frozen block's wide tables are shared only by plans that lay it out
+    alike: at d=5, sites (1, 2) of 3 qudits and (2, 3) of 4 qudits, with a
+    batch of d**n, have the same tile, row length and span, but the first
+    merges one site into its rows and the second none."""
+    d, ring, rng = 5, RINGS[5], np.random.default_rng(70)
+    blocks = [gates.ctrl_block(ring, "Z"), gates.sym_block(ring, 1)]
+    formulas = [oracle.apply_diagonal, oracle.apply_monomial]
+    for n, sites in ((3, (1, 2)), (4, (2, 3)), (3, (1, 2))):
+        x = rand_vector((d**n, d**n), rng)
+        for block, formula in zip(blocks, formulas):
+            got = gates.apply_local(x, d, n, Local(sites, block))
+            assert _same_bits(got, formula(x, d, n, sites, block)), (n, sites)
+
+
+@pytest.mark.parametrize("site", [13, 14, 15])
+def test_wide_meter_on_a_non_finite_state_matches_n_axis_formula(site):
+    """A NaN leaves the column sums to numpy's own sum, from the unchanged state."""
+    d, n = 2, 16
+    v = rand_vector(d**n, np.random.default_rng(site))
+    v[5] = complex(np.nan, 1.0)
+    state = QState(d, n, v / np.linalg.norm(v[6:]))
+    want = oracle.site_probabilities(state, site)
+    assert np.isnan(want).any()
+    assert np.array_equal(gates.site_probabilities(state, site), want, equal_nan=True)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # refusals
 # ---------------------------------------------------------------------------
 
