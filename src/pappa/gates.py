@@ -512,10 +512,10 @@ def apply_local(x: np.ndarray, d: int, n: int, local: Local) -> np.ndarray:
     the plan's width (:func:`_local_axes`).  A diagonal block is one
     broadcast multiply of ``view``, or of ``rows`` for a wide plan.  A
     monomial block moves each entry once and scales it by its phase: one
-    gather on a small state, one strided multiply per output digit string on
-    a narrow wide-enough one, and on a wide plan one ``np.take`` over the
-    sites' span (or one copy of whole runs per digit string) and then the
-    phases as a diagonal.  A dense block transposes ``view`` with its sites
+    gather on a small state, one strided multiply per output digit string
+    when the sites lead a larger one, and on a wide plan one ``np.take``
+    over the sites' span (or one copy of whole runs per digit string) and
+    then the phases as a diagonal.  A dense block transposes ``view`` with its sites
     first, in listed order, makes one ``np.dot`` and transposes back; a wide
     plan moves whole runs both ways.  Every layout computes each entry with
     the same operations in the same order, so all give the same bits.  None

@@ -5,7 +5,9 @@ the entropy cut are held bit for bit to the n-axis formulas of
 ``register_axes`` for d = 2..7 and every site tuple on up to 5 qudits.
 The dense kernel runs every tuple whose work d**(n + w), w the tuple's
 width, is at most 4**9 (all of them at d = 2, 3), with and without a batch
-axis.  The
+axis.  On wide registers (d=2, n=16 and 18; d=3, n=10 and 11), where the
+plan merges the last qudits into rows, all three kernels and both meters
+are held to the same formulas at early, middle and late sites.  The
 refusals at the end are what the plan and the register layer now reject.
 """
 
