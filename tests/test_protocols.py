@@ -381,6 +381,53 @@ def test_validate_checks_site_sets(resources, input_sites, output_sites, where):
     assert err.value.where == where
 
 
+AB = {"a": (0,), "b": (1,)}
+MEASURED = [MeasureStep("a", 0, "m")]
+
+# one broken script per rule, in the order ``validate`` checks them: (n_sites,
+# parties, resources, steps, input_sites, output_sites), the text and ``where``
+BROKEN = {
+    "party-overlap": ((2, {"a": (0,), "b": (0, 1)}, [], [], (), ()), "site 0 owned by a and b", ("party", 1)),
+    "party-gap": ((3, AB, [], [], (), ()), "party sites must partition the register", ("party", 1)),
+    "party-outside": ((2, {"a": (0,), "b": (2,)}, [], [], (), ()), "party sites must partition the register", ("party", 1)),
+    "resource-empty": ((2, AB, [(0, 1), ()], [], (), ()), "a resource needs at least one site", ("resource", 1)),
+    "resource-outside": ((2, AB, [(0, 2)], [], (), ()), "resource site 2 outside 0..1", ("resource", 0)),
+    "resource-twice": ((2, AB, [(1, 1)], [], (), ()), "resource names site 1 twice", ("resource", 0)),
+    "resource-taken": ((2, AB, [(0, 1), (1,)], [], (), ()), "resource site 1 already holds a resource or the input", ("resource", 1)),
+    "input-outside": ((2, AB, [], [], (-1,), ()), "input site -1 outside 0..1", ("input", 0)),
+    "input-twice": ((2, AB, [], [], (0, 0), ()), "input names site 0 twice", ("input", 0)),
+    "input-taken": ((2, AB, [(0, 1)], [], (0,), ()), "input site 0 already holds a resource or the input", ("input", 0)),
+    "output-outside": ((2, AB, [], [], (), (2,)), "output site 2 outside 0..1", ("output", 0)),
+    "output-twice": ((2, AB, [], [], (), (1, 1)), "output names site 1 twice", ("output", 0)),
+    "gate-party": ((2, AB, [], [GateStep("c", "X", 0)], (), ()), "unknown party c", ("step", 0)),
+    "ctrl-party-first": ((2, AB, [], [CtrlStep("c", "X", 0, 0)], (), ()), "unknown party c", ("step", 0)),
+    "meter-party": ((2, AB, [], [MeasureStep("c", 0, "m")], (), ()), "unknown party c", ("step", 0)),
+    "cond-party": ((2, AB, [], [*MEASURED, CondStep("c", "X", 0, "m")], (), ()), "unknown party c", ("step", 1)),
+    "sft-party": ((2, AB, [], [SftStep("c")], (), ()), "unknown party c", ("step", 0)),
+    "send-src": ((2, AB, [], [SendStep("c", "b", "m")], (), ()), "unknown party c", ("step", 0)),
+    "send-dst": ((2, AB, [], [*MEASURED, SendStep("a", "c", "m")], (), ()), "unknown party c", ("step", 1)),
+    "send-register": ((2, AB, [], [SendStep("a", "b", "m")], (), ()), "a cannot send unknown register m", ("step", 0)),
+    "send-unmeasured": ((2, AB, [], [*MEASURED, SendStep("b", "a", "m")], (), ()), "b cannot send unknown register m", ("step", 1)),
+    "ctrl-same": ((2, AB, [], [CtrlStep("a", "X", 1, 1)], (), ()), "control and target must differ", ("step", 0)),
+    "gate-site": ((2, AB, [], [GateStep("a", "X", 1)], (), ()), "site 1 is not local to party a", ("step", 0)),
+    "gate-outside": ((2, AB, [], [GateStep("a", "X", 2)], (), ()), "site 2 is not local to party a", ("step", 0)),
+    "ctrl-control": ((2, AB, [], [CtrlStep("b", "X", 0, 1)], (), ()), "site 0 is not local to party b", ("step", 0)),
+    "ctrl-target": ((2, AB, [], [CtrlStep("a", "X", 0, 1)], (), ()), "site 1 is not local to party a", ("step", 0)),
+    "meter-site": ((2, AB, [], [MeasureStep("b", 0, "m")], (), ()), "site 0 is not local to party b", ("step", 0)),
+    "cond-site-first": ((2, AB, [], [CondStep("a", "X", 1, "m")], (), ()), "site 1 is not local to party a", ("step", 0)),
+    "sft-site": ((2, AB, [], [SftStep("a")], (), ()), "site 1 is not local to party a", ("step", 0)),
+    "cond-register": ((2, AB, [], [*MEASURED, CondStep("b", "X", 1, "m")], (), ()), "b conditions on unreceived register m", ("step", 1)),
+}
+
+
+@pytest.mark.parametrize("fields, message, where", BROKEN.values(), ids=BROKEN.keys())
+def test_every_locality_error_names_its_rule_and_offender(fields, message, where):
+    n_sites, parties, resources, steps, input_sites, output_sites = fields
+    with pytest.raises(LocalityError) as err:
+        ProtocolScript(2, n_sites, parties, [Resource(s) for s in resources], steps, input_sites, output_sites)
+    assert (str(err.value), err.value.where) == (message, where)
+
+
 def test_phase_space_full_forms_match_simplified():
     """The dressed long forms equal the simplified ones up to relabeling.
 
