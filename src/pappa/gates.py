@@ -70,12 +70,22 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .phases import PhaseRing
+
+
+def _integer(value, what: str) -> int:
+    """``value`` through ``operator.index``: a float or another non-integer is a ``TypeError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} {value!r} is not an integer") from None
+
 
 # ---------------------------------------------------------------------------
 # single-qudit matrices
@@ -111,7 +121,7 @@ def gate_power(ring: PhaseRing, name: str, power: int = 1) -> np.ndarray:
     if name not in ("X", "Y", "Z", "F", "G"):
         raise ValueError(f"unknown gate {name!r}")
     d, z, eps = ring.d, ring.zeta_exp, ring.eps_table
-    k, m = power % (4 * d), np.arange(d)
+    k, m = _integer(power, "power") % (4 * d), np.arange(d)
     if name == "F" and k % 2:
         f = eps[2 * np.outer(m, m) % (2 * d)] / d**0.5
         return f if k % 4 == 1 else f.conj().T
@@ -131,7 +141,7 @@ def gate_block(ring: PhaseRing, name: str, power: int = 1) -> np.ndarray:
     The power is reduced mod 4d here, which keeps the bits and bounds the
     cache at 5 * 4d blocks per ring.
     """
-    return _gate_block(ring, name, power % (4 * ring.d))
+    return _gate_block(ring, name, _integer(power, "power") % (4 * ring.d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -342,7 +352,13 @@ _WIDE = 4096
 
 @functools.lru_cache(maxsize=None)
 def _local_axes(d: int, n: int, sites: tuple[int, ...], batch: tuple[int, ...]) -> _Plan:
-    """Check ``sites`` against the register and plan every index layout of them."""
+    """Check ``sites`` against the register and plan every index layout of them.
+
+    A site that ``operator.index`` refuses is a ``TypeError`` before anything
+    is built: ``1.0`` hashes and compares as ``1``, so a plan cached from it
+    would serve every later call at that site.
+    """
+    sites = tuple(_integer(s, "site") for s in sites)
     if any(not 0 <= s < n for s in sites):
         raise ValueError(f"sites {sites} outside register of {n}")
     if len(set(sites)) != len(sites):
@@ -635,7 +651,7 @@ def ctrl_block(ring: PhaseRing, name: str, exponent: int = 1) -> np.ndarray:
     The exponent is reduced mod 4d here, which keeps the bits and bounds the
     cache at 5 * 4d blocks per ring.
     """
-    return _ctrl_block(ring, name, exponent % (4 * ring.d))
+    return _ctrl_block(ring, name, _integer(exponent, "exponent") % (4 * ring.d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -819,7 +835,7 @@ def sym_gate_matrix(ring: PhaseRing, m: int) -> np.ndarray:
     d = ring.d
     k, l = digit_table(d, 2).T
     out = np.zeros((d * d, d * d), dtype=complex)
-    out[l * d + k, k * d + l] = ring.eps_table[2 * (m % d) * k * l % (2 * d)]
+    out[l * d + k, k * d + l] = ring.eps_table[2 * (_integer(m, "m") % d) * k * l % (2 * d)]
     return out
 
 
@@ -828,7 +844,7 @@ def sym_block(ring: PhaseRing, m: int) -> np.ndarray:
 
     m is reduced mod d here, as ``sym_gate_matrix`` does, which keeps the bits.
     """
-    return _sym_block(ring, m % ring.d)
+    return _sym_block(ring, _integer(m, "m") % ring.d)
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,6 +9,13 @@ checked once, by ``ProtocolScript.validate`` when a script is built, and a
 built script is immutable.  One pre-shared entangled resource costs one
 edit; one cross-party classical message costs one cdit.
 
+Each step kind is a subclass of ``Step`` that carries its own rules and
+action: ``sites(n)``, the register sites it acts on; ``check(owner,
+known)``, its party, the locality of those sites and its register
+bookkeeping, which ``validate`` calls; ``kind``, which the walker
+dispatches on; and for gate, ctrl and cond steps ``locals(ring, value)``,
+the ``Local``s it applies.  No code asks a step for its class.
+
 The walker reads every block from the read-only caches of ``gates``: a
 gate's from ``gate_block``, which ``clifford`` and ``verify`` read too, a
 ctrl step's from ``ctrl_block`` (exact, from the same phase table); an SFT
@@ -44,16 +51,46 @@ class LocalityError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class Step:
+    """One move of a script: the sites it acts on, its rules and its action.
+
+    ``kind`` tells the walker what to do: "local" applies ``locals(ring)``,
+    built once per walk; "cond" applies ``locals(ring, value)`` of its
+    register's value; "meter" forks on its site, "send" counts a cdit
+    between two parties and "sft" is the whole-register SFT.
+    """
+
+    kind: str
+
+    def sites(self, n: int) -> tuple[int, ...]:
+        """The sites of an n-qudit register that the step acts on."""
+        return (self.site,)
+
+    def check(self, owner: dict[int, str], known: dict[str, set[str]]) -> None:
+        """Check the party and that it owns ``sites``; ``owner`` maps each site to
+        its party and ``known`` each party to the registers it has measured or received."""
+        if self.party not in known:
+            raise LocalityError(f"unknown party {self.party}")
+        for s in self.sites(len(owner)):
+            if owner.get(s) != self.party:
+                raise LocalityError(f"site {s} is not local to party {self.party}")
+
+
 @dataclass(frozen=True)
-class GateStep:
+class GateStep(Step):
     party: str
     name: str  # X, Y, Z, F, G
     site: int
     power: int = 1
 
+    kind = "local"
+
+    def locals(self, ring: PhaseRing, value: int | None = None) -> list[gates.Local]:
+        return [gates.Local((self.site,), gates.gate_block(ring, self.name, self.power))]
+
 
 @dataclass(frozen=True)
-class CtrlStep:
+class CtrlStep(Step):
     """Apply gate**(exponent * value(control)) to target (both quantum)."""
 
     party: str
@@ -62,23 +99,57 @@ class CtrlStep:
     target: int
     exponent: int = 1
 
+    kind = "local"
+
+    def sites(self, n: int) -> tuple[int, ...]:
+        return (self.control, self.target)
+
+    def check(self, owner: dict[int, str], known: dict[str, set[str]]) -> None:
+        # after the party rule, before locality
+        if self.control == self.target and self.party in known:
+            raise LocalityError("control and target must differ")
+        super().check(owner, known)
+
+    def locals(self, ring: PhaseRing, value: int | None = None) -> list[gates.Local]:
+        block = gates.ctrl_block(ring, self.name, self.exponent)
+        return [gates.Local((self.control, self.target), block)]
+
 
 @dataclass(frozen=True)
-class MeasureStep:
+class MeasureStep(Step):
     party: str
     site: int
     register: str
 
+    kind = "meter"
+
+    def check(self, owner: dict[int, str], known: dict[str, set[str]]) -> None:
+        super().check(owner, known)
+        known[self.party].add(self.register)
+
 
 @dataclass(frozen=True)
-class SendStep:
+class SendStep(Step):
     src: str
     dst: str
     register: str
 
+    kind = "send"
+
+    def sites(self, n: int) -> tuple[int, ...]:
+        return ()
+
+    def check(self, owner: dict[int, str], known: dict[str, set[str]]) -> None:
+        for party in (self.src, self.dst):
+            if party not in known:
+                raise LocalityError(f"unknown party {party}")
+        if self.register not in known[self.src]:
+            raise LocalityError(f"{self.src} cannot send unknown register {self.register}")
+        known[self.dst].add(self.register)
+
 
 @dataclass(frozen=True)
-class CondStep:
+class CondStep(Step):
     """Apply gate**(coeff * registers value) to one site."""
 
     party: str
@@ -87,15 +158,31 @@ class CondStep:
     register: str
     coeff: int = 1
 
+    kind = "cond"
+
+    def check(self, owner: dict[int, str], known: dict[str, set[str]]) -> None:
+        super().check(owner, known)
+        if self.register not in known[self.party]:
+            raise LocalityError(f"{self.party} conditions on unreceived register {self.register}")
+
+    def locals(self, ring: PhaseRing, value: int | None = None) -> list[gates.Local]:
+        """No Local when ``coeff * value`` is 0, else one."""
+        power = self.coeff * value
+        if not power:
+            return []
+        return [gates.Local((self.site,), gates.gate_block(ring, self.name, power))]
+
 
 @dataclass(frozen=True)
-class SftStep:
+class SftStep(Step):
     """The string Fourier transform on the whole register; the party must own every site."""
 
     party: str
 
+    kind = "sft"
 
-Step = GateStep | CtrlStep | MeasureStep | SendStep | CondStep | SftStep
+    def sites(self, n: int) -> tuple[int, ...]:
+        return tuple(range(n))
 
 
 @dataclass(frozen=True)
@@ -138,7 +225,8 @@ class ProtocolScript:
 
         Parties partition the register; every resource holds a site;
         resource, input and output sites are distinct and in range, and
-        resources and the input do not overlap.
+        resources and the input do not overlap; each step, in order, passes
+        its own ``check``.
         """
         owner: dict[int, str] = {}
         shared: set[int] = set()  # resource and input sites, which must not overlap
@@ -165,7 +253,7 @@ class ProtocolScript:
             self._check_site_set("output", self.output_sites, set())
             for i, step in enumerate(self.steps):
                 where = ("step", i)
-                self._check_step(step, owner, known)
+                step.check(owner, known)
         except LocalityError as exc:
             exc.where = where
             raise
@@ -180,30 +268,6 @@ class ProtocolScript:
             if s in taken:
                 raise LocalityError(f"{label} site {s} already holds a resource or the input")
         taken.update(sites)
-
-    def _check_step(self, step: Step, owner: dict[int, str], known: dict[str, set[str]]) -> None:
-        """``known`` maps each party to the registers it has measured or received."""
-        for party in (step.src, step.dst) if isinstance(step, SendStep) else (step.party,):
-            if party not in known:
-                raise LocalityError(f"unknown party {party}")
-        if isinstance(step, SendStep):
-            if step.register not in known[step.src]:
-                raise LocalityError(f"{step.src} cannot send unknown register {step.register}")
-            known[step.dst].add(step.register)
-            return
-        if isinstance(step, CtrlStep):
-            if step.control == step.target:
-                raise LocalityError("control and target must differ")
-            sites = (step.control, step.target)
-        else:
-            sites = range(self.n_sites) if isinstance(step, SftStep) else (step.site,)
-        for s in sites:
-            if owner.get(s) != step.party:
-                raise LocalityError(f"site {s} is not local to party {step.party}")
-        if isinstance(step, MeasureStep):
-            known[step.party].add(step.register)
-        elif isinstance(step, CondStep) and step.register not in known[step.party]:
-            raise LocalityError(f"{step.party} conditions on unreceived register {step.register}")
 
 
 @dataclass
@@ -260,33 +324,16 @@ def _initial_state(
     return QState(d, total, vec.reshape(plan.front).transpose(plan.inverse).reshape(-1))
 
 
-def _locals(ring: PhaseRing, step: Step, value: int | None = None):
-    """The Locals the walk applies at a gate, ctrl or cond step, else None.
-
-    A cond step needs its register ``value``; the walk applies an SFT step
-    through ``evaluator.apply_sft``.
-    """
-    if isinstance(step, GateStep):
-        return [gates.Local((step.site,), gates.gate_block(ring, step.name, step.power))]
-    if isinstance(step, CtrlStep):
-        block = gates.ctrl_block(ring, step.name, step.exponent)
-        return [gates.Local((step.control, step.target), block)]
-    if isinstance(step, CondStep):
-        power = step.coeff * value
-        if not power:
-            return []
-        return [gates.Local((step.site,), gates.gate_block(ring, step.name, power))]
-    return None
-
-
 def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, seed, fork):
     """Walk the outcome tree of ``script`` depth first; return its leaves.
 
-    Each gate block is built once per process, read-only, by
-    ``gates.gate_block`` or, for a ctrl step, ``gates.ctrl_block``.  Each
-    gate and ctrl step is wrapped in its ``Local``s once per walk, before
-    it; a cond step once per visit, from its register's value.  An SFT
-    step is ``evaluator.apply_sft``.
+    The walk dispatches on each step's ``kind``.  A "local" step (gate,
+    ctrl) gives its ``locals(ring)`` once per walk, before it; a "cond"
+    step gives ``locals(ring, value)`` once per visit, from its register's
+    value.  Their blocks are built once per process, read-only, by
+    ``gates.gate_block`` or ``gates.ctrl_block``.  A "meter" step forks, a
+    "send" step between two parties costs a cdit, and an "sft" step is
+    ``evaluator.apply_sft``.
     ``fork(state, site)`` lists the children taken at a measurement as
     (outcome, p) pairs in outcome order, ``p`` being the child's own
     probability.  A child's state is collapsed from its parent
@@ -299,7 +346,7 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
     if ring.d != script.d:
         raise ValueError(f"ring degree {ring.d} and script degree {script.d} differ")
     d, n, steps = ring.d, script.n_sites, script.steps
-    ops = [None if isinstance(step, CondStep) else _locals(ring, step) for step in steps]
+    ops = [step.locals(ring) if step.kind == "local" else None for step in steps]
     leaves: list[Transcript] = []
     pending: list[tuple] = []  # (children, parent, measure step, resume at, outcomes, cdits, prob)
     state = _initial_state(ring, script, input_state)
@@ -307,20 +354,21 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
     while True:
         for i in range(start, len(steps)):
             step, op = steps[i], ops[i]
-            if isinstance(step, MeasureStep):
+            kind = step.kind
+            if kind == "meter":
                 children = fork(state, step.site)
                 if children:
                     pending.append((children, state, step, i + 1, outcomes, cdits, prob))
                 break
-            if isinstance(step, SendStep):
+            if kind == "send":
                 if step.src != step.dst:
                     cdits += 1
                 continue
-            if isinstance(step, SftStep):
+            if kind == "sft":
                 state = evaluator.apply_sft(ring, state)
                 continue
-            if isinstance(step, CondStep):
-                op = _locals(ring, step, outcomes[step.register])
+            if kind == "cond":
+                op = step.locals(ring, outcomes[step.register])
             v = state.vector
             for local in op:
                 v = gates.apply_local(v, d, n, local)

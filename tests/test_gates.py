@@ -344,3 +344,47 @@ def test_digit_tables_are_cached_and_read_only():
         assert build(3, 3) is table
         with pytest.raises(ValueError):
             table[0] = 1
+
+
+def test_a_float_site_leaves_no_plan_behind():
+    """``1.0`` hashes and compares as ``1``: a plan cached from it would serve every later call at site 1."""
+    x = gates.gate_block(RINGS[3], "X")
+    v = np.arange(9, dtype=complex)
+    gates._local_axes.cache_clear()
+    with pytest.raises(TypeError, match=r"^site 1\.0 is not an integer$"):
+        gates.apply_local(v, 3, 2, gates.Local((1.0,), x))
+    out = gates.apply_local(v, 3, 2, gates.Local((1,), x))
+    assert np.array_equal(out, v.reshape(3, 3)[:, [2, 0, 1]].reshape(-1))
+
+
+NON_INTEGER_POWERS = {
+    "gate_power-1.5": lambda r: gate_power(r, "X", 1.5),
+    "gate_power-2.0": lambda r: gate_power(r, "X", 2.0),
+    "gate_block-2.0": lambda r: gates.gate_block(r, "Z", 2.0),  # Z**2 is cached first
+    "ctrl_block-1.5": lambda r: gates.ctrl_block(r, "X", 1.5),
+    "ctrl_block-2.0": lambda r: gates.ctrl_block(r, "X", 2.0),
+    "sym_block-1.5": lambda r: gates.sym_block(r, 1.5),
+    "sym_gate_matrix-1.5": lambda r: sym_gate_matrix(r, 1.5),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_POWERS.values(), ids=NON_INTEGER_POWERS.keys())
+def test_a_non_integer_power_is_refused(build):
+    ring = RINGS[2]
+    gates.gate_block(ring, "Z", 2)
+    gates.ctrl_block(ring, "X", 2)
+    with pytest.raises(TypeError, match=r"^(power|exponent|m) \S+ is not an integer$"):
+        build(ring)
+
+
+def test_numpy_integer_powers_give_the_int_bits():
+    ring = RINGS[3]
+    pairs = [
+        (gate_power(ring, "F", np.int64(3)), gate_power(ring, "F", 3)),
+        (gates.gate_block(ring, "Y", np.int32(-1)), gates.gate_block(ring, "Y", -1)),
+        (gates.ctrl_block(ring, "X", np.int64(5)), gates.ctrl_block(ring, "X", 5)),
+        (gates.sym_block(ring, np.int8(2)), gates.sym_block(ring, 2)),
+        (sym_gate_matrix(ring, np.uint16(4)), sym_gate_matrix(ring, 4)),
+    ]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

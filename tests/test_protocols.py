@@ -1,7 +1,11 @@
 """Protocols: teleportation, resource distillation, multipartite merging."""
 
+import ast
 import dataclasses
+import inspect
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -748,13 +752,13 @@ def test_cached_blocks_are_read_only():
     ring = RINGS[3]
     steps = [GateStep("a", "F", 0, -1), CtrlStep("a", "X", 0, 1, 2), CondStep("a", "Y", 1, "m", 2)]
     for step in steps:
-        (local,) = protocols._locals(ring, step, 1)
+        (local,) = step.locals(ring, 1)
         with pytest.raises(ValueError):
             local.block[0, 0] = 1.0
     # the public builders still hand out fresh, writable arrays
     fresh = gates.gate_power(ring, "F", -1)
     fresh[0, 0] = 1.0
-    assert not np.array_equal(fresh, protocols._locals(ring, steps[0])[0].block)
+    assert not np.array_equal(fresh, steps[0].locals(ring)[0].block)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -772,10 +776,10 @@ def test_walker_blocks_are_the_public_builders_bit_for_bit(d):
     ring = RINGS[d]
     for name in "XYZFG":
         for p in range(-8 * d, 8 * d + 1):
-            (local,) = protocols._locals(ring, GateStep("a", name, 0, p))
+            (local,) = GateStep("a", name, 0, p).locals(ring)
             assert local.block.tobytes() == gates.gate_power(ring, name, p).tobytes(), (name, p)
         for e in range(-2 * d, 2 * d + 1):
-            (local,) = protocols._locals(ring, CtrlStep("a", name, 1, 0, e))
+            (local,) = CtrlStep("a", name, 1, 0, e).locals(ring)
             assert local.sites == (1, 0)
             assert local.block.tobytes() == ctrl_power_block(ring, name, e).tobytes(), (name, e)
     with pytest.raises(ValueError, match="control and target must differ"):
@@ -795,3 +799,85 @@ def test_cond_sweep_keeps_at_most_5_times_4d_blocks_per_ring():
     assert [tr.outcomes["m"] for tr in branches] == list(range(d))
     # the gate step's F**1 shares its entry with the cond steps' F**1
     assert gates._gate_block.cache_info().currsize == 5 * 4 * d
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (GateStep("a", "X", 1, 1.5), "power 1.5 is not an integer"),
+        (CtrlStep("a", "X", 0, 1, 1.5), "exponent 1.5 is not an integer"),
+        (CondStep("a", "X", 1, "m", 0.5), "power 0.5 is not an integer"),  # value 0 gives power 0.0, no block
+    ],
+    ids=["gate", "ctrl", "cond"],
+)
+def test_a_non_integer_power_stops_the_walk(step, message):
+    script = ProtocolScript(2, 2, {"a": (0, 1)}, [], [GateStep("a", "F", 0), MeasureStep("a", 0, "m"), step])
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        run_branches(RINGS[2], script)
+
+
+# ---------------------------------------------------------------------------
+# each step kind carries its rules and its action
+# ---------------------------------------------------------------------------
+
+# one step of every class, on a register of three qudits that party a owns
+STEP_EXAMPLES = {
+    GateStep: GateStep("a", "F", 2, -1),
+    CtrlStep: CtrlStep("a", "X", 2, 0, 2),
+    MeasureStep: MeasureStep("a", 1, "m"),
+    SendStep: SendStep("a", "b", "m"),
+    CondStep: CondStep("a", "Y", 1, "m", 2),
+    SftStep: SftStep("a"),
+}
+
+
+def _walker_kinds() -> set[str]:
+    """The step kinds that ``_run`` compares ``kind`` against, read from its source."""
+    kinds = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(protocols._run)))):
+        if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq):
+            left = node.left
+            if getattr(left, "attr", getattr(left, "id", None)) == "kind":
+                kinds |= {c.value for c in node.comparators if isinstance(c, ast.Constant)}
+    return kinds
+
+
+def test_every_step_kind_is_one_the_walker_handles():
+    assert set(STEP_EXAMPLES) == set(protocols.Step.__subclasses__())
+    assert _walker_kinds() == {"local", "cond", "meter", "send", "sft"}
+    for cls, step in STEP_EXAMPLES.items():
+        assert type(step) is cls and step.kind in _walker_kinds()
+        assert "kind" not in {f.name for f in dataclasses.fields(step)}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_each_step_acts_on_exactly_the_sites_it_checks(d):
+    ring, n = RINGS[d], 3
+    for step in STEP_EXAMPLES.values():
+        if step.kind in ("local", "cond"):
+            touched = tuple(s for local in step.locals(ring, 1) for s in local.sites)
+            assert touched == step.sites(n), step
+        # handing any one of its sites to another party breaks the step's locality
+        for s in step.sites(n):
+            owner = {t: "b" if t == s else "a" for t in range(n)}
+            with pytest.raises(LocalityError, match=f"^site {s} is not local to party a$"):
+                step.check(owner, {"a": {"m"}, "b": set()})
+    assert [STEP_EXAMPLES[cls].sites(n) for cls in (SendStep, MeasureStep, SftStep)] == [(), (1,), (0, 1, 2)]
+
+
+def test_no_module_asks_a_step_for_its_class():
+    """Each step carries its own rules and action, so nothing in the package
+    calls ``isinstance`` or ``issubclass`` with a step class."""
+    names = {name for name, obj in vars(protocols).items() if isinstance(obj, type) and name.endswith("Step")}
+    assert names >= {cls.__name__ for cls in STEP_EXAMPLES}
+    offenders = []
+    for path in sorted(Path(protocols.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("isinstance", "issubclass")
+                and len(node.args) == 2
+                and {getattr(x, "attr", getattr(x, "id", None)) for x in ast.walk(node.args[1])} & names
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
