@@ -22,9 +22,10 @@ read-only :func:`digit_table` holds the digits of every index and
 the Max states) are array expressions on them.
 
 A site tuple becomes an index layout only in :func:`_local_axes`, a cached
-plan that refuses a site outside the register or a repeated one.  Its
-``view`` gives each site an axis and merges the qudits between them; the
-kernels, the meters, ``protocols`` and the entanglement cut all read it.
+plan that refuses a site outside the register, a repeated one, or one
+that ``operator.index`` refuses.  Its ``view`` gives each site an axis
+and merges the qudits between them; the kernels, the meters,
+``protocols`` and the entanglement cut all read it.
 numpy's innermost loop runs over the view's last axis, the entries after
 the last site, which is short unless the sites lead the register.  So on
 a state of 4096 entries or more whose sites do not lead, the plan is wide

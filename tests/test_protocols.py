@@ -844,9 +844,10 @@ def _walker_kinds() -> set[str]:
 
 def test_every_step_kind_is_one_the_walker_handles():
     assert set(STEP_EXAMPLES) == set(protocols.Step.__subclasses__())
-    assert _walker_kinds() == {"local", "cond", "meter", "send", "sft"}
+    kinds = _walker_kinds()
+    assert kinds == {"local", "cond", "meter", "send", "sft"}
     for cls, step in STEP_EXAMPLES.items():
-        assert type(step) is cls and step.kind in _walker_kinds()
+        assert type(step) is cls and step.kind in kinds
         assert "kind" not in {f.name for f in dataclasses.fields(step)}
 
 
