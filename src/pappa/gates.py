@@ -22,13 +22,12 @@ read-only :func:`digit_table` holds the digits of every index and
 the Max states) are array expressions on them.
 
 A site tuple becomes an index layout only in :func:`_local_axes`, a cached
-plan that refuses a site outside the register, a repeated one, or one
-that ``operator.index`` refuses.  Its ``view`` gives each site an axis
-and merges the qudits between them; the kernels, the meters,
-``protocols`` and the entanglement cut all read it.
-numpy's innermost loop runs over the view's last axis, the entries after
-the last site, which is short unless the sites lead the register.  So on
-a state of 4096 entries or more whose sites do not lead, the plan is wide
+plan that refuses a site outside the register, a repeated one, or one that
+``operator.index`` refuses.  Its ``view`` gives each site an axis and
+merges the qudits between them; the kernels, the meters, ``protocols`` and
+the entanglement cut all read it.  numpy's innermost loop runs over the
+view's last axis, the entries after the last site, which is short unless
+the sites lead the register.  So a plan of 4096 entries or more is wide
 and adds ``rows``: the early sites keep their axes and the last qudits,
 later sites included, merge into rows of at least 256 entries.
 
@@ -40,17 +39,16 @@ its kernel from the block's structure (:func:`block_structure`).  A
 diagonal block (Z, G, ctrl-Z, the even braids) is one broadcast multiply
 of the view, or of a wide plan's rows by its diagonal laid over a row.  A
 monomial block (X, Y, even powers of F, their ctrl blocks, b_m) moves each
-entry once and scales it by its phase; on a wide plan the move is one
-``np.take`` over the span of the sites, copying whole runs, and the phases
-are a diagonal over the rows.  A dense block (odd powers of F and their
-ctrl blocks, the odd braids, boxes) is a transpose of the view with its
-sites first, one ``np.dot`` and the transpose back; when the runs are
-short, both transposes copy whole runs, and ``np.dot`` sees the very
-operand it would otherwise.  Each layout does the same floating-point
-operations on each entry, so every output keeps its bits, signs of zeros
-included; the meters do the same (see :func:`site_probabilities` and
-:func:`_divide`).  Each is O(d**(n+w)) work and at most two states of
-memory, not the d**(2n) of the matrix, so an ``sft`` at d=2, n=20 runs.
+entry once and scales it by its phase: one gather of the view, or on a
+wide plan one ``np.take`` over the span of the sites, copying whole runs,
+and the phases as a diagonal over the rows.  A dense block (odd powers of
+F and their ctrl blocks, the odd braids, boxes) is a transpose of the view
+with its sites first, one ``np.dot`` and the transpose back, whatever the
+plan.  Each layout does the same floating-point operations on each entry,
+so every output keeps its bits, signs of zeros included; the meters do the
+same (see :func:`site_probabilities` and :func:`_divide`).  Each is
+O(d**(n+w)) work and at most two states of memory, not the d**(2n) of the
+matrix, so an ``sft`` at d=2, n=20 runs.
 The cached blocks (:func:`gate_block`, :func:`ctrl_block`,
 :func:`sym_block`, ``evaluator.braid_block``) are :func:`frozen`, so each
 one's kernel tables are worked out once, per plan for a wide one.
@@ -319,6 +317,10 @@ class Local:
     sites: tuple[int, ...]
     block: np.ndarray
 
+    def __post_init__(self) -> None:
+        for s in self.sites:  # here, as a cached plan of site 1 would serve 1.0
+            _integer(s, "site")
+
     def to_matrix(self, d: int, n: int) -> np.ndarray:
         """The d**n x d**n operator on an n-qudit register."""
         return apply_local(np.eye(d**n, dtype=complex), d, n, self)
@@ -341,8 +343,7 @@ class _Plan(NamedTuple):
 # numpy runs a kernel's innermost loop over the last axis of its view: the run
 # of entries after the last site, times the batch.  Under 8192 entries (its
 # buffer) numpy buffers the loop, at about twice the cost; a run under _SHORT
-# entries costs more to start than to do.  Only sites that lead the register
-# leave long runs.  Otherwise, on a state of at least _WIDE entries, the plan
+# entries costs more to start than to do.  So a plan of at least _WIDE entries
 # is wide: its ``rows`` keeps each early site an axis and merges the last
 # qudits, later sites included, and the batch into rows of at least _RUN
 # entries, over which ``tile`` lays the digits of the merged sites.
@@ -372,7 +373,7 @@ def _local_axes(d: int, n: int, sites: tuple[int, ...], batch: tuple[int, ...]) 
     lay = tuple(range(2 * w + 1)) if w < 2 else (*range(1, 2 * w, 2), *range(0, 2 * w + 1, 2))
     rows = tile = None
     size = math.prod(batch) * d**n
-    if size >= _WIDE and view[-1] * d**w < size:
+    if size >= _WIDE:
         k = 0  # a row holds the last k qudits and the batch
         while k < n and size // d ** (n - k) < _RUN:
             k += 1
@@ -437,14 +438,13 @@ def _kernel(block: np.ndarray, d: int, plan: _Plan) -> tuple:
     :func:`frozen` blocks: by digit order for a narrow plan, and for a wide
     one also by all that its tables read of the plan (``tile``, the number of
     axes and the length of ``rows``, and the span of the sites), which
-    registers of many sizes share.  A diagonal block's table is its diagonal shaped to
-    broadcast over ``view``, or over ``rows``.  A narrow monomial block's,
-    in increasing site order, are the gather index into ``view``, its phases
-    shaped to the gather, and for the slice loop the source of each output
-    digit string and its phase.  A wide one's are the ``np.take`` index over
-    its span (None past _SPAN entries), the sources, and its phases as a
-    diagonal table over ``rows``.  Every phase table is None when all are 1.
-    A wide dense block's table is the block row of each output slot.
+    registers of many sizes share.  A dense block has no table.  A diagonal
+    one's is its diagonal shaped to broadcast over ``view``, or ``rows``.  In
+    increasing site order, a narrow monomial one's are the gather index into
+    ``view`` and its phases shaped to the gather, a wide one's the ``np.take``
+    index over its span (None past _SPAN entries), the source of each output
+    digit string and its phases over ``rows``.  A phase table is None when
+    every phase is 1.
     """
     key = (id(block), plan.order)
     if plan.rows is not None:
@@ -461,12 +461,7 @@ def _tables(block: np.ndarray, d: int, plan: _Plan) -> tuple:
     kind, order = block_structure(block), plan.order
     w, wide = len(order), plan.rows is not None
     if kind == "dense":
-        if not wide:
-            return kind, None
-        # the listed-order row of each digit string in increasing site order
-        listed = np.empty((d**w, w), dtype=np.int64)
-        listed[:, order] = digit_table(d, w)
-        return kind, tuple((listed @ d ** np.arange(w - 1, -1, -1)).tolist())
+        return kind, None
     axis = (None, slice(None)) * w + (None,)
     if kind == "diagonal":
         diagonal = block.diagonal().reshape((d,) * w).transpose(order)
@@ -477,7 +472,7 @@ def _tables(block: np.ndarray, d: int, plan: _Plan) -> tuple:
     src = (block != 0).argmax(axis=1)
     phase = block[np.arange(dw), src]
     digits = digit_table(d, w)[src].T.reshape((w,) + (d,) * w)
-    sources, phases = src.tolist(), None if (phase == 1).all() else phase
+    unit = (phase == 1).all()
     if wide:
         span, index = plan.view[1:-1], None
         if math.prod(span) <= _SPAN:
@@ -490,14 +485,11 @@ def _tables(block: np.ndarray, d: int, plan: _Plan) -> tuple:
                 for a in axes
             ]
             index = np.ravel_multi_index(coords, span).reshape(-1)
-        if phases is not None:
-            phases = _row_table(phase.reshape((d,) * w), plan)
-        return kind, (index, sources, phases)
+        phases = None if unit else _row_table(phase.reshape((d,) * w), plan)
+        return kind, (index, src.tolist(), phases)
     index = sum(((slice(None), k) for k in digits), ()) + (slice(None),)
-    if phases is None:
-        return kind, (index, None, sources, None)
     gathered = phase.reshape((d,) * w + (1,) * (w + 1)) if w > 1 else phase[axis]
-    return kind, (index, gathered, sources, phase.tolist())
+    return kind, (index, None if unit else gathered)
 
 
 def _row_table(values: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -526,17 +518,14 @@ def apply_local(x: np.ndarray, d: int, n: int, local: Local) -> np.ndarray:
     """Apply ``local`` to ``x`` (d**n entries, then an optional batch axis).
 
     The kernel follows the block's structure (:func:`block_structure`) and
-    the plan's width (:func:`_local_axes`).  A diagonal block is one
-    broadcast multiply of ``view``, or of ``rows`` for a wide plan.  A
-    monomial block moves each entry once and scales it by its phase: one
-    gather on a small state, one strided multiply per output digit string
-    when the sites lead a larger one, and on a wide plan one ``np.take``
-    over the sites' span (or one copy of whole runs per digit string) and
-    then the phases as a diagonal.  A dense block transposes ``view`` with its sites
-    first, in listed order, makes one ``np.dot`` and transposes back; a wide
-    plan moves whole runs both ways.  Every layout computes each entry with
-    the same operations in the same order, so all give the same bits.  None
-    holds more than two states.
+    the plan's width (:func:`_local_axes`).  A diagonal block multiplies
+    ``view``, or a wide plan's ``rows``.  A monomial block is one gather of
+    ``view``, or on a wide plan one ``np.take`` over the sites' span (a copy
+    of whole runs per digit string past _SPAN) and the phases as a diagonal.
+    A dense block is ``view`` transposed with its sites first, in listed
+    order, one ``np.dot`` and the transpose back.  Every layout computes each
+    entry with the same operations in the same order, so all give the same
+    bits.  None holds more than two states.
     """
     plan = _local_axes(d, n, tuple(local.sites), x.shape[1:])
     if local.block.shape != (plan.dw, plan.dw):
@@ -546,7 +535,9 @@ def apply_local(x: np.ndarray, d: int, n: int, local: Local) -> np.ndarray:
         return (x.reshape(plan.rows or plan.view) * tables).reshape(x.shape)
     if kind == "monomial":
         return _permute(x, d, plan, tables, local.block.dtype)
-    return _dense(x, d, plan, tables, local.block)
+    # the transposed copy has no name, so it is freed before the copy back
+    y = np.dot(local.block, x.reshape(plan.view).transpose(plan.axes).reshape(plan.dw, -1))
+    return y.reshape(plan.front).transpose(plan.inverse).reshape(x.shape)
 
 
 def _permute(x: np.ndarray, d: int, plan: _Plan, tables: tuple, dtype) -> np.ndarray:
@@ -554,19 +545,12 @@ def _permute(x: np.ndarray, d: int, plan: _Plan, tables: tuple, dtype) -> np.nda
     out = np.empty(x.shape, x.dtype if x.dtype == dtype else np.result_type(x.dtype, dtype))
     view = plan.view
     if plan.rows is None:
-        index, gathered, sources, phases = tables
-        v, o = x.reshape(view), out.reshape(view)
-        if x.size >= _WIDE:
-            slots = _view_slots(d, len(plan.order))
-            for t, src in enumerate(sources):
-                if phases is None:
-                    np.copyto(o[slots[t]], v[slots[src]])
-                else:
-                    np.multiply(v[slots[src]], phases[t], out=o[slots[t]])
-        elif gathered is None:
-            np.copyto(o.transpose(plan.lay), v[index])
+        index, gathered = tables
+        v, o = x.reshape(view), out.reshape(view).transpose(plan.lay)
+        if gathered is None:
+            np.copyto(o, v[index])
         else:
-            np.multiply(v[index], gathered, out=o.transpose(plan.lay))
+            np.multiply(v[index], gathered, out=o)
         return out
     index, sources, phases = tables
     x, run = x.astype(out.dtype, copy=False), view[-1]
@@ -581,30 +565,6 @@ def _permute(x: np.ndarray, d: int, plan: _Plan, tables: tuple, dtype) -> np.nda
     if phases is not None:
         rows = out.reshape(plan.rows)
         np.multiply(rows, phases, out=rows)
-    return out
-
-
-def _dense(x: np.ndarray, d: int, plan: _Plan, slot_rows, block: np.ndarray) -> np.ndarray:
-    """A dense d**w x d**w block on ``x``: ``np.dot`` on its sites' rows, in listed order."""
-    dw, view = plan.dw, plan.view
-    if plan.rows is None or view[-1] >= _SHORT:
-        # the transposed copy has no name, so it is freed before the copy back
-        y = np.dot(block, x.reshape(view).transpose(plan.axes).reshape(dw, -1))
-        return y.reshape(plan.front).transpose(plan.inverse).reshape(x.shape)
-    # the same (dw, M) operand, moved a run at a time; then each slot back from its row
-    run, runs, copy = view[-1], view[:-1] + (1,), None
-    try:  # numpy's reshape gives np.dot a strided view when it can, so must this
-        operand = x.reshape(view).transpose(plan.axes).reshape(dw, -1, copy=False)
-    except ValueError:
-        moved = _runs(x, run).reshape(view[:-1]).transpose(plan.axes[:-1])
-        operand = copy = moved.copy(order="C").view(x.dtype).reshape(dw, -1)
-    y = np.dot(block, operand)
-    del operand
-    # the operand's copy is free once np.dot returns: the result reuses it
-    out = copy.reshape(x.shape) if copy is not None and copy.dtype == y.dtype else np.empty(x.shape, y.dtype)
-    o, v = _runs(out, run).reshape(runs), _runs(y, run).reshape((dw,) + plan.front[len(plan.order) : -1] + (1,))
-    for slot, r in zip(_view_slots(d, len(plan.order)), slot_rows):
-        o[slot] = v[r]
     return out
 
 
@@ -711,7 +671,7 @@ def site_probabilities(state: QState, site: int) -> np.ndarray:
     negated, and the runs are added in order by ``np.subtract.reduce``,
     which, unlike an add, keeps its running total in a register.
     """
-    plan = _local_axes(state.d, state.n, (site,), ())
+    plan = _local_axes(state.d, state.n, (_integer(site, "site"),), ())
     p = np.abs(state.vector.reshape(plan.view)) ** 2
     if plan.rows is None or plan.view[-1] >= _SHORT:
         return p.sum(axis=(0, 2))
@@ -763,27 +723,13 @@ def project_site(state: QState, site: int, outcome: int) -> tuple[QState, float]
 def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
     """The post state of reading ``outcome`` at ``site``, whose probability is ``p``.
 
-    Every other value of the site is zeroed and the rest divided by
-    sqrt(p) (left as is when p is 0).  On a wide plan whose runs are
-    short, the division runs over the whole state and the other values'
-    runs are then blanked whole, so no loop is short.
+    Every other value of the site (axis 1 of its one-site view) is zeroed
+    and the rest divided by sqrt(p) (left as is when p is 0).
     """
     _check_outcome(state.d, outcome)
-    plan = _local_axes(state.d, state.n, (site,), ())
+    plan = _local_axes(state.d, state.n, (_integer(site, "site"),), ())
     t = state.vector.reshape(plan.view)
-    pre, d, run = plan.view
     kept = (slice(None), outcome)
-    if plan.rows is not None and 1 < run < _SHORT:
-        # short runs: divide the whole state, then blank the other values' runs whole
-        out = np.empty(t.shape, t.dtype)
-        if p > 0:
-            _divide(t, p, out)
-        else:
-            np.copyto(out, t)
-        runs = _runs(out, run).reshape(pre, d)
-        for k in set(range(d)) - {outcome}:
-            runs[:, k] = np.zeros((), runs.dtype)
-        return QState(state.d, state.n, out.reshape(-1))
     out = np.zeros(t.shape, t.dtype)
     if p > 0:
         _divide(t[kept], p, out[kept])

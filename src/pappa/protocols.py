@@ -11,8 +11,8 @@ edit; one cross-party classical message costs one cdit.
 
 Each step kind is a subclass of ``Step`` that carries its own rules and
 action: ``sites(n)``, the register sites it acts on; ``check(owner,
-known)``, its party, the locality of those sites and its register
-bookkeeping, which ``validate`` calls; ``kind``, which the walker
+known)``, its party, the locality of those sites, its register bookkeeping
+and an integer power, which ``validate`` calls; ``kind``, which the walker
 dispatches on; and for gate, ctrl and cond steps ``locals(ring, value)``,
 the ``Local``s it applies.  No code asks a step for its class.
 
@@ -76,6 +76,14 @@ class Step:
                 raise LocalityError(f"site {s} is not local to party {self.party}")
 
 
+def _check_integer(what: str, value) -> None:
+    """A gate, ctrl or cond step's last rule: ``operator.index`` takes its power, exponent or coefficient."""
+    try:
+        gates._integer(value, what)
+    except TypeError as exc:
+        raise LocalityError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class GateStep(Step):
     party: str
@@ -84,6 +92,10 @@ class GateStep(Step):
     power: int = 1
 
     kind = "local"
+
+    def check(self, owner: dict[int, str], known: dict[str, set[str]]) -> None:
+        super().check(owner, known)
+        _check_integer("power", self.power)
 
     def locals(self, ring: PhaseRing, value: int | None = None) -> list[gates.Local]:
         return [gates.Local((self.site,), gates.gate_block(ring, self.name, self.power))]
@@ -109,6 +121,7 @@ class CtrlStep(Step):
         if self.control == self.target and self.party in known:
             raise LocalityError("control and target must differ")
         super().check(owner, known)
+        _check_integer("exponent", self.exponent)
 
     def locals(self, ring: PhaseRing, value: int | None = None) -> list[gates.Local]:
         block = gates.ctrl_block(ring, self.name, self.exponent)
@@ -164,6 +177,7 @@ class CondStep(Step):
         super().check(owner, known)
         if self.register not in known[self.party]:
             raise LocalityError(f"{self.party} conditions on unreceived register {self.register}")
+        _check_integer("coefficient", self.coeff)
 
     def locals(self, ring: PhaseRing, value: int | None = None) -> list[gates.Local]:
         """No Local when ``coeff * value`` is 0, else one."""

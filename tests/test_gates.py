@@ -357,6 +357,23 @@ def test_a_float_site_leaves_no_plan_behind():
     assert np.array_equal(out, v.reshape(3, 3)[:, [2, 0, 1]].reshape(-1))
 
 
+FLOAT_SITE_CALLS = {
+    "apply_local": lambda v, x: gates.apply_local(v, 2, 2, gates.Local((1.0,), x)),
+    "site_probabilities": lambda v, x: gates.site_probabilities(gates.QState(2, 2, v), 1.0),
+    "collapse_site": lambda v, x: gates.collapse_site(gates.QState(2, 2, v), 1.0, 0, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_SITE_CALLS.values(), ids=FLOAT_SITE_CALLS.keys())
+def test_a_float_site_is_refused_on_a_warm_plan_cache(call):
+    """A plan cached for site 1 would serve ``1.0``: the site is refused before the lookup."""
+    x, v = gates.gate_block(RINGS[2], "X"), np.full(4, 0.5, dtype=complex)
+    gates.apply_local(v, 2, 2, gates.Local((1,), x))
+    gates.site_probabilities(gates.QState(2, 2, v), 1)
+    with pytest.raises(TypeError, match=r"^site 1\.0 is not an integer$"):
+        call(v, x)
+
+
 NON_INTEGER_POWERS = {
     "gate_power-1.5": lambda r: gate_power(r, "X", 1.5),
     "gate_power-2.0": lambda r: gate_power(r, "X", 2.0),

@@ -290,18 +290,18 @@ def structured_locals(draw):
     return d, n, Local(sites, block), x / np.linalg.norm(x), kind
 
 
-# (_WIDE, _SPAN): the narrow gather; the narrow slice loop or else a wide plan
-# whose monomial takes over its span; the same with slot-by-slot run copies
+# (_WIDE, _SPAN): the narrow gather; a wide plan whose monomial takes over its
+# span; the same with slot-by-slot run copies
 LAYOUTS = [(2**62, gates._SPAN), (0, 2**62), (0, 0)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(structured_locals())
 def test_structured_kernels_match_tensordot(case):
-    """Every layout of the monomial kernel (gather, slice loop, span take,
-    run copies) and of the diagonal kernel (view, rows), on writable and
-    frozen blocks, gives the same bits, within 1e-15 per entry of
-    ``tensordot``; a near miss takes the dense kernel, bit for bit."""
+    """Every layout of the monomial kernel (gather, span take, run copies)
+    and of the diagonal kernel (view, rows), on writable and frozen blocks,
+    gives the same bits, within 1e-15 per entry of ``tensordot``; a near
+    miss takes the dense kernel, bit for bit."""
     d, n, local, x, kind = case
     assert gates.block_structure(local.block) == kind
     want = apply_local_tensordot(x, d, n, local)

@@ -421,6 +421,9 @@ BROKEN = {
     "cond-site-first": ((2, AB, [], [CondStep("a", "X", 1, "m")], (), ()), "site 1 is not local to party a", ("step", 0)),
     "sft-site": ((2, AB, [], [SftStep("a")], (), ()), "site 1 is not local to party a", ("step", 0)),
     "cond-register": ((2, AB, [], [*MEASURED, CondStep("b", "X", 1, "m")], (), ()), "b conditions on unreceived register m", ("step", 1)),
+    "gate-power": ((2, AB, [], [GateStep("a", "X", 0, 1.5)], (), ()), "power 1.5 is not an integer", ("step", 0)),
+    "ctrl-exponent": ((2, {"a": (0, 1)}, [], [CtrlStep("a", "X", 0, 1, 2.0)], (), ()), "exponent 2.0 is not an integer", ("step", 0)),
+    "cond-coefficient": ((2, AB, [], [*MEASURED, CondStep("a", "X", 0, "m", 0.5)], (), ()), "coefficient 0.5 is not an integer", ("step", 1)),
 }
 
 
@@ -811,7 +814,9 @@ def test_cond_sweep_keeps_at_most_5_times_4d_blocks_per_ring():
     ids=["gate", "ctrl", "cond"],
 )
 def test_a_non_integer_power_stops_the_walk(step, message):
-    script = ProtocolScript(2, 2, {"a": (0, 1)}, [], [GateStep("a", "F", 0), MeasureStep("a", 0, "m"), step])
+    """``validate`` refuses such a step (see ``BROKEN``); the walk does too, past a bypassed ``validate``."""
+    script = ProtocolScript(2, 2, {"a": (0, 1)}, [], [GateStep("a", "F", 0), MeasureStep("a", 0, "m")])
+    object.__setattr__(script, "steps", (*script.steps, step))
     with pytest.raises(TypeError, match=f"^{message}$"):
         run_branches(RINGS[2], script)
 

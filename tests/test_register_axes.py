@@ -5,12 +5,14 @@ the entropy cut are held bit for bit to the n-axis formulas of
 ``register_axes`` for d = 2..7 and every site tuple on up to 5 qudits.
 The dense kernel runs every tuple whose work d**(n + w), w the tuple's
 width, is at most 4**9 (all of them at d = 2, 3), with and without a batch
-axis.  On wide registers (d=2, n=16 and 18; d=3, n=10 and 11), where the
-plan merges the last qudits into rows, all three kernels and both meters
-are held to the same formulas at early, middle and late sites.  The
+axis.  On wide registers (d=2, n=16 and 18; d=3, n=10 and 11), where
+every plan merges the last qudits into rows, all three kernels and both
+meters are held to the same formulas at early, middle and late sites; a
+plan is wide exactly when it holds ``gates._WIDE`` entries or more.  The
 refusals at the end are what the plan and the register layer now reject.
 """
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -161,11 +163,26 @@ def test_wide_kernels_match_n_axis_formulas(d, n):
     x = signed_zeros(rand_vector(d**n, rng), rng)
     blocks = {w: structured_blocks(d, w, rng) for w in (1, 2)}
     for sites in wide_sites(n):
-        assert (gates._local_axes(d, n, sites, ()).rows is None) == (sites == (0,))
+        assert gates._local_axes(d, n, sites, ()).rows is not None  # every plan of a wide register
         for kind, block, formula in blocks[len(sites)]:
             assert gates.block_structure(block) == kind.replace("permutation", "monomial")
             got = gates.apply_local(x, d, n, Local(sites, block))
             assert _same_bits(got, formula(x, d, n, sites, block)), (kind, sites)
+
+
+def test_a_plan_is_wide_exactly_when_it_holds_wide_entries():
+    """The one rule: the entry count of state and batch alone, wherever the sites lie."""
+    rng = np.random.default_rng(80)
+    narrow = set()
+    for _ in range(400):
+        d = int(rng.integers(2, 8))
+        n = int(rng.integers(1, 15))
+        sites = tuple(rng.permutation(n)[: rng.integers(1, min(n, 3) + 1)].tolist())
+        batch = tuple(rng.integers(1, 40, size=rng.integers(0, 2)).tolist())
+        plan = gates._local_axes(d, n, sites, batch)
+        assert (plan.rows is None) == (d**n * math.prod(batch) < gates._WIDE), (d, n, sites, batch)
+        narrow.add(plan.rows is None)
+    assert narrow == {True, False}
 
 
 @pytest.mark.parametrize("d,n", WIDE)
