@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .gates import QState, Weyl, _local_axes, basis_index, digit_sums
+from .gates import QState, Weyl, _integer, _local_axes, basis_index, digit_sums
 from .phases import PhaseRing
 
 _EIG_CUTOFF = 1e-12
@@ -117,7 +117,7 @@ def _normalized(state: QState) -> np.ndarray:
 
 def _keep_sites(keep, n: int) -> tuple[int, ...]:
     """``keep`` as sorted distinct sites, checked to be nonempty and in 0..n-1."""
-    keep = tuple(sorted(set(keep)))
+    keep = tuple(sorted({_integer(s, "site") for s in keep}))  # 1.0 would hit a plan cached for 1
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:

@@ -663,7 +663,10 @@ def cz_gate(ring: PhaseRing, n: int = 2, site_a: int = 0, site_b: int = 1) -> np
 def site_probabilities(state: QState, site: int) -> np.ndarray:
     """The probability of each value 0..d-1 of ``site``: axis 1 of its one-site view.
 
-    The bits are those of numpy's ``sum(axis=(0, 2))`` of the view: each
+    ``state.vector`` may carry a batch axis; the result is then one column
+    per batch entry.  Many columns are numpy's ``sum(axis=(0, 2))`` of the
+    batched view, in one call.  One column's bits are those of numpy's
+    ``sum(axis=(0, 2))`` of the view: each
     run of entries after the site summed pairwise (left to right below 8
     entries), then the runs added in order.  On a wide plan with runs of
     fewer than _SHORT entries that sum loops over a few entries at a time,
@@ -672,16 +675,20 @@ def site_probabilities(state: QState, site: int) -> np.ndarray:
     which, unlike an add, keeps its running total in a register.
     """
     plan = _local_axes(state.d, state.n, (_integer(site, "site"),), ())
-    p = np.abs(state.vector.reshape(plan.view)) ** 2
+    x, batch = state.vector, state.vector.shape[1:]
+    if math.prod(batch) != 1:
+        return (np.abs(x.reshape(plan.view + batch)) ** 2).sum(axis=(0, 2))
+    x = x.reshape(plan.view)
+    p = np.abs(x) ** 2
     if plan.rows is None or plan.view[-1] >= _SHORT:
-        return p.sum(axis=(0, 2))
+        return p.sum(axis=(0, 2)).reshape((-1, *batch))
     sums = _negated_pairwise(p.transpose(2, 1, 0))  # [value, run]; may negate p in place
     np.negative(sums[:, 0], out=sums[:, 0])
     probs = np.array([np.subtract.reduce(row) for row in sums])
-    if np.isfinite(probs).all():
-        return probs
-    # NaN carries its sign bit through negation; leave such a state to numpy's sum
-    return (np.abs(state.vector.reshape(plan.view)) ** 2).sum(axis=(0, 2))
+    if not np.isfinite(probs).all():
+        # NaN carries its sign bit through negation; leave such a state to numpy's sum
+        probs = (np.abs(x) ** 2).sum(axis=(0, 2))
+    return probs.reshape((-1, *batch))
 
 
 def _negated_pairwise(cols: np.ndarray) -> np.ndarray:
@@ -738,19 +745,23 @@ def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
     return QState(state.d, state.n, out.reshape(-1))
 
 
-def _divide(a: np.ndarray, p: float, out: np.ndarray) -> None:
-    """``a / sqrt(p)`` into ``out``.
+def _divide(a: np.ndarray, p, out: np.ndarray) -> None:
+    """``a / sqrt(p)`` into ``out``, which may be ``a``; ``p`` is a number, or
+    an array of them over the last axis of ``a``.
 
     numpy divides a complex x by c + 0j as ((x.re + x.im*0)*s, (x.im - x.re*0)*s),
     s = 1/c, signs of zeros included.  x times s - 0j, fused or not, gives
-    the same bits for every finite x whenever s >= 1, i.e. p <= 1: its
+    the same bits for every finite x whenever s >= 1, i.e. c <= 1: its
     products with 0 are exact, and no product with s rounds to zero.  Only a
-    NaN may come out with another sign bit.
+    NaN may come out with another sign bit.  Under _WIDE entries, where
+    numpy's cost per call rules, it divides: one call where the multiply
+    takes four.
     """
-    if a.dtype == np.complex128 and p <= 1:
-        np.multiply(a, complex(1 / math.sqrt(p), -0.0), out=out)
+    root = np.sqrt(p)
+    if a.size >= _WIDE and a.dtype == np.complex128 and root.max() <= 1:
+        np.multiply(a, (1 / root).astype(complex).conj(), out=out)
     else:
-        np.divide(a, np.sqrt(p), out=out)
+        np.divide(a, root, out=out)
 
 
 def _check_outcome(d: int, outcome: int) -> None:

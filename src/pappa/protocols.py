@@ -16,11 +16,16 @@ and an integer power, which ``validate`` calls; ``kind``, which the walker
 dispatches on; and for gate, ctrl and cond steps ``locals(ring, value)``,
 the ``Local``s it applies.  No code asks a step for its class.
 
-The walker reads every block from the read-only caches of ``gates``: a
-gate's from ``gate_block``, which ``clifford`` and ``verify`` read too, a
-ctrl step's from ``ctrl_block`` (exact, from the same phase table); an SFT
-step is ``evaluator.apply_sft``.  It builds and caches no block itself, and
-lays out qudits only through the plan of ``gates._local_axes``.
+Both executors are one walker, ``_run``, which walks the outcome tree one
+level at a time: the live branches are the columns of one batch, each
+step is one kernel call over all of them, and a measured qudit leaves the
+register until a later step acts on it or the walk ends.  ``run`` is the
+walk with one column.  The walker reads every block from the read-only
+caches of ``gates``: a gate's from ``gate_block``, which ``clifford`` and
+``verify`` read too, a ctrl step's from ``ctrl_block`` (exact, from the
+same phase table); an SFT step is ``evaluator.apply_sft``.  It builds and
+caches no block itself (only each ``Local`` renumbered to the live axes),
+and lays out qudits only through the plan of ``gates._local_axes``.
 """
 
 from __future__ import annotations
@@ -311,14 +316,18 @@ def _initial_state(
             raise ValueError(f"input state of degree {input_state.d}, script of degree {d}")
         if input_state.n != len(script.input_sites):
             raise ValueError("input state size mismatch")
-        if not np.isfinite(input_state.vector).all():
+        # ``QState`` keeps a list, or integers, as given: the meters need an inexact array
+        vector = np.asarray(input_state.vector)
+        if vector.dtype.kind not in "fc":
+            vector = vector.astype(float)
+        if not np.isfinite(vector).all():
             raise ValueError("input state holds a non-finite entry")
-        if not input_state.vector.any():
+        if not vector.any():
             raise ValueError("input state has no weight")
-        norm2 = float(np.vdot(input_state.vector, input_state.vector).real)
+        norm2 = float(np.vdot(vector, vector).real)
         if abs(norm2 - 1.0) > DEFAULT_TOL:
             raise ValueError(f"input state has squared norm {norm2:.6g}, not 1")
-        blocks.append((script.input_sites, input_state.vector))
+        blocks.append((script.input_sites, vector))
     elif input_state is not None:
         raise ValueError("script takes no input state")
     for res in script.resources:
@@ -339,67 +348,154 @@ def _initial_state(
 
 
 def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, seed, fork):
-    """Walk the outcome tree of ``script`` depth first; return its leaves.
+    """Walk the outcome tree of ``script`` one level at a time; return its leaves.
 
-    The walk dispatches on each step's ``kind``.  A "local" step (gate,
-    ctrl) gives its ``locals(ring)`` once per walk, before it; a "cond"
-    step gives ``locals(ring, value)`` once per visit, from its register's
-    value.  Their blocks are built once per process, read-only, by
-    ``gates.gate_block`` or ``gates.ctrl_block``.  A "meter" step forks, a
-    "send" step between two parties costs a cdit, and an "sft" step is
+    The live branches are the columns of one (d**k, B) array, k the number
+    of unmeasured qudits, in increasing site order, and the columns in
+    depth-first outcome order: parent-major, outcome-minor.  The walk
+    dispatches on each step's ``kind``.  A "local" step (gate, ctrl) gives
+    its ``locals(ring)`` once per walk, and each is one ``apply_local`` over
+    every column; a "cond" step gives ``locals(ring, value)`` for each value
+    its register holds, applied to the columns that hold it: one call when
+    they all agree, at most d.  Their blocks are built once per process,
+    read-only, by ``gates.gate_block`` or ``gates.ctrl_block``.  A "send"
+    step between two parties costs a cdit, and an "sft" step is
     ``evaluator.apply_sft``.
-    ``fork(state, site)`` lists the children taken at a measurement as
-    (outcome, p) pairs in outcome order, ``p`` being the child's own
-    probability.  A child's state is collapsed from its parent
-    only when the walk reaches it, and a fork is dropped with its parent
-    state when its last child is taken.  So only the parents of forks with
-    children left and the state being advanced are alive: at most m+1
-    states for m measurements, and O(1) when every fork has one child, as
-    in ``run``.
+
+    A "meter" step reads every column's outcome probabilities in one
+    ``site_probabilities`` call, a (d, B) table; ``fork(probs)`` picks the
+    children, as (parent column, outcome) index arrays in column order and
+    each child's probability p.  A child is its parent's d**(k-1) slice at
+    its outcome, divided in place by sqrt(p) with ``gates._divide``, so the
+    measured qudit leaves the register and a child of p exactly 0 is never
+    made.  A step that acts on a measured qudit puts it back first, as a
+    basis axis at each column's outcome; an "sft" step puts back all of
+    them.  Once a qudit is measured, each ``Local`` is renumbered to the
+    live axes (see :func:`_on_axes`).  The leaves are put back on n qudits
+    in one scatter into a (B, d**n) buffer.  So a walk holds the batch and
+    the children being made, each about d**n entries per live branch
+    divided by d per measured qudit, and at the end the batch and the
+    leaves.
     """
     if ring.d != script.d:
         raise ValueError(f"ring degree {ring.d} and script degree {script.d} differ")
     d, n, steps = ring.d, script.n_sites, script.steps
     ops = [step.locals(ring) if step.kind == "local" else None for step in steps]
-    leaves: list[Transcript] = []
-    pending: list[tuple] = []  # (children, parent, measure step, resume at, outcomes, cdits, prob)
-    state = _initial_state(ring, script, input_state)
-    start, outcomes, cdits, prob = 0, {}, 0, 1.0
-    while True:
-        for i in range(start, len(steps)):
-            step, op = steps[i], ops[i]
-            kind = step.kind
-            if kind == "meter":
-                children = fork(state, step.site)
-                if children:
-                    pending.append((children, state, step, i + 1, outcomes, cdits, prob))
-                break
-            if kind == "send":
-                if step.src != step.dst:
-                    cdits += 1
+    x = _initial_state(ring, script, input_state).vector[:, None]
+    live = tuple(range(n))  # the unmeasured sites, in order: the axes of x, before its columns
+    # each column's outcome at the j-th meter in column j of ``digits``, and the meter
+    # of each register and of each site measured and not put back since
+    digits = np.zeros((1, len(steps)), np.intp)
+    register_meter: dict[str, int] = {}
+    measured: dict[int, int] = {}
+    prob, cdits, meter = np.ones(1), 0, 0  # prob: each column's branch probability
+    for i, step in enumerate(steps):
+        kind = step.kind
+        if kind == "send":
+            if step.src != step.dst:
+                cdits += 1
+            continue
+        if measured and not measured.keys().isdisjoint(step.sites(n)):
+            back = {s: digits[:, measured.pop(s)] for s in step.sites(n) if s in measured}
+            rows, live = _put_back(x, d, live, back)
+            x = np.ascontiguousarray(rows.T)
+        if kind == "local":
+            x = _apply(x, d, n, live, ops[i])
+        elif kind == "cond":
+            values = digits[:, register_meter[step.register]]
+            groups = sorted(set(values.tolist()))
+            if len(groups) == 1:
+                x = _apply(x, d, n, live, step.locals(ring, groups[0]))
                 continue
-            if kind == "sft":
-                state = evaluator.apply_sft(ring, state)
-                continue
-            if kind == "cond":
-                op = step.locals(ring, outcomes[step.register])
-            v = state.vector
-            for local in op:
-                v = gates.apply_local(v, d, n, local)
-            state = QState(d, n, v)
-        else:
-            leaves.append(Transcript(seed, outcomes, state, len(script.resources), cdits, prob))
-        # resume at the next child of the deepest fork that has one left
-        if not pending:
-            return leaves
-        children, parent, step, start, outcomes, cdits, prob = pending[-1]
-        outcome, p = children.pop(0)
-        if not children:
-            pending.pop()
-        state = gates.collapse_site(parent, step.site, outcome, p)
-        del parent  # a fork's parent state lives only as long as its fork
-        outcomes = {**outcomes, step.register: outcome}
-        prob *= p
+            # x is the walk's own: the meter of the register made it, or a kernel since
+            for value in groups:
+                op = step.locals(ring, value)
+                if op:
+                    cols = values == value
+                    part = _apply(x[:, cols], d, n, live, op)
+                    x = x.astype(part.dtype, copy=False)
+                    x[:, cols] = part
+        elif kind == "sft":
+            x = evaluator.apply_sft(ring, QState(d, n, x)).vector
+        elif kind == "meter":
+            k, axis = len(live), live.index(step.site)
+            probs = gates.site_probabilities(QState(d, k, x), axis)
+            parents, outcomes, p = fork(probs)
+            x = _children(x.reshape(gates._local_axes(d, k, (axis,), ()).view + x.shape[1:]), parents, outcomes)
+            gates._divide(x, p, x)
+            live = live[:axis] + live[axis + 1 :]
+            if len(parents) > 1 or len(digits) > 1:  # one branch keeping one child keeps its row
+                digits, prob = digits[parents], prob[parents]
+            digits[:, meter] = outcomes
+            prob = prob * p
+            register_meter[step.register] = measured[step.site] = meter
+            meter += 1
+    if measured:
+        rows, _ = _put_back(x, d, live, {s: digits[:, j] for s, j in measured.items()})
+    else:
+        rows = np.ascontiguousarray(x.T)
+    edits, columns = len(script.resources), register_meter.items()
+    return [
+        Transcript(seed, {r: v[j] for r, j in columns}, QState(d, n, row), edits, cdits, p)
+        for v, row, p in zip(digits.tolist(), rows, prob.tolist())
+    ]
+
+
+def _apply(x: np.ndarray, d: int, n: int, live: tuple[int, ...], op: list[gates.Local]) -> np.ndarray:
+    """Each ``Local`` of ``op`` over every column of ``x``, on the axes of the ``live`` sites."""
+    k = len(live)
+    for local in op:
+        if k < n:
+            local = _on_axes(local, live)
+        x = gates.apply_local(x, d, k, local)
+    return x
+
+
+# ``Local``s renumbered to live axes, by block, sites and live sites: a pure
+# function of the key, kept for the process as the kernels of ``gates`` are.
+# An entry holds its block, so no other block can take the block's id.
+_ON_AXES: dict[tuple, gates.Local] = {}
+
+
+def _on_axes(local: gates.Local, live: tuple[int, ...]) -> gates.Local:
+    """``local`` on the axes of the ``live`` sites: each site renumbered by its rank."""
+    key = (id(local.block), local.sites, live)
+    hit = _ON_AXES.get(key)
+    if hit is None:
+        hit = _ON_AXES[key] = gates.Local(tuple(live.index(s) for s in local.sites), local.block)
+    return hit
+
+
+def _children(v: np.ndarray, parents: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Child c of the one-site view ``v`` (before, value, after, column): a fresh
+    copy of ``v[:, outcomes[c], :, parents[c]]``, child c its column.
+
+    One gather of every kept slice; numpy's basic indexing does the same copy
+    for less when there is one child, or when every parent keeps every value.
+    """
+    d, columns = v.shape[1], v.shape[3]
+    if len(parents) == 1:
+        return v[:, int(outcomes[0]), :, int(parents[0])].copy().reshape(-1, 1)
+    if len(parents) == d * columns:
+        return v.transpose(0, 2, 3, 1).copy().reshape(-1, d * columns)
+    return v.transpose(0, 2, 1, 3)[:, :, outcomes, parents].reshape(-1, len(parents))
+
+
+def _put_back(
+    x: np.ndarray, d: int, live: tuple[int, ...], measured: dict[int, np.ndarray]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``x`` (an axis per ``live`` site, then one column per branch) with each
+    measured site put back as a basis axis at its outcome in each column, in one
+    scatter into zeros.  Returns the columns as rows, and the new live sites."""
+    sites = tuple(sorted((*live, *measured)))
+    back = sorted(measured)
+    view = gates._local_axes(d, len(sites), tuple(map(sites.index, back)), ()).view
+    columns = x.shape[1]
+    rows = np.zeros((columns, *view), x.dtype)
+    # a slice stands between any two index arrays, so the indexed axes lead, in order
+    index = (np.arange(columns), *(i for s in back for i in (slice(None), measured[s])), slice(None))
+    rows[index] = x.T.reshape(columns, *view[::2])
+    return rows.reshape(columns, -1), sites
 
 
 def run(
@@ -408,11 +504,19 @@ def run(
     input_state: QState | None = None,
     seed: int | None = 0,
 ) -> Transcript:
-    """Sample one transcript; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
+    """Sample one transcript; deterministic for a fixed seed.
 
-    def sample(state, site):
-        return [gates.draw(state, site, rng)]
+    The level walk with one column: each meter draws its outcome with one
+    ``rng.choice`` over the column's probabilities, and the measured qudit
+    leaves the register until the end.
+    """
+    rng = np.random.default_rng(seed)
+    parent = np.zeros(1, np.intp)
+
+    def sample(probs):
+        column = probs[:, 0]
+        outcome = rng.choice(ring.d, p=column / column.sum())
+        return parent, np.array([outcome]), column[outcome : outcome + 1]
 
     (tr,) = _run(ring, script, input_state, seed, sample)
     return tr
@@ -424,20 +528,21 @@ def run_branches(
     """Execute every measurement branch; for a unit input (the only kind
     accepted) the probabilities sum to one.
 
-    One depth-first walk of the outcome tree: the initial state is built
-    once, the steps before each measurement run once per surviving prefix,
-    and each measurement forks into outcomes 0..d-1 from one
-    ``site_probabilities`` call.  An outcome of
-    probability exactly 0 is dropped unexpanded, and a leaf is kept when
-    its probability exceeds 1e-15.  Transcripts come back in the order of
-    ``gates.all_digit_tuples`` over the outcomes.  The cost is one pass
-    over the steps per surviving prefix, not d**m full replays, and at
-    most m+1 states are alive at once for m measurements.
+    One level walk of the outcome tree: the initial state is built once,
+    every step runs once over the batch of the branches live at its level,
+    and each measurement forks every branch into outcomes 0..d-1 from one
+    ``site_probabilities`` table.  An outcome of probability exactly 0 is
+    dropped unexpanded, and a leaf is kept when its probability exceeds
+    1e-15.  Transcripts come back in the order of ``gates.all_digit_tuples``
+    over the outcomes.  The cost is one kernel call per step (at most d for
+    a cond step), not one per branch, and a measured qudit leaves the
+    batch, so a batch holds about one state per live branch, divided by d
+    per measurement.
     """
 
-    def every(state, site):
-        probs = gates.site_probabilities(state, site)
-        return [(k, float(p)) for k, p in enumerate(probs) if p != 0.0]
+    def every(probs):
+        kept = probs.T != 0
+        return (*np.nonzero(kept), probs.T[kept])
 
     leaves = _run(ring, script, input_state, None, every)
     return [tr for tr in leaves if tr.probability > 1e-15]
@@ -452,7 +557,7 @@ def state_on_sites(state: QState, sites) -> QState:
     qudit holds more than ``DEFAULT_TOL`` of the weight off its likeliest
     value.
     """
-    sites = tuple(sites)
+    sites = tuple(gates._integer(s, "site") for s in sites)  # 1.0 would hit a plan cached for 1
     d = state.d
     gates._local_axes(d, state.n, sites, ())
     if not state.vector.any():

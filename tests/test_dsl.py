@@ -26,6 +26,7 @@ from pappa.evaluator import evaluate
 from pappa.gates import QState
 from pappa.phases import make_phase_ring
 
+from branch_walk import WALK_TOL
 from gatespec import GateSpec, apply_gate_spec
 from test_eval_kernels import diagrams
 
@@ -252,7 +253,7 @@ def test_run_circuit_matches_the_step_loop(d, n):
         state, regs = run_circuit(ring, circ, seed=seed)
         want, want_regs = _step_loop_run_circuit(ring, circ, seed)
         assert state.vector.dtype == complex
-        assert np.array_equal(state.vector, want.vector)
+        assert np.abs(state.vector - want.vector).max() <= WALK_TOL
         assert list(regs.items()) == list(want_regs.items())
 
 
