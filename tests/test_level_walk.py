@@ -11,14 +11,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import branch_walk
 from branch_walk import assert_same_walk
 from pappa import dsl, protocols
 from pappa.gates import QState
-from pappa.phases import make_phase_ring
 from pappa.protocols import (
     CondStep,
     CtrlStep,
@@ -33,14 +31,7 @@ from pappa.protocols import (
 )
 
 from test_dsl import _random_pc
-
-RINGS = {d: make_phase_ring(d) for d in range(2, 8)}
-
-
-def rand_state(d, n, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
-    return QState(d, n, v / np.linalg.norm(v))
+from test_protocols import RINGS, rand_state
 
 
 def assert_walks_as_the_oracle(ring, script, psi=None, seeds=range(3)):
