@@ -508,7 +508,7 @@ def run(
 
     The level walk with one column: each meter draws its outcome with one
     ``rng.choice`` over the column's probabilities, and the measured qudit
-    leaves the register until the end.
+    leaves the register until a later step acts on it or the walk ends.
     """
     rng = np.random.default_rng(seed)
     parent = np.zeros(1, np.intp)
