@@ -747,18 +747,16 @@ def collapse_site(state: QState, site: int, outcome: int, p: float) -> QState:
 
 def _divide(a: np.ndarray, p, out: np.ndarray) -> None:
     """``a / sqrt(p)`` into ``out``, which may be ``a``; ``p`` is a number, or
-    an array of them over the last axis of ``a``.
+    an array of them that broadcasts against ``a``.
 
     numpy divides a complex x by c + 0j as ((x.re + x.im*0)*s, (x.im - x.re*0)*s),
     s = 1/c, signs of zeros included.  x times s - 0j, fused or not, gives
     the same bits for every finite x whenever s >= 1, i.e. c <= 1: its
     products with 0 are exact, and no product with s rounds to zero.  Only a
-    NaN may come out with another sign bit.  Under _WIDE entries, where
-    numpy's cost per call rules, it divides: one call where the multiply
-    takes four.
+    NaN may come out with another sign bit.
     """
     root = np.sqrt(p)
-    if a.size >= _WIDE and a.dtype == np.complex128 and root.max() <= 1:
+    if a.dtype == np.complex128 and root.max() <= 1:
         np.multiply(a, (1 / root).astype(complex).conj(), out=out)
     else:
         np.divide(a, root, out=out)

@@ -366,9 +366,10 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
     ``site_probabilities`` call, a (d, B) table; ``fork(probs)`` picks the
     children, as (parent column, outcome) index arrays in column order and
     each child's probability p.  A child is its parent's d**(k-1) slice at
-    its outcome, divided in place by sqrt(p) with ``gates._divide``, so the
-    measured qudit leaves the register and a child of p exactly 0 is never
-    made.  A step that acts on a measured qudit puts it back first, as a
+    its outcome: one gather of the kept slices, a row each, divided in place
+    by sqrt(p) with ``gates._divide`` and turned into columns once the
+    parent is gone.  So the measured qudit leaves the register and a child
+    of p exactly 0 is never made.  A step that acts on a measured qudit puts it back first, as a
     basis axis at each column's outcome; an "sft" step puts back all of
     them.  Once a qudit is measured, each ``Local`` is renumbered to the
     live axes (see :func:`_on_axes`).  The leaves are put back on n qudits
@@ -422,10 +423,10 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
             probs = gates.site_probabilities(QState(d, k, x), axis)
             parents, outcomes, p = fork(probs)
             x = _children(x.reshape(gates._local_axes(d, k, (axis,), ()).view + x.shape[1:]), parents, outcomes)
-            gates._divide(x, p, x)
+            gates._divide(x, p[:, None], x)
+            x = np.ascontiguousarray(x.T)  # the children as columns, the parent gone
             live = live[:axis] + live[axis + 1 :]
-            if len(parents) > 1 or len(digits) > 1:  # one branch keeping one child keeps its row
-                digits, prob = digits[parents], prob[parents]
+            digits, prob = digits[parents], prob[parents]
             digits[:, meter] = outcomes
             prob = prob * p
             register_meter[step.register] = measured[step.site] = meter
@@ -468,17 +469,10 @@ def _on_axes(local: gates.Local, live: tuple[int, ...]) -> gates.Local:
 
 def _children(v: np.ndarray, parents: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     """Child c of the one-site view ``v`` (before, value, after, column): a fresh
-    copy of ``v[:, outcomes[c], :, parents[c]]``, child c its column.
-
-    One gather of every kept slice; numpy's basic indexing does the same copy
-    for less when there is one child, or when every parent keeps every value.
+    copy of ``v[:, outcomes[c], :, parents[c]]``, as row c.  One gather of
+    every kept slice.
     """
-    d, columns = v.shape[1], v.shape[3]
-    if len(parents) == 1:
-        return v[:, int(outcomes[0]), :, int(parents[0])].copy().reshape(-1, 1)
-    if len(parents) == d * columns:
-        return v.transpose(0, 2, 3, 1).copy().reshape(-1, d * columns)
-    return v.transpose(0, 2, 1, 3)[:, :, outcomes, parents].reshape(-1, len(parents))
+    return v[:, outcomes, :, parents].reshape(len(parents), -1)
 
 
 def _put_back(
@@ -537,7 +531,9 @@ def run_branches(
     over the outcomes.  The cost is one kernel call per step (at most d for
     a cond step), not one per branch, and a measured qudit leaves the
     batch, so a batch holds about one state per live branch, divided by d
-    per measurement.
+    per measurement.  Each leaf's ``final_state.vector`` is a row of one
+    (B, d**n) buffer, B the number of leaves before the 1e-15 cut: a caller
+    that keeps one leaf keeps all B states (copy a row to keep it alone).
     """
 
     def every(probs):

@@ -252,7 +252,8 @@ def test_run_circuit_matches_the_step_loop(d, n):
         circ = parse_circuit(_random_pc(random.Random(f"{d}/{seed}"), d, n), "r.pc")
         state, regs = run_circuit(ring, circ, seed=seed)
         want, want_regs = _step_loop_run_circuit(ring, circ, seed)
-        assert state.vector.dtype == complex
+        assert state.vector.dtype == complex and state.vector.shape == want.vector.shape
+        assert np.array_equal(state.vector == 0, want.vector == 0)
         assert np.abs(state.vector - want.vector).max() <= WALK_TOL
         assert list(regs.items()) == list(want_regs.items())
 

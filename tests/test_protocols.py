@@ -36,7 +36,7 @@ from pappa.protocols import (
     teleportation_script,
 )
 
-from branch_walk import WALK_TOL
+from branch_walk import assert_same_walk
 from gatespec import ctrl_power_block
 
 RINGS = {d: make_phase_ring(d) for d in range(2, 8)}
@@ -624,16 +624,6 @@ def _replay_branches(ring, script, input_state=None):
     return out
 
 
-def _assert_same_transcripts(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert list(a.outcomes.items()) == list(b.outcomes.items())
-        assert abs(a.probability - b.probability) <= WALK_TOL
-        assert (a.seed, a.edits, a.cdits) == (b.seed, b.edits, b.cdits)
-        assert a.final_state.vector.dtype == b.final_state.vector.dtype
-        assert np.abs(a.final_state.vector - b.final_state.vector).max() <= WALK_TOL
-
-
 def _oracle_cases():
     cases = []
     for d in range(2, 8):
@@ -660,7 +650,7 @@ def _oracle_cases():
 def test_run_branches_matches_replay_oracle(d, build, psi):
     ring = RINGS[d]
     script = build(ring)
-    _assert_same_transcripts(run_branches(ring, script, psi), _replay_branches(ring, script, psi))
+    assert_same_walk(run_branches(ring, script, psi), _replay_branches(ring, script, psi))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -672,7 +662,7 @@ def test_run_matches_replay_oracle(d):
             (build_max_script(ring, 4), None),
             (bvk_merge_script(ring, (1, 2)), None),
         ):
-            _assert_same_transcripts(
+            assert_same_walk(
                 [run(ring, script, psi, seed=seed)], [_replay(ring, script, psi, seed=seed)]
             )
 
