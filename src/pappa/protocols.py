@@ -369,14 +369,14 @@ def _run(ring: PhaseRing, script: ProtocolScript, input_state: QState | None, se
     its outcome: one gather of the kept slices, a row each, divided in place
     by sqrt(p) with ``gates._divide`` and turned into columns once the
     parent is gone.  So the measured qudit leaves the register and a child
-    of p exactly 0 is never made.  A step that acts on a measured qudit puts it back first, as a
-    basis axis at each column's outcome; an "sft" step puts back all of
-    them.  Once a qudit is measured, each ``Local`` is renumbered to the
-    live axes (see :func:`_on_axes`).  The leaves are put back on n qudits
-    in one scatter into a (B, d**n) buffer.  So a walk holds the batch and
-    the children being made, each about d**n entries per live branch
-    divided by d per measured qudit, and at the end the batch and the
-    leaves.
+    of p exactly 0 is never made.  A step that acts on a measured qudit
+    puts it back first, as a basis axis at each column's outcome; an "sft"
+    step puts back all of them.  Once a qudit is measured, each ``Local``
+    is renumbered to the live axes (see :func:`_on_axes`).  The leaves are
+    put back on n qudits in one scatter into a (B, d**n) buffer.  So a walk
+    holds the batch and the children being made, each about d**n entries
+    per live branch divided by d per measured qudit, and at the end the
+    batch and the leaves.
     """
     if ring.d != script.d:
         raise ValueError(f"ring degree {ring.d} and script degree {script.d} differ")
