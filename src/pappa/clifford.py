@@ -1,4 +1,16 @@
-"""Clifford-group checks: named identities, BFS generation, membership.
+"""Clifford-group checks: named identities, an exact BFS closure, membership.
+
+Modulo its global phase a qudit Clifford u is its :func:`tableau`: the
+images u X_j u**-1 and u Z_j u**-1 of the Pauli generators, each a
+``gates.Weyl`` word eps**c X**a Z**b of 2n + 1 integers, ``c`` mod 2d.  It
+is read once from the matrix.  :func:`generate_group` then walks the
+closure of Clifford generators in these integers only: the tableau of a
+product is a matmul and a quadratic form over Z (``Weyl.compose`` and
+``Weyl.power`` give the scalar rules), and each element is keyed by its
+exact entries, so no key rounds a float.  It refuses a generator that is
+not a Clifford unitary.  :func:`is_clifford` asks whether a matrix has a
+tableau.  :class:`PhaselessUnitary` is the float canonical form and grid
+key of any unitary, Clifford or not.
 
 The two dressing identities verified here are
 
@@ -13,6 +25,8 @@ variant visible pins the phase conventions against regressions.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +35,11 @@ from . import evaluator, gates
 from .gates import Local, ctrl_block, cz_gate, fourier_gate, gate_block, gaussian_gate, kron_all, sft_matrix
 from .phases import PhaseRing
 
+# the grid of ``PhaselessUnitary.key``, for unitaries that have no tableau
 _HASH_GRID = 1e-6
-# matrix entries multiplied in one batch of the BFS: about ten arrays of this
-# many entries are alive at once, each at most 128 KiB, glibc's default mmap
-# threshold; at 2**14 the d=5 batches were mapped and faulted in afresh each time
+# tableau entries composed in one batch of the BFS, so that a level near the
+# cap at n = 2..4 is split: each array of a batch holds at most this many
+# int64 entries, 64 KiB, under glibc's default mmap threshold of 128 KiB
 _BATCH_ENTRIES = 2**13
 
 
@@ -40,13 +55,19 @@ class PhaselessUnitary:
 
     @classmethod
     def of(cls, m: np.ndarray, tol: float = 1e-9) -> "PhaselessUnitary":
-        canon, zero_at = _canonical_batch(np.asarray(m)[None], tol)
-        if zero_at == 0:
+        m = np.asarray(m)
+        flat = m.reshape(-1, order="F")
+        live = np.abs(flat) > tol
+        pivot = flat[live.argmax()]
+        if not live.any():
             raise ValueError("zero matrix cannot be canonicalized")
-        return cls(canon[0])
+        return cls(m * (pivot.conjugate() / abs(pivot)))
 
     def key(self) -> bytes:
-        return _keys_batch(self.matrix[None])[0]
+        """The entries rounded to a grid of ``_HASH_GRID``: real parts, then imaginary."""
+        re = np.round(self.matrix.real / _HASH_GRID).astype(np.int64)
+        im = np.round(self.matrix.imag / _HASH_GRID).astype(np.int64)
+        return re.tobytes() + im.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -132,33 +153,124 @@ class GroupReport:
     generator_count: int
 
 
-def _canonical_batch(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, int]:
-    """The canonical form of each matrix of a (k, D, D) stack; ``PhaselessUnitary.of``
-    is the case k = 1.
+def tableau(ring: PhaseRing, u: np.ndarray, tol: float = 1e-8) -> np.ndarray | None:
+    """The images of the Pauli generators under u as integer words, or None.
 
-    Also returns the index of the first matrix with no entry above ``tol``
-    (k when there is none); that matrix and the ones after it are not
-    canonical.
+    Row j of the (2n, 2n + 1) array is the word (a, b, c), eps**c X**a Z**b
+    with ``c`` mod 2d, of u X_j u**-1, and row n + j that of u Z_j u**-1, as
+    :func:`gates.pauli_words` reads them at ``tol``.  None when some image
+    is no word, that is when u is not Clifford.  Modulo its global phase a
+    Clifford is its tableau.  A matrix that is not square, not of size d**n
+    or not unitary is a ``ValueError``.
     """
-    rows = np.arange(len(m))
-    flat = m.transpose(0, 2, 1).reshape(len(m), m.shape[1] * m.shape[2])  # column-major
-    live = np.abs(flat) > tol
-    idx = live.argmax(axis=1)
-    dead = np.flatnonzero(~live[rows, idx])
-    pivot = flat[rows, idx]
-    # np.hypot has the bits of a scalar's abs(); the array np.abs can differ in the last bit
-    mag = np.hypot(pivot.real, pivot.imag)
-    mag[dead] = 1.0
-    return m * (pivot.conj() / mag)[:, None, None], int(dead[0]) if len(dead) else len(m)
+    u = np.asarray(u)
+    tabs, unitary = _tableaux(ring, _qudits(ring, u.shape), u[None], tol)
+    if not unitary[0]:
+        raise ValueError("tableau and is_clifford expect a unitary")
+    return tabs[0]
 
 
-def _keys_batch(m: np.ndarray) -> list[bytes]:
-    """The hash key of each matrix of a (k, D, D) stack; ``PhaselessUnitary.key`` is k = 1."""
-    flat = m.reshape(len(m), m.shape[1] * m.shape[2])
-    re = np.round(flat.real / _HASH_GRID).astype(np.int64)
-    im = np.round(flat.imag / _HASH_GRID).astype(np.int64)
-    rows = np.concatenate([re, im], axis=1)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+def _qudits(ring: PhaseRing, shape: tuple[int, ...]) -> int:
+    """n for a d**n x d**n shape."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"matrix of shape {shape} is not square")
+    n, size = 0, 1
+    while size < shape[0]:
+        size *= ring.d
+        n += 1
+    if size != shape[0]:
+        raise ValueError("matrix size is not a power of d")
+    return n
+
+
+def _tableaux(ring: PhaseRing, n: int, us: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
+    """:func:`tableau` of each matrix of a (k, d**n, d**n) stack, None where it
+    is not a Clifford unitary, and which of the matrices are unitary.  All
+    k 2n images go to one :func:`gates.pauli_words` call."""
+    k, r, dim = len(us), 2 * n, ring.d**n
+    unitary = np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(dim)).max(axis=(1, 2)) <= 1e-8
+    ui = us.conj().transpose(2, 0, 1)  # each u**-1, its rows first
+    moved = np.zeros((r, dim, k, dim), dtype=complex)  # P u**-1 for each generator P
+    for row, (p, site) in enumerate((p, site) for p in "XZ" for site in range(n)):
+        moved[row] = gates.Weyl.of_paulis(ring, n, [(site, p, 1)]).apply(ring, ui)
+    images = us[:, None] @ moved.transpose(2, 0, 1, 3)
+    words, ok = gates.pauli_words(ring, n, images.reshape(k * r, dim, dim), tol)
+    read = unitary & ok.reshape(k, r).all(axis=1)
+    return [tab if good else None for tab, good in zip(words.reshape(k, r, r + 1), read)], unitary
+
+
+def _composer(tabs: np.ndarray, d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The products g @ u for each of G generator tableaux (G, 2n, 2n + 1), as a
+    map from a (k, 2n, 2n + 1) stack of tableaux u to the (k G, 2n, 2n + 1)
+    stack of products in (u, g) order.
+
+    Row (v, c) of u, the word eps**c X**a Z**b with v = (a, b), goes under g
+    to eps**c times the product of g's rows raised to v, in row order.  By
+    ``Weyl.power`` and ``Weyl.compose`` that is the word
+    (v S, c + v.lin + v Q v): S is g's symplectic part, lin_k = c_k - b_k.a_k,
+    and Q holds b_k.a_k on its diagonal and 2 b_k.a_l above it (k < l).  So
+    every row of every product is one integer matmul by ``lin``, which maps
+    (v, c) to (v S, c + v.lin) for all g side by side, and one quadratic form.
+    """
+    g, r = tabs.shape[:2]
+    n = r // 2
+    ba = tabs[:, :, n:r] @ tabs[:, :, :n].transpose(0, 2, 1)
+    diag = np.einsum("gkk->gk", ba)
+    quad = 2 * np.triu(ba, 1) + diag[:, :, None] * np.eye(r, dtype=np.int64)
+    quad = quad.transpose(1, 0, 2).reshape(r, -1)
+    lin = np.zeros((g, r + 1, r + 1), dtype=np.int64)
+    lin[:, :r, :r] = tabs[:, :, :r]
+    lin[:, :r, r] = tabs[:, :, r] - diag
+    lin[:, r, r] = 1
+    lin = lin.transpose(1, 0, 2).reshape(r + 1, -1)
+    modulus = np.array([d] * r + [2 * d])
+
+    def products(cur: np.ndarray) -> np.ndarray:
+        rows = cur.reshape(-1, r + 1)
+        v = rows[:, :r]
+        out = (rows @ lin).reshape(len(rows), g, r + 1)
+        out[:, :, r] += ((v @ quad).reshape(len(rows), g, r) * v[:, None]).sum(axis=2)
+        out %= modulus
+        # (u, row, g) -> (u, g) products of r rows each
+        return out.reshape(len(cur), r, g, r + 1).transpose(0, 2, 1, 3).reshape(-1, r, r + 1)
+
+    return products
+
+
+def _keys(d: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact key of each tableau of a (k, 2n, 2n + 1) stack: its entries as
+    mixed-radix digits of one int64 when d**(4n**2) (2d)**(2n) fits, else its
+    bytes."""
+    r = 2 * n
+    radix = np.tile([d] * r + [2 * d], r)
+    if math.prod(radix.tolist()) < 2**63:
+        weights = np.cumprod(np.concatenate([[1], radix[:-1]]))
+        return lambda tabs: tabs.reshape(len(tabs), r * (r + 1)) @ weights
+    void = np.dtype((np.void, r * (r + 1)))
+    return lambda tabs: tabs.astype(np.uint8).reshape(len(tabs), r * (r + 1)).view(void).ravel()
+
+
+def _read_inputs(ring: PhaseRing, n: int, generators: dict, probes: dict) -> tuple[np.ndarray, dict]:
+    """The generators' tableaux as one (G, 2n, 2n + 1) array, and each probe's
+    tableau or None, read as one stack.  A matrix that is not d**n x d**n, a
+    zero probe and a generator that is not a Clifford unitary are refused."""
+    dim, r = ring.d**n, 2 * n
+    named = [("generator", name, m) for name, m in generators.items()]
+    named += [("probe", name, m) for name, m in probes.items()]
+    mats = np.zeros((len(named), dim, dim), dtype=complex)
+    for i, (kind, name, m) in enumerate(named):
+        m = np.asarray(m)
+        if m.shape != (dim, dim):
+            raise ValueError(f"{kind} {name!r} has shape {m.shape}, not ({dim}, {dim}) for n={n}")
+        if kind == "probe" and not (np.abs(m) > 1e-9).any():
+            raise ValueError(f"probe {name!r} is the zero matrix, which cannot be canonicalized")
+        mats[i] = m
+    read, _ = _tableaux(ring, n, mats, 1e-8)
+    for (kind, name, _), tab in zip(named, read):
+        if kind == "generator" and tab is None:
+            raise ValueError(f"generator {name!r} is not a Clifford unitary")
+    g = len(generators)
+    return np.array(read[:g], dtype=np.int64).reshape(g, r, r + 1), dict(zip(probes, read[g:]))
 
 
 def generate_group(
@@ -168,52 +280,56 @@ def generate_group(
     cap: int = 200_000,
     probes: dict[str, np.ndarray] | None = None,
 ) -> GroupReport:
-    """Breadth-first closure of the generators modulo global phase.
+    """Breadth-first closure of Clifford generators modulo global phase, in integers.
 
-    Reports the group order (or that the cap was hit) and membership
-    flags for each probe matrix.  The closure expands one BFS level per
-    batched product: every ``gen @ cur`` of the level is formed at once,
-    put in ``PhaselessUnitary.of`` form and keyed as by
-    ``PhaselessUnitary.key``, and the first unseen occurrence of each key
-    joins the next level in (cur, gen) order.  Discovery order, the stop
-    at exactly ``cap`` elements and the probe flags are those of a FIFO
-    BFS that multiplies one product at a time.  Orders are never asserted
-    from memory; tests compare against such a sequential BFS and against
-    counted symplectic groups.
+    Reports the group order (or that the cap was hit) and membership flags
+    for each probe matrix.  Every generator is read once as its
+    :func:`tableau`, and one that is not a Clifford unitary is refused; so
+    is a matrix that is not d**n x d**n.  The closure then walks tableaux
+    only: it expands one BFS level per batch, composing ``gen @ cur`` for
+    the whole level at once by integer matmuls (:func:`_composer`), and
+    keys each product by its exact integers.  The first unseen occurrence
+    of each key joins the next level in (cur, gen) order.  Discovery
+    order, the stop at exactly ``cap`` elements and the probe flags are
+    those of a FIFO BFS that multiplies one product at a time.  A probe
+    is a member when its tableau is found after the start; a unitary
+    probe that is not Clifford is a non-member, and a zero probe is
+    refused.  Orders are never asserted from memory; tests compare against
+    such a sequential BFS and against counted symplectic groups.
     """
+    if gates._integer(n, "n") < 0:
+        raise ValueError(f"n={n} is negative")
     if ring.d**n > 81:
         raise ValueError("group generation is desk-scale only (d**n <= 81)")
-    dim = ring.d**n
-    gens = np.asarray(list(generators.values()), dtype=complex).reshape(-1, dim, dim)
-    start = PhaselessUnitary.of(np.eye(dim, dtype=complex))
-    seen = {start.key()}
-    probe_canon = {name: PhaselessUnitary.of(m).matrix for name, m in (probes or {}).items()}
-    found = dict.fromkeys(probe_canon, False)
+    probes = probes or {}
+    tabs, probe_tabs = _read_inputs(ring, n, generators, probes)
+    r = 2 * n
+    products = _composer(tabs, ring.d)
+    keys_of = _keys(ring.d, n)
+    start = np.eye(r, r + 1, dtype=np.int64)[None]
+    seen = set(keys_of(start).tolist())
+    probe_keys = {name: keys_of(tab[None])[0] for name, tab in probe_tabs.items() if tab is not None}
+    found = dict.fromkeys(probes, False)
     count = 1
     cap_hit = False
     # frontier elements per batch, so one batch holds about _BATCH_ENTRIES entries
-    chunk = max(1, _BATCH_ENTRIES // (max(len(gens), 1) * dim * dim))
-    frontier = start.matrix[None]
+    chunk = max(1, _BATCH_ENTRIES // max(len(tabs) * r * (r + 1), 1))
+    frontier = start
     while len(frontier) and not cap_hit:
         level = []
         for lo in range(0, len(frontier), chunk):
-            batch = (gens[None] @ frontier[lo : lo + chunk, None]).reshape(-1, dim, dim)
-            batch, zero_at = _canonical_batch(batch)
-            keys = _keys_batch(batch[:zero_at])
-            # the first index of each key: zip reversed, so the earliest write wins
-            first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-            fresh = sorted(i for key, i in first.items() if key not in seen)
+            batch = products(frontier[lo : lo + chunk])
+            keys = keys_of(batch)
+            uniq, first = np.unique(keys, return_index=True)
+            fresh = np.sort(first[[key not in seen for key in uniq.tolist()]])
             fresh = fresh[: max(cap - count, 1)]  # the element that reaches cap is kept
-            seen.update(keys[i] for i in fresh)
+            seen.update(keys[fresh].tolist())
             count += len(fresh)
-            cap_hit = bool(fresh) and count >= cap
-            if not cap_hit and zero_at < len(batch):
-                raise ValueError("zero matrix cannot be canonicalized")
-            new = batch[fresh]
-            for name, canon in probe_canon.items():
+            cap_hit = bool(len(fresh)) and count >= cap
+            for name, key in probe_keys.items():
                 if not found[name]:
-                    found[name] = bool((np.abs(new - canon).max(axis=(1, 2)) < 1e-8).any())
-            level.append(new)
+                    found[name] = bool((keys[fresh] == key).any())
+            level.append(batch[fresh])
             if cap_hit:
                 break
         frontier = np.concatenate(level)
@@ -221,31 +337,16 @@ def generate_group(
         order=count,
         cap_hit=cap_hit,
         membership=found,
-        generator_count=len(gens),
+        generator_count=len(tabs),
     )
 
 
 def is_clifford(ring: PhaseRing, u: np.ndarray, tol: float = 1e-8) -> bool:
-    """True iff u maps every Pauli generator to one Pauli word.
+    """True iff u maps every Pauli generator to one Pauli word: iff it has a
+    :func:`tableau`.
 
     For each site j and P in (X, Z), u P_j u**-1 must be within ``tol`` at
     every entry of one :class:`gates.Weyl` word eps**c X**a Z**b (the word
-    ``Weyl.of_matrix`` reads from it).
+    :func:`gates.pauli_words` reads from it).
     """
-    dim = u.shape[0]
-    n = 0
-    size = 1
-    while size < dim:
-        size *= ring.d
-        n += 1
-    if size != dim:
-        raise ValueError("matrix size is not a power of d")
-    if np.abs(u @ u.conj().T - np.eye(dim)).max() > 1e-8:
-        raise ValueError("is_clifford expects a unitary")
-    ui = u.conj().T
-    for site in range(n):
-        for p in ("X", "Z"):
-            word = gates.Weyl.of_paulis(ring, n, [(site, p, 1)])
-            if gates.Weyl.of_matrix(ring, n, u @ word.apply(ring, ui), tol) is None:
-                return False
-    return True
+    return tableau(ring, u, tol) is not None

@@ -231,25 +231,34 @@ class Weyl:
 
     @classmethod
     def of_matrix(cls, ring: PhaseRing, n: int, m: np.ndarray, tol: float) -> "Weyl | None":
-        """The word whose matrix is within ``tol`` of ``m`` at every entry, or None.
+        """The word whose matrix is within ``tol`` of ``m`` at every entry, or None:
+        :func:`pauli_words` of the one matrix."""
+        words, read = pauli_words(ring, n, np.asarray(m)[None], tol)
+        a, b, c = np.split(words[0], [n, 2 * n])
+        return cls(ring.d, tuple(a.tolist()), tuple(b.tolist()), int(c[0])) if read[0] else None
 
-        Column 0 and the n unit columns |e_j> are read at their largest entry:
-        column 0's row is the shift a, and each entry's phase is rounded once to
-        the nearest eps**e, c in column 0 and c + 2 b_j in column e_j.  An odd
-        step is no word's, and gives None at any ``tol``.  Else the word is kept
-        only if its own matrix is within ``tol`` of ``m`` at every entry: that
-        one bound is the whole test, so a wrong reading can only give None.
-        """
-        d = ring.d
-        cols = np.array([0, *(d ** np.arange(n - 1, -1, -1))])
-        rows = np.abs(m[:, cols]).argmax(axis=0)
-        e = np.rint(np.angle(m[rows, cols]) * d / np.pi).astype(np.int64)
-        step = (e[1:] - e[0]) % (2 * d)
-        if (step % 2).any():
-            return None
-        a = rows[0] // cols[1:] % d  # the digits of column 0's row
-        word = cls(d, tuple(a.tolist()), tuple((step // 2).tolist()), int(e[0] % (2 * d)))
-        return word if np.abs(word.apply(ring, np.eye(d**n, dtype=complex)) - m).max() <= tol else None
+    def compose(self, other: "Weyl") -> "Weyl":
+        """The word of self @ other: Z**b1 meets the shift a2 first, so c gains 2 b1.a2."""
+        d = self.d
+        cross = 2 * sum(b * a for b, a in zip(self.b, other.a))
+        return Weyl(
+            d,
+            tuple((x + y) % d for x, y in zip(self.a, other.a)),
+            tuple((x + y) % d for x, y in zip(self.b, other.b)),
+            (self.c + other.c + cross) % (2 * d),
+        )
+
+    def power(self, k: int) -> "Weyl":
+        """The word of self**k for any integer k: each of the k(k-1)/2 ordered pairs
+        of factors adds 2 b.a to c."""
+        d, k = self.d, operator.index(k)
+        ba = sum(b * a for b, a in zip(self.b, self.a))
+        return Weyl(
+            d,
+            tuple(k * a % d for a in self.a),
+            tuple(k * b % d for b in self.b),
+            (k * self.c + k * (k - 1) * ba) % (2 * d),
+        )
 
     def exponents(self) -> np.ndarray:
         """The exponent c + 2 b.(m - a) mod 2d of each output index m (its entry comes from m - a)."""
@@ -268,6 +277,36 @@ class Weyl:
                 index = np.add.outer(index * self.d, shift[a])
             x = x[np.ravel(index)]
         return x * ring.eps_table[self.exponents()].reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+def pauli_words(ring: PhaseRing, n: int, m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The word (a, b, c) of each matrix of a (k, d**n, d**n) stack, one row of
+    2n + 1 integers each, and whether each matrix is within ``tol`` of its word
+    at every entry.
+
+    Column 0 and the n unit columns |e_j> are read at their largest entry:
+    column 0's row is the shift a, and each entry's phase is rounded once to
+    the nearest eps**e, c in column 0 and c + 2 b_j in column e_j.  An odd
+    step is no word's, and is not read at any ``tol``.  Else the word counts
+    only if its own matrix is within ``tol`` of the input at every entry: that
+    one bound is the whole test, so a wrong reading can only fail it.
+    """
+    d, k = ring.d, len(m)
+    place = d ** np.arange(n - 1, -1, -1)
+    lead = m[:, :, np.concatenate([[0], place])].transpose(0, 2, 1).reshape(k * (n + 1), d**n)
+    rows = np.abs(lead).argmax(axis=1)
+    e = np.rint(np.angle(lead[np.arange(len(lead)), rows]) * d / np.pi).astype(np.int64).reshape(k, n + 1)
+    rows = rows.reshape(k, n + 1)
+    step = (e[:, 1:] - e[:, :1]) % (2 * d)
+    a, b = rows[:, :1] // place % d, step // 2  # a: the digits of column 0's row
+    words = np.concatenate([a, b, e[:, :1] % (2 * d)], axis=1)
+    # the word's matrix holds eps**(c + 2 b.x) at row x + a of each column x
+    digits = digit_table(d, n)
+    target = ((digits + a[:, None]) % d) @ place
+    diff = np.array(m, dtype=complex)
+    expo = (words[:, -1:] + 2 * b @ digits.T) % (2 * d)
+    diff[np.arange(k)[:, None], target, np.arange(d**n)] -= ring.eps_table[expo]
+    return words, ~(step % 2).any(axis=1) & (np.abs(diff).max(axis=(1, 2)) <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from pappa.clifford import (
     PhaselessUnitary,
     generate_group,
     is_clifford,
+    tableau,
     verify_braid_gaussian_dressing,
     verify_cz_from_sft,
     verify_sft_factorizations,
@@ -311,9 +312,10 @@ def test_generate_group_matches_loop_oracle(d, permute):
         assert want.order == min(max(cap, 2), full.order)
 
 
-@pytest.mark.parametrize("batch_entries", [None, 11 * 16 * 7])
+@pytest.mark.parametrize("batch_entries", [None, 11 * 20 * 7])
 def test_generate_group_matches_loop_oracle_two_qubits(monkeypatch, batch_entries):
-    """The second case splits each level into batches of 7 frontier elements."""
+    """The second case splits each level into batches of 7 frontier elements:
+    11 generators times the 20 entries of a two-qudit tableau, 7 times."""
     if batch_entries:
         monkeypatch.setattr(clifford, "_BATCH_ENTRIES", batch_entries)
     ring = RINGS[2]
@@ -326,7 +328,7 @@ def test_generate_group_matches_loop_oracle_two_qubits(monkeypatch, batch_entrie
 
 
 def test_generate_group_edge_cases_match_loop_oracle():
-    """No generators, the identity alone, and a zero generator met before or after the cap."""
+    """No generators, the identity alone, and X, at caps 0 to 3."""
     ring = RINGS[2]
     x = pauli_gate(ring, "X")
     for gens in ({}, {"one": np.eye(2)}, {"x": x}):
@@ -334,11 +336,58 @@ def test_generate_group_edge_cases_match_loop_oracle():
             assert generate_group(ring, 1, gens, cap=cap) == generate_group_loop(
                 ring, 1, gens, cap=cap
             )
-    gens = {"x": x, "zero": np.zeros((2, 2))}
-    assert generate_group(ring, 1, gens, cap=2) == generate_group_loop(ring, 1, gens, cap=2)
-    for grow in (generate_group, generate_group_loop):
-        with pytest.raises(ValueError, match="zero matrix"):
-            grow(ring, 1, gens, cap=3)
+
+
+@pytest.mark.parametrize("n, cap", [(2, 2000), (3, 300)])
+def test_generate_group_matches_loop_oracle_at_a_cap(n, cap):
+    """d=3 on two and three qudits.  At n=3, d**(4n**2) (2d)**(2n) exceeds
+    2**63, so the keys are bytes, not int64."""
+    ring = RINGS[3]
+    gens = _single_qudit_generators(ring, n)
+    gens["sft"] = sft_matrix(ring, n)
+    trail = []
+    generate_group_loop(ring, n, gens, cap=cap + 3, trail=trail)
+    want = _assert_matches_loop_at(ring, n, gens, _probes(ring, n), cap, trail)
+    assert want.cap_hit and want.order == cap
+
+
+def test_generate_group_refuses_what_is_no_clifford_generator():
+    """Each refusal is one ValueError that names the generator, the probe or n,
+    at every cap; before, a wrongly sized generator was cut into blocks."""
+    ring = RINGS[2]
+    x = pauli_gate(ring, "X")
+    pi8 = np.diag([1.0, np.exp(1j * np.pi / 4)])
+    for cap in (1, 2, 3, 1000):
+        for gens, probes, match in (
+            ({"x": x, "zero": np.zeros((2, 2))}, {}, "generator 'zero' is not a Clifford unitary"),
+            ({"x": x, "pi8": pi8}, {}, "generator 'pi8' is not a Clifford unitary"),
+            ({"x": x, "twice": 2 * x}, {}, "generator 'twice' is not a Clifford unitary"),
+            ({"sft2": sft_matrix(ring, 2)}, {}, r"generator 'sft2' has shape \(4, 4\), not \(2, 2\)"),
+            ({"x": x, "three": np.eye(3)}, {}, r"generator 'three' has shape \(3, 3\)"),
+            ({"x": x}, {"sft2": sft_matrix(ring, 2)}, r"probe 'sft2' has shape \(4, 4\)"),
+            ({"x": x}, {"nil": np.zeros((2, 2))}, "probe 'nil' is the zero matrix"),
+        ):
+            with pytest.raises(ValueError, match=match) as err:
+                generate_group(ring, 1, gens, cap=cap, probes=probes)
+            assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match="n=-1 is negative"):
+        generate_group(ring, -1, {"x": x})
+    with pytest.raises(TypeError, match="n 1.0 is not an integer"):
+        generate_group(ring, 1.0, {"x": x})
+
+
+def test_generate_group_probes_that_are_not_clifford_are_non_members():
+    """A non-Clifford unitary, a scaled Clifford and a phased member, at d=2."""
+    ring = RINGS[2]
+    gens = _single_qudit_generators(ring, 1)
+    probes = {
+        "pi8": np.diag([1.0, np.exp(1j * np.pi / 4)]),
+        "twice_f": 2 * fourier_gate(ring),
+        "turned_f": np.exp(0.3j) * fourier_gate(ring),
+    }
+    got = generate_group(ring, 1, gens, probes=probes)
+    assert got == generate_group_loop(ring, 1, gens, probes=probes)
+    assert got.membership == {"pi8": False, "twice_f": False, "turned_f": True}
 
 
 def _sl2_order(d):
@@ -355,7 +404,7 @@ def _sp4_z2_order():
     return int((form == j).all(axis=(1, 2)).sum())
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", range(2, 8))
 def test_single_qudit_clifford_order_is_d2_times_sl2(d):
     ring = make_phase_ring(d)
     rep = generate_group(ring, 1, _single_qudit_generators(ring, 1))
@@ -404,6 +453,72 @@ def test_named_gates_are_clifford():
         assert is_clifford(ring, cz_gate(ring, 2)), d
         for name in "XZ":
             assert is_clifford(ring, gates.ctrl_block(ring, name)), (d, name)
+
+
+def _word_row(word):
+    return [*word.a, *word.b, word.c]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_tableau_rows_are_the_words_of_the_images(d, n):
+    """Row j is u X_j u**-1 and row n + j is u Z_j u**-1, read by ``of_matrix``."""
+    ring = RINGS[d]
+    f, g = fourier_gate(ring), gaussian_gate(ring)
+    for u in (sft_matrix(ring, n), Local((n - 1,), f @ g).to_matrix(d, n), np.eye(d**n)):
+        tab = tableau(ring, u)
+        assert tab.shape == (2 * n, 2 * n + 1) and tab.dtype == np.int64
+        for row, (p, site) in enumerate((p, site) for p in "XZ" for site in range(n)):
+            image = u @ Local((site,), pauli_gate(ring, p)).to_matrix(d, n) @ u.conj().T
+            assert tab[row].tolist() == _word_row(Weyl.of_matrix(ring, n, image, 1e-8)), (p, site)
+    assert np.array_equal(tableau(ring, np.eye(d**n)), np.eye(2 * n, 2 * n + 1, dtype=np.int64))
+
+
+def test_tableau_refusals():
+    """Not square, not d**n, not unitary: ValueError; unitary but not Clifford: None."""
+    ring = RINGS[2]
+    assert tableau(ring, np.diag([1.0, np.exp(1j * np.pi / 4)])) is None
+    assert tableau(ring, gates._random_unitary(4, np.random.default_rng(0))) is None
+    for bad, match in (
+        (np.eye(2)[:1], "not square"),
+        (np.eye(3), "not a power of d"),
+        (np.zeros((2, 2)), "expect a unitary"),
+        (2 * pauli_gate(ring, "X"), "expect a unitary"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            tableau(ring, bad)
+        with pytest.raises(ValueError, match=match):
+            is_clifford(ring, bad)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_batched_products_match_the_word_fold_and_the_dense_product(d):
+    """``_composer`` against two oracles: the fold eps**c times g's rows raised
+    to (a, b) in row order, by ``Weyl.power`` and ``Weyl.compose``, and the
+    tableau of the dense product g @ u, for random Cliffords g and u."""
+    ring, rng = RINGS.get(d) or make_phase_ring(d), np.random.default_rng(400 + d)
+    for n in (1, 2):
+        gens = list(_single_qudit_generators(ring, n).values()) + [sft_matrix(ring, n)]
+
+        def clifford_word():
+            u = np.eye(d**n, dtype=complex)
+            for k in rng.integers(len(gens), size=6):
+                u = gens[k] @ u
+            return u
+
+        us, gs = [clifford_word() for _ in range(3)], [clifford_word() for _ in range(3)]
+        u_tabs = np.array([tableau(ring, u) for u in us])
+        g_tabs = np.array([tableau(ring, g) for g in gs])
+        got = clifford._composer(g_tabs, d)(u_tabs).reshape(len(us), len(gs), 2 * n, 2 * n + 1)
+        for i, u in enumerate(us):
+            for j, g in enumerate(gs):
+                assert np.array_equal(got[i, j], tableau(ring, g @ u)), (n, i, j)
+                rows = [Weyl(d, tuple(t[:n]), tuple(t[n : 2 * n]), t[2 * n]) for t in g_tabs[j].tolist()]
+                for k, (*v, c) in enumerate(u_tabs[i].tolist()):
+                    word = Weyl(d, (0,) * n, (0,) * n, c)
+                    for row, e in zip(rows, v):
+                        word = word.compose(row.power(e))
+                    assert got[i, j, k].tolist() == _word_row(word), (n, i, j, k)
 
 
 def pauli_word_match_loop(ring, n, w, tol):

@@ -61,6 +61,42 @@ def test_pauli_fold_is_the_product_of_the_loop_builders(d):
         assert np.abs(word.apply(ring, x[:, 0]) - want @ x[:, 0]).max() < 1e-12, factors
 
 
+def _random_word(d, n, rng):
+    a, b = (tuple(rng.integers(d, size=n).tolist()) for _ in "ab")
+    return Weyl(d, a, b, int(rng.integers(2 * d)))
+
+
+@pytest.mark.parametrize("d", DEGREES)
+def test_compose_is_the_word_of_the_dense_product(d):
+    """w1.compose(w2) is the word ``of_matrix`` reads from w1's matrix times w2's,
+    for random pairs on up to three qudits."""
+    ring, rng = make_phase_ring(d), np.random.default_rng(200 + d)
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        w1, w2 = _random_word(d, n, rng), _random_word(d, n, rng)
+        eye = np.eye(d**n, dtype=complex)
+        want = Weyl.of_matrix(ring, n, w1.apply(ring, w2.apply(ring, eye)), 1e-9)
+        assert want is not None and w1.compose(w2) == want, (w1, w2)
+
+
+@pytest.mark.parametrize("d", DEGREES)
+def test_power_is_the_word_of_the_dense_power(d):
+    """w.power(k) is the word of the matrix power, on one or two qudits, for k
+    from -3d to 3d and for large k of either sign; a word's order divides 2d, so k and k mod 2d agree."""
+    ring, rng = make_phase_ring(d), np.random.default_rng(300 + d)
+    large = (10**6 + 1, -(10**6) - 3, 2 * d * 10**5 + d - 1)
+    for _ in range(12):
+        n = int(rng.integers(1, 3))
+        w = _random_word(d, n, rng)
+        m = w.apply(ring, np.eye(d**n, dtype=complex))
+        for k in (*range(-3 * d, 3 * d + 1), *large):
+            want = Weyl.of_matrix(ring, n, np.linalg.matrix_power(m, k), 1e-8)
+            assert want is not None and w.power(k) == want, (w, k)
+        for k in (10**30 + 7, -(10**30) - 5):
+            assert w.power(k) == w.power(k % (2 * d)), (w, k)
+        assert w.power(1) == w and w.power(2) == w.compose(w)
+
+
 def exact_charge_run(ring, n, charges):
     """A charge run column by column: the digits move and the eps exponent sums
     in Python ints, then one ``eps_pow`` per entry.  Higher tiers apply first,
