@@ -38,7 +38,7 @@ from .phases import PhaseRing
 # the grid of ``PhaselessUnitary.key``, for unitaries that have no tableau
 _HASH_GRID = 1e-6
 # tableau entries composed in one batch of the BFS, so that a level near the
-# cap at n = 2..4 is split: each array of a batch holds at most this many
+# cap at n = 2..4 is split: the largest arrays of a batch hold about this many
 # int64 entries, 64 KiB, under glibc's default mmap threshold of 128 KiB
 _BATCH_ENTRIES = 2**13
 
@@ -211,6 +211,8 @@ def _composer(tabs: np.ndarray, d: int) -> Callable[[np.ndarray], np.ndarray]:
     and Q holds b_k.a_k on its diagonal and 2 b_k.a_l above it (k < l).  So
     every row of every product is one integer matmul by ``lin``, which maps
     (v, c) to (v S, c + v.lin) for all g side by side, and one quadratic form.
+    Before the reduction an entry is below 10 n**3 d**4, under 2**29 for any
+    d**n <= 81, so int64 never wraps.
     """
     g, r = tabs.shape[:2]
     n = r // 2
@@ -288,8 +290,8 @@ def generate_group(
     is a matrix that is not d**n x d**n.  The closure then walks tableaux
     only: it expands one BFS level per batch, composing ``gen @ cur`` for
     the whole level at once by integer matmuls (:func:`_composer`), and
-    keys each product by its exact integers.  The first unseen occurrence
-    of each key joins the next level in (cur, gen) order.  Discovery
+    keys each product by its exact integers.  Each unseen key, in
+    (cur, gen) order, joins the next level.  Discovery
     order, the stop at exactly ``cap`` elements and the probe flags are
     those of a FIFO BFS that multiplies one product at a time.  A probe
     is a member when its tableau is found after the start; a unitary
@@ -307,9 +309,7 @@ def generate_group(
     products = _composer(tabs, ring.d)
     keys_of = _keys(ring.d, n)
     start = np.eye(r, r + 1, dtype=np.int64)[None]
-    seen = set(keys_of(start).tolist())
-    probe_keys = {name: keys_of(tab[None])[0] for name, tab in probe_tabs.items() if tab is not None}
-    found = dict.fromkeys(probes, False)
+    seen = dict.fromkeys(keys_of(start).tolist(), 0)  # key -> its place in discovery order
     count = 1
     cap_hit = False
     # frontier elements per batch, so one batch holds about _BATCH_ENTRIES entries
@@ -319,20 +319,24 @@ def generate_group(
         level = []
         for lo in range(0, len(frontier), chunk):
             batch = products(frontier[lo : lo + chunk])
-            keys = keys_of(batch)
-            uniq, first = np.unique(keys, return_index=True)
-            fresh = np.sort(first[[key not in seen for key in uniq.tolist()]])
-            fresh = fresh[: max(cap - count, 1)]  # the element that reaches cap is kept
-            seen.update(keys[fresh].tolist())
+            fresh = []
+            for i, key in enumerate(keys_of(batch).tolist()):
+                if key not in seen:
+                    seen[key] = count + len(fresh)
+                    fresh.append(i)
+                    if count + len(fresh) >= cap:  # the element that reaches cap is kept
+                        break
             count += len(fresh)
-            cap_hit = bool(len(fresh)) and count >= cap
-            for name, key in probe_keys.items():
-                if not found[name]:
-                    found[name] = bool((keys[fresh] == key).any())
+            cap_hit = bool(fresh) and count >= cap
             level.append(batch[fresh])
             if cap_hit:
                 break
         frontier = np.concatenate(level)
+    # a probe is found after the start: a FIFO BFS probes only the products it forms
+    found = dict.fromkeys(probes, False)
+    for name, tab in probe_tabs.items():
+        if tab is not None:
+            found[name] = seen.get(keys_of(tab[None]).tolist()[0], 0) > 0
     return GroupReport(
         order=count,
         cap_hit=cap_hit,
