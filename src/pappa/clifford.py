@@ -219,12 +219,12 @@ def _composer(tabs: np.ndarray, d: int) -> Callable[[np.ndarray], np.ndarray]:
     ba = tabs[:, :, n:r] @ tabs[:, :, :n].transpose(0, 2, 1)
     diag = np.einsum("gkk->gk", ba)
     quad = 2 * np.triu(ba, 1) + diag[:, :, None] * np.eye(r, dtype=np.int64)
-    quad = quad.transpose(1, 0, 2).reshape(r, -1)
+    quad = quad.transpose(1, 0, 2).reshape(r, g * r)
     lin = np.zeros((g, r + 1, r + 1), dtype=np.int64)
     lin[:, :r, :r] = tabs[:, :, :r]
     lin[:, :r, r] = tabs[:, :, r] - diag
     lin[:, r, r] = 1
-    lin = lin.transpose(1, 0, 2).reshape(r + 1, -1)
+    lin = lin.transpose(1, 0, 2).reshape(r + 1, g * (r + 1))
     modulus = np.array([d] * r + [2 * d])
 
     def products(cur: np.ndarray) -> np.ndarray:
@@ -234,7 +234,7 @@ def _composer(tabs: np.ndarray, d: int) -> Callable[[np.ndarray], np.ndarray]:
         out[:, :, r] += ((v @ quad).reshape(len(rows), g, r) * v[:, None]).sum(axis=2)
         out %= modulus
         # (u, row, g) -> (u, g) products of r rows each
-        return out.reshape(len(cur), r, g, r + 1).transpose(0, 2, 1, 3).reshape(-1, r, r + 1)
+        return out.reshape(len(cur), r, g, r + 1).transpose(0, 2, 1, 3).reshape(len(cur) * g, r, r + 1)
 
     return products
 
@@ -246,7 +246,7 @@ def _keys(d: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
     r = 2 * n
     radix = np.tile([d] * r + [2 * d], r)
     if math.prod(radix.tolist()) < 2**63:
-        weights = np.cumprod(np.concatenate([[1], radix[:-1]]))
+        weights = np.cumprod(radix) // radix
         return lambda tabs: tabs.reshape(len(tabs), r * (r + 1)) @ weights
     void = np.dtype((np.void, r * (r + 1)))
     return lambda tabs: tabs.astype(np.uint8).reshape(len(tabs), r * (r + 1)).view(void).ravel()

@@ -328,14 +328,15 @@ def test_generate_group_matches_loop_oracle_two_qubits(monkeypatch, batch_entrie
 
 
 def test_generate_group_edge_cases_match_loop_oracle():
-    """No generators, the identity alone, and X, at caps 0 to 3."""
+    """No generators, the identity alone, and X, at caps 0 to 3; and no qudits,
+    where every 1 x 1 unitary is the identity modulo phase."""
     ring = RINGS[2]
     x = pauli_gate(ring, "X")
-    for gens in ({}, {"one": np.eye(2)}, {"x": x}):
+    for n, gens in ((1, {}), (1, {"one": np.eye(2)}), (1, {"x": x}), (0, {}), (0, {"i": np.array([[1j]])})):
         for cap in (0, 1, 2, 3):
-            assert generate_group(ring, 1, gens, cap=cap) == generate_group_loop(
-                ring, 1, gens, cap=cap
-            )
+            probes = {"one": np.eye(2**n)}
+            want = generate_group_loop(ring, n, gens, cap=cap, probes=probes)
+            assert generate_group(ring, n, gens, cap=cap, probes=probes) == want, (n, gens, cap)
 
 
 @pytest.mark.parametrize("n, cap", [(2, 2000), (3, 300)])
@@ -353,11 +354,11 @@ def test_generate_group_matches_loop_oracle_at_a_cap(n, cap):
 
 def test_generate_group_refuses_what_is_no_clifford_generator():
     """Each refusal is one ValueError that names the generator, the probe or n,
-    at every cap; before, a wrongly sized generator was cut into blocks."""
+    at every cap, so a wrongly sized generator is never cut into blocks."""
     ring = RINGS[2]
     x = pauli_gate(ring, "X")
     pi8 = np.diag([1.0, np.exp(1j * np.pi / 4)])
-    for cap in (1, 2, 3, 1000):
+    for cap in (0, 1, 2, 3, 1000):
         for gens, probes, match in (
             ({"x": x, "zero": np.zeros((2, 2))}, {}, "generator 'zero' is not a Clifford unitary"),
             ({"x": x, "pi8": pi8}, {}, "generator 'pi8' is not a Clifford unitary"),

@@ -75,14 +75,15 @@ def test_compose_is_the_word_of_the_dense_product(d):
         n = int(rng.integers(1, 4))
         w1, w2 = _random_word(d, n, rng), _random_word(d, n, rng)
         eye = np.eye(d**n, dtype=complex)
-        want = Weyl.of_matrix(ring, n, w1.apply(ring, w2.apply(ring, eye)), 1e-9)
+        want = Weyl.of_matrix(ring, n, w1.apply(ring, eye) @ w2.apply(ring, eye), 1e-9)
         assert want is not None and w1.compose(w2) == want, (w1, w2)
 
 
 @pytest.mark.parametrize("d", DEGREES)
 def test_power_is_the_word_of_the_dense_power(d):
     """w.power(k) is the word of the matrix power, on one or two qudits, for k
-    from -3d to 3d and for large k of either sign; a word's order divides 2d, so k and k mod 2d agree."""
+    from -3d to 3d and for large k of either sign.  A word's order divides 2d,
+    so k and k mod 2d agree."""
     ring, rng = make_phase_ring(d), np.random.default_rng(300 + d)
     large = (10**6 + 1, -(10**6) - 3, 2 * d * 10**5 + d - 1)
     for _ in range(12):
