@@ -291,13 +291,13 @@ def generate_group(
     only: it expands one BFS level per batch, composing ``gen @ cur`` for
     the whole level at once by integer matmuls (:func:`_composer`), and
     keys each product by its exact integers.  Each unseen key, in
-    (cur, gen) order, joins the next level.  Discovery
-    order, the stop at exactly ``cap`` elements and the probe flags are
-    those of a FIFO BFS that multiplies one product at a time.  A probe
-    is a member when its tableau is found after the start; a unitary
-    probe that is not Clifford is a non-member, and a zero probe is
-    refused.  Orders are never asserted from memory; tests compare against
-    such a sequential BFS and against counted symplectic groups.
+    (cur, gen) order, joins the next level.  Discovery order, the stop at
+    exactly ``cap`` elements and the probe flags are those of a FIFO BFS
+    that multiplies one product at a time.  A probe is a member when its
+    tableau is found after the start; a unitary probe that is not
+    Clifford is a non-member, and a zero probe is refused.  Orders are
+    never asserted from memory; tests compare against such a sequential
+    BFS and against counted symplectic groups.
     """
     if gates._integer(n, "n") < 0:
         raise ValueError(f"n={n} is negative")
