@@ -25,7 +25,6 @@ variant visible pins the phase conventions against regressions.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -41,6 +40,10 @@ _HASH_GRID = 1e-6
 # cap at n = 2..4 is split: the largest arrays of a batch hold about this many
 # int64 entries, 64 KiB, under glibc's default mmap threshold of 128 KiB
 _BATCH_ENTRIES = 2**13
+# complex entries of the Pauli images that one read of tableaux holds, at least
+# one Pauli's: every generate_group of the verify suite and the demos is one read,
+# and is_clifford on a large register holds one image at a time
+_READ_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,12 @@ def tableau(ring: PhaseRing, u: np.ndarray, tol: float = 1e-8) -> np.ndarray | N
     Row j of the (2n, 2n + 1) array is the word (a, b, c), eps**c X**a Z**b
     with ``c`` mod 2d, of u X_j u**-1, and row n + j that of u Z_j u**-1, as
     :func:`gates.pauli_words` reads them at ``tol``.  None when some image
-    is no word, that is when u is not Clifford.  Modulo its global phase a
-    Clifford is its tableau.  A matrix that is not square, not of size d**n
-    or not unitary is a ``ValueError``.
+    is no word, that is when u is not Clifford, and the read stops at the
+    first such image.  Modulo its global phase a Clifford is its tableau.
+    On a register of more than ``_READ_ENTRIES`` entries the images are
+    read one at a time, so besides u the read holds a few matrices of its
+    size.  A matrix that is not square, not of size d**n or not unitary
+    is a ``ValueError``.
     """
     u = np.asarray(u)
     tabs, unitary = _tableaux(ring, _qudits(ring, u.shape), u[None], tol)
@@ -185,18 +191,26 @@ def _qudits(ring: PhaseRing, shape: tuple[int, ...]) -> int:
 
 def _tableaux(ring: PhaseRing, n: int, us: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
     """:func:`tableau` of each matrix of a (k, d**n, d**n) stack, None where it
-    is not a Clifford unitary, and which of the matrices are unitary.  All
-    k 2n images go to one :func:`gates.pauli_words` call."""
+    is not a Clifford unitary, and which of the matrices are unitary.  The k
+    images of as many Paulis as fit in ``_READ_ENTRIES`` entries go to one
+    :func:`gates.pauli_words` call, one Pauli at least, and the read stops
+    once no matrix is left that can be Clifford."""
     k, r, dim = len(us), 2 * n, ring.d**n
     unitary = np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(dim)).max(axis=(1, 2)) <= 1e-8
     ui = us.conj().transpose(2, 0, 1)  # each u**-1, its rows first
-    moved = np.zeros((r, dim, k, dim), dtype=complex)  # P u**-1 for each generator P
-    for row, (p, site) in enumerate((p, site) for p in "XZ" for site in range(n)):
-        moved[row] = gates.Weyl.of_paulis(ring, n, [(site, p, 1)]).apply(ring, ui)
-    images = us[:, None] @ moved.transpose(2, 0, 1, 3)
-    words, ok = gates.pauli_words(ring, n, images.reshape(k * r, dim, dim), tol)
-    read = unitary & ok.reshape(k, r).all(axis=1)
-    return [tab if good else None for tab, good in zip(words.reshape(k, r, r + 1), read)], unitary
+    paulis = [gates.Weyl.of_paulis(ring, n, [(site, p, 1)]) for p in "XZ" for site in range(n)]
+    words = np.zeros((k, r, r + 1), dtype=np.int64)
+    read = unitary.copy()
+    step = max(1, _READ_ENTRIES // max(k * dim * dim, 1))
+    for lo in range(0, r, step):
+        if not read.any():
+            break
+        moved = np.stack([p.apply(ring, ui) for p in paulis[lo : lo + step]])  # P u**-1 for each Pauli P
+        images = us[:, None] @ moved.transpose(2, 0, 1, 3)
+        got, ok = gates.pauli_words(ring, n, images.reshape(-1, dim, dim), tol)
+        words[:, lo : lo + len(moved)] = got.reshape(k, len(moved), r + 1)
+        read &= ok.reshape(k, len(moved)).all(axis=1)
+    return [tab if good else None for tab, good in zip(words, read)], unitary
 
 
 def _composer(tabs: np.ndarray, d: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -239,17 +253,12 @@ def _composer(tabs: np.ndarray, d: int) -> Callable[[np.ndarray], np.ndarray]:
     return products
 
 
-def _keys(d: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The exact key of each tableau of a (k, 2n, 2n + 1) stack: its entries as
-    mixed-radix digits of one int64 when d**(4n**2) (2d)**(2n) fits, else its
-    bytes."""
-    r = 2 * n
-    radix = np.tile([d] * r + [2 * d], r)
-    if math.prod(radix.tolist()) < 2**63:
-        weights = np.cumprod(radix) // radix
-        return lambda tabs: tabs.reshape(len(tabs), r * (r + 1)) @ weights
-    void = np.dtype((np.void, r * (r + 1)))
-    return lambda tabs: tabs.astype(np.uint8).reshape(len(tabs), r * (r + 1)).view(void).ravel()
+def _keys(tabs: np.ndarray) -> np.ndarray:
+    """The exact key of each tableau of a (k, 2n, 2n + 1) stack, n > 0: its
+    entries as bytes, one byte each, since every entry is below 2d <= 162."""
+    k, r, width = tabs.shape
+    flat = tabs.astype(np.uint8).reshape(k, r * width)
+    return flat.view(np.dtype((np.void, r * width))).ravel()
 
 
 def _read_inputs(ring: PhaseRing, n: int, generators: dict, probes: dict) -> tuple[np.ndarray, dict]:
@@ -305,11 +314,13 @@ def generate_group(
         raise ValueError("group generation is desk-scale only (d**n <= 81)")
     probes = probes or {}
     tabs, probe_tabs = _read_inputs(ring, n, generators, probes)
+    if n == 0:  # every 1 x 1 unitary is the identity modulo phase, so no product is new
+        return GroupReport(order=1, cap_hit=False, membership=dict.fromkeys(probes, False), generator_count=len(tabs))
     r = 2 * n
     products = _composer(tabs, ring.d)
-    keys_of = _keys(ring.d, n)
     start = np.eye(r, r + 1, dtype=np.int64)[None]
-    seen = dict.fromkeys(keys_of(start).tolist(), 0)  # key -> its place in discovery order
+    start_key = _keys(start).tolist()[0]
+    seen = {start_key}
     count = 1
     cap_hit = False
     # frontier elements per batch, so one batch holds about _BATCH_ENTRIES entries
@@ -320,9 +331,9 @@ def generate_group(
         for lo in range(0, len(frontier), chunk):
             batch = products(frontier[lo : lo + chunk])
             fresh = []
-            for i, key in enumerate(keys_of(batch).tolist()):
+            for i, key in enumerate(_keys(batch).tolist()):
                 if key not in seen:
-                    seen[key] = count + len(fresh)
+                    seen.add(key)
                     fresh.append(i)
                     if count + len(fresh) >= cap:  # the element that reaches cap is kept
                         break
@@ -336,7 +347,8 @@ def generate_group(
     found = dict.fromkeys(probes, False)
     for name, tab in probe_tabs.items():
         if tab is not None:
-            found[name] = seen.get(keys_of(tab[None]).tolist()[0], 0) > 0
+            key = _keys(tab[None]).tolist()[0]
+            found[name] = key in seen and key != start_key
     return GroupReport(
         order=count,
         cap_hit=cap_hit,

@@ -1,5 +1,6 @@
 """Clifford identities, group generation by BFS, and membership testing."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -312,6 +313,23 @@ def test_generate_group_matches_loop_oracle(d, permute):
         assert want.order == min(max(cap, 2), full.order)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_generate_group_matches_the_loop_trail_at_every_cap(d):
+    """Every cap from 0 to one past the order (at d=5 every cap to 500, then
+    every 11th), against the loop oracle's discovery order: the order, ``cap_hit``
+    and the flags of the elements on either side of the cut."""
+    ring = make_phase_ring(d)
+    gens = _single_qudit_generators(ring, 1)
+    trail = []
+    full = generate_group_loop(ring, 1, gens, trail=trail)
+    caps = range(full.order + 2) if d < 5 else [*range(500), *range(500, full.order + 2, 11), full.order]
+    for cap in caps:
+        near = range(max(cap - 2, 1), min(cap + 2, len(trail)))
+        order = min(max(cap, 2), full.order)
+        want = GroupReport(order, cap <= full.order, {f"#{i}": i < order for i in near}, len(gens))
+        assert generate_group(ring, 1, gens, cap=cap, probes={f"#{i}": trail[i] for i in near}) == want, cap
+
+
 @pytest.mark.parametrize("batch_entries", [None, 11 * 20 * 7])
 def test_generate_group_matches_loop_oracle_two_qubits(monkeypatch, batch_entries):
     """The second case splits each level into batches of 7 frontier elements:
@@ -341,8 +359,7 @@ def test_generate_group_edge_cases_match_loop_oracle():
 
 @pytest.mark.parametrize("n, cap", [(2, 2000), (3, 300)])
 def test_generate_group_matches_loop_oracle_at_a_cap(n, cap):
-    """d=3 on two and three qudits.  At n=3, d**(4n**2) (2d)**(2n) exceeds
-    2**63, so the keys are bytes, not int64."""
+    """d=3 on two and three qudits."""
     ring = RINGS[3]
     gens = _single_qudit_generators(ring, n)
     gens["sft"] = sft_matrix(ring, n)
@@ -490,6 +507,32 @@ def test_tableau_refusals():
             tableau(ring, bad)
         with pytest.raises(ValueError, match=match):
             is_clifford(ring, bad)
+
+
+def test_tableau_reads_one_pauli_at_a_time_on_a_large_register(monkeypatch):
+    """On d=2, n=7 each read holds one Pauli's images: the peak stays under 8
+    matrices (reading all 14 images at once takes about 51), and a pi/8 gate on
+    qudit 0 stops after its first image, X_0's.  Split reads give the same tableaux."""
+    ring, n = RINGS[2], 7
+    sft = sft_matrix(ring, n)
+    tracemalloc.start()
+    assert is_clifford(ring, sft)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * sft.nbytes
+    calls = []
+    reader = gates.pauli_words
+    monkeypatch.setattr(gates, "pauli_words", lambda *args: calls.append(1) or reader(*args))
+    assert not is_clifford(ring, Local((0,), np.diag([1.0, np.exp(1j * np.pi / 4)])).to_matrix(2, n))
+    assert len(calls) == 1
+    mats = [sft_matrix(ring, 2), cz_gate(ring, 2), Local((1,), fourier_gate(ring)).to_matrix(2, 2)]
+    whole = [tableau(ring, m) for m in mats]
+    gens = {**_single_qudit_generators(ring, 2), "sft": sft_matrix(ring, 2)}
+    probes = _probes(ring, 2)
+    want = generate_group(ring, 2, gens, cap=500, probes=probes)
+    monkeypatch.setattr(clifford, "_READ_ENTRIES", 1)
+    assert all(np.array_equal(tableau(ring, m), w) for m, w in zip(mats, whole))
+    assert generate_group(ring, 2, gens, cap=500, probes=probes) == want
 
 
 @pytest.mark.parametrize("d", range(2, 8))
